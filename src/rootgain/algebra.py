@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 Rational = Fraction
@@ -82,15 +83,11 @@ def is_prime(n: int) -> bool:
 
 
 def iter_primes():
-    """2, 3, 5, 7, ... via incremental trial division (desk scale)."""
-    yield 2
-    found = [2]
-    n = 3
+    """2, 3, 5, 7, ..."""
+    p = 2
     while True:
-        if all(n % p for p in found if p * p <= n):
-            found.append(n)
-            yield n
-        n += 2
+        yield p
+        p = next_prime(p)
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -104,13 +101,12 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
-def first_primes(count: int) -> list[int]:
-    out = []
-    for p in iter_primes():
-        out.append(p)
-        if len(out) == count:
-            return out
-    return out
+def next_prime(n: int) -> int:
+    """The least prime above n."""
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 def valuation(x: Rational | int, p: int):
@@ -154,10 +150,6 @@ def rational_sqrt(q: Rational):
     return None
 
 
-def integer_is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 # ----------------------------------------------------------------------------
 # polynomials over Q
 
@@ -176,10 +168,6 @@ class PolyQ:
     @classmethod
     def from_descending(cls, coeffs) -> PolyQ:
         return cls(list(coeffs)[::-1])
-
-    @classmethod
-    def x_power(cls, k: int, c=1) -> PolyQ:
-        return cls([0] * k + [c])
 
     @property
     def degree(self) -> int:
@@ -490,7 +478,8 @@ def poly_sqrt_exact(h: PolyQ) -> PolyQ:
 
 
 class PolyFp:
-    """Univariate polynomial over F_p (p prime, checked at construction)."""
+    """Univariate polynomial over F_p; the constructor and `reduce` check that
+    p is prime, arithmetic results reuse their operands' p through `_of`."""
 
     __slots__ = ("p", "coeffs")
 
@@ -504,14 +493,26 @@ class PolyFp:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, p: int, cs: list[int]) -> PolyFp:
+        """Internal constructor: p is a known prime, cs are reduced mod p."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = object.__new__(cls)
+        out.p = p
+        out.coeffs = tuple(cs)
+        return out
+
+    @classmethod
     def reduce(cls, f: PolyQ, p: int) -> PolyFp:
         """f mod p; denominators must be prime to p."""
+        if not is_prime(p):
+            raise AlgebraError(f"PolyFp: modulus {p} is not prime")
         out = []
         for c in f.coeffs:
             if c.denominator % p == 0:
                 raise AlgebraError(f"reduction mod {p}: denominator divisible by {p}")
             out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return cls(p, out)
+        return cls._of(p, out)
 
     @property
     def degree(self) -> int:
@@ -538,25 +539,25 @@ class PolyFp:
     def __add__(self, other: PolyFp) -> PolyFp:
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFp(self.p, [(self[i] + other[i]) % self.p for i in range(n)])
+        return PolyFp._of(self.p, [(self[i] + other[i]) % self.p for i in range(n)])
 
     def __sub__(self, other: PolyFp) -> PolyFp:
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFp(self.p, [(self[i] - other[i]) % self.p for i in range(n)])
+        return PolyFp._of(self.p, [(self[i] - other[i]) % self.p for i in range(n)])
 
     def __mul__(self, other) -> PolyFp:
         if isinstance(other, int):
-            return PolyFp(self.p, [c * other % self.p for c in self.coeffs])
+            return PolyFp._of(self.p, [c * other % self.p for c in self.coeffs])
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return PolyFp(self.p, [])
+            return PolyFp._of(self.p, [])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = (out[i + j] + a * b) % self.p
-        return PolyFp(self.p, out)
+        return PolyFp._of(self.p, out)
 
     def divmod(self, other: PolyFp) -> tuple[PolyFp, PolyFp]:
         self._check(other)
@@ -564,7 +565,7 @@ class PolyFp:
             raise ZeroDivisionError
         rem = list(self.coeffs)
         if len(rem) < len(other.coeffs):
-            return PolyFp(self.p, []), self
+            return PolyFp._of(self.p, []), self
         quo = [0] * (len(rem) - len(other.coeffs) + 1)
         inv = pow(other.coeffs[-1], -1, self.p)
         while len(rem) >= len(other.coeffs) and rem:
@@ -575,7 +576,7 @@ class PolyFp:
                 rem[i + d] = (rem[i + d] - c * b) % self.p
             while rem and rem[-1] == 0:
                 rem.pop()
-        return PolyFp(self.p, quo), PolyFp(self.p, rem)
+        return PolyFp._of(self.p, quo), PolyFp._of(self.p, rem)
 
     def __mod__(self, other: PolyFp) -> PolyFp:
         return self.divmod(other)[1]
@@ -596,7 +597,7 @@ class PolyFp:
         return a.monic()
 
     def derivative(self) -> PolyFp:
-        return PolyFp(self.p, [i * c % self.p for i, c in enumerate(self.coeffs)][1:])
+        return PolyFp._of(self.p, [i * c % self.p for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -605,7 +606,7 @@ class PolyFp:
         return acc
 
     def pow_mod(self, e: int, mod: PolyFp) -> PolyFp:
-        out = PolyFp(self.p, [1])
+        out = PolyFp._of(self.p, [1])
         base = self % mod
         while e:
             if e & 1:
@@ -621,7 +622,7 @@ class PolyFp:
 def _pth_root(f: PolyFp) -> PolyFp:
     """For f with f' = 0: the g with g^p = f (coefficientwise, a^(1/p) = a in F_p)."""
     p = f.p
-    return PolyFp(p, [f[i] for i in range(0, len(f.coeffs), p)])
+    return PolyFp._of(p, [f[i] for i in range(0, len(f.coeffs), p)])
 
 
 def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
@@ -658,7 +659,7 @@ def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """Squarefree monic f -> [(product of irreducibles of degree d, d)]."""
     p = f.p
     out = []
-    x = PolyFp(p, [0, 1])
+    x = PolyFp._of(p, [0, 1])
     h = x
     cur = f
     d = 0
@@ -682,7 +683,7 @@ def _equal_degree_split(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
         return [f]
     n = f.degree
     while True:
-        u = PolyFp(p, [rng.randrange(p) for _ in range(n)])
+        u = PolyFp._of(p, [rng.randrange(p) for _ in range(n)])
         if u.degree < 1:
             continue
         if p == 2:
@@ -699,7 +700,7 @@ def _equal_degree_split(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
                 pass  # lucky split by a common factor
             else:
                 w = u.pow_mod((p**d - 1) // 2, f)
-                g = (w - PolyFp(p, [1])).gcd(f)
+                g = (w - PolyFp._of(p, [1])).gcd(f)
         if 0 < g.degree < f.degree:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
@@ -741,6 +742,53 @@ def is_irreducible_mod_p(f: PolyFp) -> bool:
         return False
     dd = _distinct_degree(sf[0][0])
     return len(dd) == 1 and dd[0][1] == f.degree
+
+
+# ----------------------------------------------------------------------------
+# the shared facts of one polynomial over Q
+
+
+class PolyFacts:
+    """A polynomial over Q with the facts its certificates, fingerprints and
+    profiles share, each computed once: the discriminant, and the Frobenius
+    pattern (sorted factor degrees mod p) at each good prime. Holds no
+    generator, so it pickles."""
+
+    def __init__(self, poly: PolyQ):
+        self.poly = poly
+        self._good: list[int] = []  # the first good primes, increasing
+        self._patterns: dict[int, tuple[int, ...]] = {}
+
+    @classmethod
+    def of(cls, h: PolyQ | PolyFacts) -> PolyFacts:
+        return h if isinstance(h, PolyFacts) else cls(h)
+
+    @cached_property
+    def disc(self) -> Rational:
+        return discriminant(self.poly)
+
+    def is_good(self, p: int) -> bool:
+        """p divides neither disc nor the leading coefficient (p must be prime)."""
+        return valuation(self.poly.leading(), p) == 0 and valuation(self.disc, p) == 0
+
+    def pattern(self, p: int) -> tuple[int, ...]:
+        """Sorted factor degrees mod the good prime p."""
+        if p not in self._patterns:
+            self._patterns[p] = tuple(factor_degrees(PolyFp.reduce(self.poly, p)))
+        return self._patterns[p]
+
+    def frobenius(self, count: int):
+        """(p, pattern) at the first `count` good primes, in increasing order;
+        primes and patterns are found one at a time, as far as iterated."""
+        if self.disc == 0:
+            raise AlgebraError("no prime is good for a polynomial with discriminant 0")
+        for i in range(count):
+            if i == len(self._good):
+                p = next_prime(self._good[-1] if self._good else 1)
+                while not self.is_good(p):
+                    p = next_prime(p)
+                self._good.append(p)
+            yield self._good[i], self.pattern(self._good[i])
 
 
 # ----------------------------------------------------------------------------

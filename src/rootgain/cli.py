@@ -13,9 +13,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import NotASquare, discriminant, poly_from_descending_string, valuation
+from .algebra import NotASquare, PolyFacts, poly_from_descending_string
 from .extension import Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
+from .inputfmt import parse_value
 from .jacobian import CONDITIONAL_TOKEN, hyperelliptic_rank_gain_report
 from .mestre import (
     MestreError,
@@ -117,15 +118,16 @@ def cmd_root_number(args) -> int:
         bundle = parse_curve_file(fh.read())
     with open(args.extension, encoding="utf-8") as fh:
         poly, declared = parse_extension_file(fh.read())
+    facts = PolyFacts(poly)
     computable = []
     for p in bundle.bad_primes():
         if p in declared:
             continue
-        if valuation(discriminant(poly), p) == 0 and valuation(poly.leading(), p) == 0:
+        if facts.is_good(p):
             computable.append(p)
     lines = [DISCLAIMER]
     try:
-        prof = build_profile(poly, declared=declared, primes=computable)
+        prof = build_profile(facts, declared=declared, primes=computable)
     except ValueError as exc:
         lines.append(f"W(E/F) = Incomputable: {exc}")
         _emit(lines, args.out)
@@ -155,7 +157,7 @@ def cmd_mestre(args) -> int:
     if args.mode == "solve":
         if not args.odd_quintic:
             raise ParseError(0, "mestre solve needs --odd-quintic")
-        f = poly_from_descending_string(args.odd_quintic)
+        f = parse_value(0, poly_from_descending_string, args.odd_quintic)
         sols = mestre_solve_odd_quintic(f)
         lines = [f"# f = {_descending(f)} (leading first); solutions: {len(sols)}"]
         lines.append("g\tr")
@@ -166,8 +168,8 @@ def cmd_mestre(args) -> int:
     # verify
     if not args.f or not args.g:
         raise ParseError(0, "mestre verify needs --f and --g")
-    f = poly_from_descending_string(args.f)
-    g = poly_from_descending_string(args.g)
+    f = parse_value(0, poly_from_descending_string, args.f)
+    g = parse_value(0, poly_from_descending_string, args.g)
     try:
         r = mestre_verify(f, g)
     except NotASquare as exc:
@@ -200,12 +202,17 @@ def cmd_specialize(args) -> int:
         if len(parts) != 3:
             raise ParseError(0, "--congruent takes p:value:exponent")
         conditions.append(
-            PrimeCondition(int(parts[0]), "t0_congruent_to", Fraction(parts[1]), int(parts[2]))
+            PrimeCondition(
+                parse_value(0, int, parts[0]),
+                "t0_congruent_to",
+                parse_value(0, Fraction, parts[1]),
+                parse_value(0, int, parts[2]),
+            )
         )
     constraints = SearchConstraints(
         conditions=tuple(conditions),
         height_bound=args.height,
-        excluded_primes=tuple(int(p) for p in args.exclude.split(",") if p),
+        excluded_primes=tuple(parse_value(0, int, p) for p in args.exclude.split(",") if p),
     )
     records = search_rank_gain(
         pencil,
@@ -229,7 +236,7 @@ def cmd_specialize(args) -> int:
             f"p={p}[" + ",".join(f"{e}:{f}" for e, f in rec.profile.prime_profiles[p]) + "]"
             for p in sorted(rec.profile.prime_profiles)
         )
-        cert = an_certificate(rec.poly, pattern_primes=args.pattern_primes)
+        cert = an_certificate(rec.profile.facts, pattern_primes=args.pattern_primes)
         parity = "square-disc" if cert.contained_in_alternating else "nonsquare-disc"
         ratio = "" if rec.ratio is None else f"{rec.ratio:+d}"
         flag = rec.rank_gain_flag or "reference"
@@ -247,7 +254,7 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    f = poly_from_descending_string(args.f)
+    f = parse_value(0, poly_from_descending_string, args.f)
     report = hyperelliptic_rank_gain_report(f, args.n, args.bound)
     rows = report.rows
     if args.p is not None:
@@ -281,17 +288,18 @@ def cmd_jacobian(args) -> int:
 def cmd_profile(args) -> int:
     with open(args.extension, encoding="utf-8") as fh:
         poly, declared = parse_extension_file(fh.read())
-    primes = [int(p) for p in args.primes.split(",") if p] if args.primes else []
+    primes = [parse_value(0, int, p) for p in args.primes.split(",") if p] if args.primes else []
+    facts = PolyFacts(poly)
     computable = []
     skipped = []
     for p in primes:
         if p in declared:
             continue
-        if valuation(discriminant(poly), p) == 0 and valuation(poly.leading(), p) == 0:
+        if facts.is_good(p):
             computable.append(p)
         else:
             skipped.append(p)
-    prof = build_profile(poly, declared=declared, primes=computable)
+    prof = build_profile(facts, declared=declared, primes=computable)
     cert = prof.irreducibility
     lines = [
         f"# poly (leading first): {_descending(poly)}",

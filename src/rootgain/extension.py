@@ -14,13 +14,9 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     TOP_VALUE,
-    PolyFp,
+    PolyFacts,
     PolyQ,
-    discriminant,
-    factor_degrees,
-    is_irreducible_mod_p,
     is_prime,
-    iter_primes,
     legendre,
     sturm_real_roots,
     valuation,
@@ -81,34 +77,28 @@ def _splittable(pattern: tuple[int, ...], part: int) -> bool:
     return bool(reachable >> part & 1)
 
 
-def certify_irreducible(h: PolyQ, max_primes: int = 50) -> IrreducibilityCertificate:
+def certify_irreducible(h: PolyQ | PolyFacts, max_primes: int = 50) -> IrreducibilityCertificate:
     """Certify irreducibility over Q from mod-p factor patterns.
 
     Either some good prime has h irreducible mod p, or the observed patterns
     admit no common split n = a + (n-a); otherwise status "unverified" (never
     silently assumed irreducible).
     """
+    facts = PolyFacts.of(h)
+    h = facts.poly
     if h.degree < 1:
         raise ExtensionError("constant polynomial")
     if h.degree == 1:
         return IrreducibilityCertificate("irreducible_mod_p", None, ())
-    disc = discriminant(h)
-    if disc == 0:
+    if facts.disc == 0:
         raise ExtensionError("inseparable polynomial is reducible")
     patterns: list[tuple[int, ...]] = []
-    count = 0
-    for p in iter_primes():
-        if count >= max_primes:
-            break
-        if valuation(h.leading(), p) != 0 or valuation(disc, p) != 0:
-            continue
-        count += 1
-        fp = PolyFp.reduce(h, p)
-        if is_irreducible_mod_p(fp):
+    for p, pattern in facts.frobenius(max_primes):
+        if pattern == (h.degree,):
             return IrreducibilityCertificate(
                 "irreducible_mod_p", p, tuple(sorted(set(patterns)))
             )
-        patterns.append(tuple(factor_degrees(fp)))
+        patterns.append(pattern)
     uniq = tuple(sorted(set(patterns)))
     # h = h1*h2 with deg h1 = a forces every mod-p pattern to split as a + (n-a)
     compatible_split_exists = any(
@@ -124,13 +114,15 @@ def certify_irreducible(h: PolyQ, max_primes: int = 50) -> IrreducibilityCertifi
 
 @dataclass(frozen=True)
 class ExtensionProfile:
-    """Degree-n extension of Q: defining polynomial, signature, prime profiles."""
+    """Degree-n extension of Q: defining polynomial (with its PolyFacts when
+    made by build_profile), signature, prime profiles."""
 
     poly: PolyQ
     signature: tuple[int, int]  # (r1, r2)
     prime_profiles: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     provenance: dict[int, str] = field(default_factory=dict)
     irreducibility: IrreducibilityCertificate | None = None
+    facts: PolyFacts | None = field(default=None, compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -140,41 +132,44 @@ class ExtensionProfile:
         return self.prime_profiles.get(p)
 
 
-def profile_at_unramified(h: PolyQ, p: int) -> list[tuple[int, int]]:
+def profile_at_unramified(h: PolyQ | PolyFacts, p: int) -> list[tuple[int, int]]:
     """[(1, f_i)] from the irreducible factor degrees of h mod p; only valid
     when p divides neither disc(h) nor the leading coefficient."""
-    if valuation(h.leading(), p) != 0 or valuation(discriminant(h), p) != 0:
+    facts = PolyFacts.of(h)
+    if not facts.is_good(p):
         raise RequiresDeclaredProfile(
             f"p={p} divides disc or leading coefficient; declare the profile"
         )
-    fp = PolyFp.reduce(h, p)
-    return [(1, d) for d in factor_degrees(fp)]
+    return [(1, d) for d in facts.pattern(p)]
 
 
 def check_declared_profile(
-    h: PolyQ, p: int, declared: list[tuple[int, int]]
+    h: PolyQ | PolyFacts, p: int, declared: list[tuple[int, int]]
 ) -> tuple[bool, str]:
     """Accept iff Sum e*f = deg h and v_p(disc h) >= Sum f*(e-1) (tame bound)."""
-    n = h.degree
+    facts = PolyFacts.of(h)
+    n = facts.poly.degree
     total = sum(e * f for e, f in declared)
     if total != n:
         return False, f"sum of e*f is {total}, expected the degree {n}"
     if any(e < 1 or f < 1 for e, f in declared):
         return False, "ramification indices and residue degrees must be >= 1"
     bound = sum(f * (e - 1) for e, f in declared)
-    vd = valuation(discriminant(h), p)
+    vd = valuation(facts.disc, p)
     if not (vd is TOP_VALUE or vd >= bound):
         return False, f"v_{p}(disc) = {vd} is below the tame bound {bound}"
     return True, "accepted"
 
 
 def build_profile(
-    h: PolyQ,
+    h: PolyQ | PolyFacts,
     declared: dict[int, list[tuple[int, int]]] | None = None,
     primes: list[int] | None = None,
 ) -> ExtensionProfile:
     """Assemble an ExtensionProfile: Sturm signature, computed profiles at the
     requested unramified primes, declared (and checked) profiles elsewhere."""
+    facts = PolyFacts.of(h)
+    h = facts.poly
     if h.degree < 1:
         raise ExtensionError("defining polynomial must be nonconstant")
     r1 = sturm_real_roots(h)
@@ -185,7 +180,7 @@ def build_profile(
     profiles: dict[int, tuple[tuple[int, int], ...]] = {}
     provenance: dict[int, str] = {}
     for p, pairs in sorted(declared.items()):
-        ok, why = check_declared_profile(h, p, list(pairs))
+        ok, why = check_declared_profile(facts, p, list(pairs))
         if not ok:
             raise ExtensionError(f"declared profile at p={p} rejected: {why}")
         profiles[p] = tuple(sorted(pairs))
@@ -193,15 +188,16 @@ def build_profile(
     for p in sorted(primes or []):
         if p in profiles:
             continue
-        profiles[p] = tuple(sorted(profile_at_unramified(h, p)))
+        profiles[p] = tuple(sorted(profile_at_unramified(facts, p)))
         provenance[p] = COMPUTED_UNRAMIFIED
-    cert = certify_irreducible(h)
+    cert = certify_irreducible(facts)
     return ExtensionProfile(
         poly=h,
         signature=(r1, r2),
         prime_profiles=profiles,
         provenance=provenance,
         irreducibility=cert,
+        facts=facts,
     )
 
 
@@ -245,14 +241,6 @@ class DecompositionPair:
                 for x in D
             ):
                 raise GroupError("tame flag set but D/I is not cyclic")
-
-    def decomposition_elements(self):
-        return subgroup_closure(
-            self.decomposition_gens or [tuple(range(self.degree))], self.degree
-        )
-
-    def inertia_elements(self):
-        return subgroup_closure(self.inertia_gens or [tuple(range(self.degree))], self.degree)
 
 
 def profile_from_decomposition(pair: DecompositionPair) -> list[tuple[int, int]]:

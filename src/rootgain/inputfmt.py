@@ -45,11 +45,12 @@ def _attrs(lineno: int, value: str) -> dict[str, str]:
     return out
 
 
-def _fraction(lineno: int, text: str) -> Fraction:
+def parse_value(lineno: int, parse, text: str):
+    """parse(text); a malformed number is a ParseError at lineno (0: an option)."""
     try:
-        return Fraction(text)
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(lineno, f"bad rational {text!r}: {exc}") from None
+        raise ParseError(lineno, f"malformed {text!r}: {exc}") from None
 
 
 def parse_curve_file(text: str) -> CurveLocalData:
@@ -57,7 +58,7 @@ def parse_curve_file(text: str) -> CurveLocalData:
     declared = []
     for lineno, key, value in read_records(text):
         if key in ("a1", "a2", "a3", "a4", "a6"):
-            coeffs[key] = _fraction(lineno, value)
+            coeffs[key] = parse_value(lineno, Fraction, value)
         elif key == "local":
             attrs = _attrs(lineno, value)
             if "p" not in attrs or "type" not in attrs:
@@ -65,9 +66,9 @@ def parse_curve_file(text: str) -> CurveLocalData:
             w = attrs.get("w")
             declared.append(
                 LocalReductionData(
-                    prime=int(attrs["p"]),
+                    prime=parse_value(lineno, int, attrs["p"]),
                     type=attrs["type"],
-                    declared_root_number=int(w) if w is not None else None,
+                    declared_root_number=parse_value(lineno, int, w) if w is not None else None,
                 )
             )
         else:
@@ -90,7 +91,7 @@ def _parse_pairs(lineno: int, text: str) -> list[tuple[int, int]]:
         if ":" not in item:
             raise ParseError(lineno, f"profile pair must be e:f, got {item!r}")
         e, f = item.split(":", 1)
-        out.append((int(e), int(f)))
+        out.append((parse_value(lineno, int, e), parse_value(lineno, int, f)))
     if not out:
         raise ParseError(lineno, "empty profile pair list")
     return out
@@ -101,12 +102,12 @@ def parse_extension_file(text: str) -> tuple[PolyQ, dict[int, list[tuple[int, in
     declared: dict[int, list[tuple[int, int]]] = {}
     for lineno, key, value in read_records(text):
         if key == "poly":
-            poly = poly_from_descending_string(value)
+            poly = parse_value(lineno, poly_from_descending_string, value)
         elif key == "profile":
             attrs = _attrs(lineno, value)
             if "p" not in attrs or "pairs" not in attrs:
                 raise ParseError(lineno, "profile record needs p= and pairs=")
-            p = int(attrs["p"])
+            p = parse_value(lineno, int, attrs["p"])
             if p in declared:
                 raise ParseError(lineno, f"duplicate profile for p={p}")
             declared[p] = _parse_pairs(lineno, attrs["pairs"])
@@ -134,18 +135,18 @@ def _parse_branch(lineno: int, value: str) -> BranchPoint:
     if "location" not in attrs or "e" not in attrs:
         raise ParseError(lineno, "branch record needs location= and e=")
     loc = attrs["location"]
-    location = loc if loc in ("inf", "poles-of-s") else _fraction(lineno, loc)
+    location = loc if loc in ("inf", "poles-of-s") else parse_value(lineno, Fraction, loc)
     pair = None
     if "d" in attrs or "i" in attrs:
         if "degree" not in attrs:
             raise ParseError(lineno, "branch with D=/I= needs degree=")
-        degree = int(attrs["degree"])
+        degree = parse_value(lineno, int, attrs["degree"])
         dg = _parse_perm_list(lineno, attrs.get("d", ""), degree)
         ig = _parse_perm_list(lineno, attrs.get("i", ""), degree)
         pair = DecompositionPair(degree, dg, ig)
     return BranchPoint(
         location=location,
-        ramification_index=int(attrs["e"]),
+        ramification_index=parse_value(lineno, int, attrs["e"]),
         inertia_class=attrs.get("class"),
         pair=pair,
     )
@@ -164,18 +165,18 @@ def parse_pencil_file(text: str) -> Pencil:
         elif key == "form":
             form = value
         elif key == "f":
-            fpoly = poly_from_descending_string(value)
+            fpoly = parse_value(lineno, poly_from_descending_string, value)
         elif key == "g":
-            gpoly = poly_from_descending_string(value)
+            gpoly = parse_value(lineno, poly_from_descending_string, value)
         elif key == "degree":
-            degree = int(value)
+            degree = parse_value(lineno, int, value)
         elif key == "coeff":
             attrs = _attrs(lineno, value)
             if "k" not in attrs or "num" not in attrs:
                 raise ParseError(lineno, "coeff record needs k= and num=")
-            k = int(attrs["k"])
-            num = poly_from_descending_string(attrs["num"].replace(";", ","))
-            den = poly_from_descending_string(attrs.get("den", "1").replace(";", ","))
+            k = parse_value(lineno, int, attrs["k"])
+            num = parse_value(lineno, poly_from_descending_string, attrs["num"])
+            den = parse_value(lineno, poly_from_descending_string, attrs.get("den", "1"))
             coeff_rows[k] = (num, den)
         elif key == "branch":
             branches.append(_parse_branch(lineno, value))

@@ -14,11 +14,9 @@ from math import gcd
 
 from .algebra import (
     NotASquare,
-    PolyFp,
+    PolyFacts,
     PolyQ,
     Rational,
-    discriminant,
-    factor_degrees,
     is_prime,
     iter_primes,
     poly_sqrt_exact,
@@ -358,32 +356,23 @@ class AnCertificate:
     ruled_out: int  # proper transitive subgroup typesets excluded
 
 
-def an_certificate(h: PolyQ, pattern_primes: int = 100) -> AnCertificate:
+def an_certificate(h: PolyQ | PolyFacts, pattern_primes: int = 100) -> AnCertificate:
     """Square-discriminant test plus a Frobenius-pattern verdict.
 
     The pattern stage compares factor-degree multisets mod good primes against
     the cycle-type sets of proper transitive subgroups of A_n (exhaustive table
     for n <= 7; larger degrees report patterns with verdict "heuristic").
     """
-    cert = certify_irreducible(h)
+    facts = PolyFacts.of(h)
+    cert = certify_irreducible(facts)
     if not cert.certified:
         raise MestreError(
             "an_certificate requires an irreducibility certificate "
             f"(status: {cert.status})"
         )
-    disc = discriminant(h)
-    square = rational_sqrt(disc) is not None
-    patterns: list[tuple[int, ...]] = []
-    count = 0
-    for p in iter_primes():
-        if count >= pattern_primes:
-            break
-        if valuation(h.leading(), p) != 0 or valuation(disc, p) != 0:
-            continue
-        count += 1
-        patterns.append(tuple(factor_degrees(PolyFp.reduce(h, p))))
-    uniq = tuple(sorted(set(patterns)))
-    n = h.degree
+    square = rational_sqrt(facts.disc) is not None
+    uniq = tuple(sorted({pattern for _, pattern in facts.frobenius(pattern_primes)}))
+    n = facts.poly.degree
     if not square:
         return AnCertificate(False, uniq, "patterns-insufficient", 0)
     if n > 7:
@@ -394,26 +383,24 @@ def an_certificate(h: PolyQ, pattern_primes: int = 100) -> AnCertificate:
     return AnCertificate(True, uniq, verdict, ruled)
 
 
-def distinctness_fingerprint(h1: PolyQ, h2: PolyQ, max_primes: int = 200) -> str:
+def distinctness_fingerprint(
+    h1: PolyQ | PolyFacts, h2: PolyQ | PolyFacts, max_primes: int = 200
+) -> str:
     """'distinct' iff some good prime separates the factor-degree multisets of
     h1 and h2 among the first max_primes primes; else 'indistinguishable'."""
-    if h1.degree != h2.degree:
+    f1, f2 = PolyFacts.of(h1), PolyFacts.of(h2)
+    if f1.poly.degree != f2.poly.degree:
         raise MestreError("fingerprints compare polynomials of equal degree")
-    d1 = discriminant(h1)
-    d2 = discriminant(h2)
+    if f1.disc == 0 or f2.disc == 0:
+        raise MestreError("fingerprints compare polynomials of nonzero discriminant")
     count = 0
     for p in iter_primes():
         if count >= max_primes:
             break
-        if (
-            valuation(d1, p) != 0
-            or valuation(d2, p) != 0
-            or valuation(h1.leading(), p) != 0
-            or valuation(h2.leading(), p) != 0
-        ):
+        if not (f1.is_good(p) and f2.is_good(p)):
             continue
         count += 1
-        if factor_degrees(PolyFp.reduce(h1, p)) != factor_degrees(PolyFp.reduce(h2, p)):
+        if f1.pattern(p) != f2.pattern(p):
             return "distinct"
     return "indistinguishable"
 
@@ -533,22 +520,22 @@ def find_reference_specialization(
     )
     for t0 in enumerate_t0(base, P.branch_locations()):
         try:
-            h = specialize(P, t0)
+            facts = PolyFacts(specialize(P, t0))
         except SpecializationError:
             continue
-        if valuation(discriminant(h), q) != 0:
+        if valuation(facts.disc, q) != 0:
             continue
         declared = {p: pairs for p, pairs in (matched_profiles or {}).items()}
         try:
-            prof = build_profile(h, declared=declared, primes=[q])
+            prof = build_profile(facts, declared=declared, primes=[q])
         except ValueError:
             continue
         if not (prof.irreducibility and prof.irreducibility.certified):
             continue
         checks = (f"unramified at {q}: v_{q}(disc) = 0",)
-        return SpecializationRecord(t0, h, prof, "reference", checks)
+        return SpecializationRecord(t0, facts.poly, prof, "reference", checks)
     raise SpecializationError(
-        f"no reference specialization unramified at {q} below height {scan_height}"
+        f"no reference specialization unramified at {q} below height {base.height_bound}"
     )
 
 
@@ -589,7 +576,7 @@ def _evaluate_candidate(job) -> SpecializationRecord | None:
     ratio = (-1) ** (s_candidate + s_reference)
     if curve is not None:
         ratio = root_number_ratio(curve, prof, reference.profile, q)
-    fp = distinctness_fingerprint(h, reference.poly)
+    fp = distinctness_fingerprint(prof.facts, reference.profile.facts or reference.poly)
     flag = (
         f"opposite-root-numbers {CONDITIONAL_TOKEN}"
         if ratio == -1

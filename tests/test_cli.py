@@ -124,6 +124,65 @@ def test_root_number_parse_error_line_number(capsys, tmp_path, extension_file):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "curve_line, extension_text, line",
+    [
+        ("local: p=abc type=declared w=+1", None, 7),
+        ("local: p=2 type=declared w=x", None, 7),
+        (None, "poly: 1,0,-2\nprofile: p=2 pairs=a:b\n", 2),
+        (None, "# comment\npoly: 1,x,2\n", 2),
+    ],
+)
+def test_malformed_numbers_exit_4_with_line(
+    capsys, tmp_path, curve_file, extension_file, curve_line, extension_text, line
+):
+    if curve_line is not None:
+        curve_file = tmp_path / "bad-curve.txt"
+        curve_file.write_text(CURVE_TEXT.replace("local: p=2 type=declared w=+1", curve_line))
+    if extension_text is not None:
+        extension_file = tmp_path / "bad-ext.txt"
+        extension_file.write_text(extension_text)
+    code = main(["root-number", "--curve", str(curve_file), "--extension", str(extension_file)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"parse error: line {line}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mestre", "verify", "--f", "1,a", "--g", "1"],
+        ["mestre", "verify", "--f", "1,0", "--g", "1/0"],
+        ["mestre", "solve", "--odd-quintic", "1,0,x,0,1,0"],
+        ["jacobian", "--f", "1,z", "--n", "5"],
+        ["profile", "--extension", "EXT", "--primes", "3,x"],
+        ["specialize", "--pencil", "PENCIL", "--q", "19", "--exclude", "2,3,y"],
+    ],
+)
+def test_malformed_number_options_exit_4(capsys, pencil_file, extension_file, argv):
+    files = {"EXT": extension_file, "PENCIL": pencil_file}
+    code = main([files.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("parse error: line 0: malformed")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("13:a:1", "line 0: malformed 'a'"),
+        ("x:0:1", "line 0: malformed 'x'"),
+        ("13:0", "--congruent takes p:value:exponent"),
+        ("13:0:1:2", "--congruent takes p:value:exponent"),
+    ],
+)
+def test_malformed_congruent_option_exit_4(capsys, pencil_file, value, message):
+    code = main(["specialize", "--pencil", pencil_file, "--q", "19", "--congruent", value])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert message in err
+
+
 # ---------------------------------------------------------------- mestre
 
 
@@ -225,6 +284,21 @@ def test_specialize_deterministic_same_seed(capsys, pencil_file):
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
+
+
+def test_specialize_threads_byte_identical(tmp_path, pencil_file, capsys):
+    """The candidate pipeline on a process pool (which pickles each record,
+    PolyFacts included) writes the same bytes as the serial run."""
+    reports = []
+    for threads in ("2", "1"):
+        dest = tmp_path / f"threads-{threads}.tsv"
+        argv = ["specialize", "--pencil", pencil_file, "--q", "19", "--height", "200"]
+        code = main(argv + ["--limit", "1", "--threads", threads, "--out", str(dest)])
+        assert code == 0
+        reports.append(dest.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert b"candidate\t" in reports[0]
 
 
 # ---------------------------------------------------------------- profile

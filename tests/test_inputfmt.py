@@ -110,3 +110,22 @@ def test_parse_pencil_general_missing_coeff():
 def test_parse_pencil_unknown_family():
     with pytest.raises(ParseError):
         parse_pencil_file("family: nonexistent\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("form: general\ndegree: two\n", 2),
+        ("form: general\ndegree: 1\ncoeff: k=x num=1\n", 3),
+        ("form: general\ndegree: 1\ncoeff: k=0 num=1,q\n", 3),
+        ("form: general\ndegree: 1\ncoeff: k=0 num=1 den=1/0\n", 3),
+        ("form: mestre\nf: 1,0,y\n", 2),
+        ("form: mestre\nf: 1,0,0\ng: 1,,z\n", 3),
+        ("form: mestre\nf: 1,0,0\ng: 1\nbranch: location=inf e=two\n", 4),
+        ("form: mestre\nf: 1,0,0\ng: 1\nbranch: location=inf e=2 degree=x D=(1,2)\n", 4),
+    ],
+)
+def test_parse_pencil_malformed_numbers_name_the_line(text, lineno):
+    with pytest.raises(ParseError) as err:
+        parse_pencil_file(text)
+    assert err.value.lineno == lineno

@@ -328,6 +328,14 @@ def test_search_reproducible():
     assert [(r.t0, r.poly, r.ratio) for r in a] == [(r.t0, r.poly, r.ratio) for r in b]
 
 
+def test_reference_error_names_the_height_searched():
+    # every fiber of F1 - t G1 has 13^2 dividing its discriminant
+    with pytest.raises(SpecializationError, match="below height 60"):
+        find_reference_specialization(
+            mestre_form_pencil(F1, G1), 13, SearchConstraints(height_bound=60)
+        )
+
+
 def test_search_rejects_excluded_designated_prime():
     pencil = psl2_11_degree12_pencil()
     cons = SearchConstraints(
