@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import NotASquare, PolyFacts, poly_from_descending_string
 from .extension import Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
-from .inputfmt import parse_value
+from .inputfmt import parse_prime, parse_value
 from .jacobian import CONDITIONAL_TOKEN, hyperelliptic_rank_gain_report
 from .mestre import (
     MestreError,
@@ -196,24 +196,28 @@ def cmd_specialize(args) -> int:
             break
     if target is None:
         raise ParseError(0, "pencil declares no branch point with decomposition data")
-    conditions = [PrimeCondition(args.q, "valuation_of_t0_equals", args.valuation)]
-    for extra in args.congruent or []:
-        parts = extra.split(":")
-        if len(parts) != 3:
-            raise ParseError(0, "--congruent takes p:value:exponent")
-        conditions.append(
-            PrimeCondition(
-                parse_value(0, int, parts[0]),
-                "t0_congruent_to",
-                parse_value(0, Fraction, parts[1]),
-                parse_value(0, int, parts[2]),
+    # a composite prime, a nonpositive exponent or --height is an option error
+    try:
+        conditions = [PrimeCondition(args.q, "valuation_of_t0_equals", args.valuation)]
+        for extra in args.congruent or []:
+            parts = extra.split(":")
+            if len(parts) != 3:
+                raise ParseError(0, "--congruent takes p:value:exponent")
+            conditions.append(
+                PrimeCondition(
+                    parse_value(0, int, parts[0]),
+                    "t0_congruent_to",
+                    parse_value(0, Fraction, parts[1]),
+                    parse_value(0, int, parts[2]),
+                )
             )
+        constraints = SearchConstraints(
+            conditions=tuple(conditions),
+            height_bound=args.height,
+            excluded_primes=tuple(parse_value(0, int, p) for p in args.exclude.split(",") if p),
         )
-    constraints = SearchConstraints(
-        conditions=tuple(conditions),
-        height_bound=args.height,
-        excluded_primes=tuple(parse_value(0, int, p) for p in args.exclude.split(",") if p),
-    )
+    except MestreError as exc:
+        raise ParseError(0, str(exc)) from None
     records = search_rank_gain(
         pencil,
         curve,
@@ -222,7 +226,6 @@ def cmd_specialize(args) -> int:
         args.q,
         assumed_reduction=args.assume_reduction,
         limit=args.limit,
-        threads=args.threads,
     )
     lines = [
         DISCLAIMER,
@@ -288,7 +291,7 @@ def cmd_jacobian(args) -> int:
 def cmd_profile(args) -> int:
     with open(args.extension, encoding="utf-8") as fh:
         poly, declared = parse_extension_file(fh.read())
-    primes = [parse_value(0, int, p) for p in args.primes.split(",") if p] if args.primes else []
+    primes = [parse_prime(0, p) for p in args.primes.split(",") if p] if args.primes else []
     facts = PolyFacts(poly)
     computable = []
     skipped = []
@@ -366,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default="2,3,5,7,11", help="excluded prime set")
     p.add_argument("--congruent", action="append", help="extra condition p:value:exponent")
     p.add_argument("--pattern-primes", type=int, default=40)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_specialize)
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import PolyQ, poly_from_descending_string
-from .ellcurve import CurveLocalData, EllipticCurveData, LocalReductionData
+from .algebra import PolyQ, is_prime, poly_from_descending_string
+from .ellcurve import CurveError, CurveLocalData, EllipticCurveData, LocalReductionData
 from .extension import DecompositionPair
 from .mestre import BranchPoint, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
 from .permgroup import perm_from_cycles
@@ -53,6 +53,14 @@ def parse_value(lineno: int, parse, text: str):
         raise ParseError(lineno, f"malformed {text!r}: {exc}") from None
 
 
+def parse_prime(lineno: int, text) -> int:
+    """parse_value(lineno, int, text), which must be a prime."""
+    p = parse_value(lineno, int, text)
+    if not is_prime(p):
+        raise ParseError(lineno, f"{p} is not prime")
+    return p
+
+
 def parse_curve_file(text: str) -> CurveLocalData:
     coeffs = {}
     declared = []
@@ -63,14 +71,13 @@ def parse_curve_file(text: str) -> CurveLocalData:
             attrs = _attrs(lineno, value)
             if "p" not in attrs or "type" not in attrs:
                 raise ParseError(lineno, "local record needs p= and type=")
+            prime = parse_prime(lineno, attrs["p"])
             w = attrs.get("w")
-            declared.append(
-                LocalReductionData(
-                    prime=parse_value(lineno, int, attrs["p"]),
-                    type=attrs["type"],
-                    declared_root_number=parse_value(lineno, int, w) if w is not None else None,
-                )
-            )
+            w = parse_value(lineno, int, w) if w is not None else None
+            try:
+                declared.append(LocalReductionData(prime, attrs["type"], w))
+            except CurveError as exc:
+                raise ParseError(lineno, str(exc)) from None
         else:
             raise ParseError(lineno, f"unknown curve key {key!r}")
     missing = [k for k in ("a1", "a2", "a3", "a4", "a6") if k not in coeffs]
@@ -107,7 +114,7 @@ def parse_extension_file(text: str) -> tuple[PolyQ, dict[int, list[tuple[int, in
             attrs = _attrs(lineno, value)
             if "p" not in attrs or "pairs" not in attrs:
                 raise ParseError(lineno, "profile record needs p= and pairs=")
-            p = parse_value(lineno, int, attrs["p"])
+            p = parse_prime(lineno, attrs["p"])
             if p in declared:
                 raise ParseError(lineno, f"duplicate profile for p={p}")
             declared[p] = _parse_pairs(lineno, attrs["pairs"])

@@ -8,7 +8,7 @@ polynomials, which changes discriminants by rational squares only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +31,7 @@ from .extension import (
     build_profile,
     certify_irreducible,
     profile_from_decomposition,
+    root_number_over_extension,
     root_number_ratio,
     split_count_from_profile,
 )
@@ -449,7 +450,7 @@ def _satisfies_exact(t0: Fraction, cond: PrimeCondition) -> bool:
     if cond.kind == CONGRUENT_TO:
         # an exact hit gives TOP_VALUE, which compares above every exponent
         return valuation(t0 - Fraction(cond.value), cond.prime) >= cond.modulus_exponent
-    return True  # UNRAMIFIED_AT is checked a-posteriori on the specialization
+    return True  # UNRAMIFIED_AT is checked on the fiber (_unramified_as_required)
 
 
 def enumerate_t0(constraints: SearchConstraints, branch_locations=frozenset()):
@@ -490,34 +491,37 @@ class SpecializationRecord:
     poly: PolyQ
     profile: ExtensionProfile
     role: str  # "reference" | "candidate"
-    checks: tuple[str, ...]
     ratio: int | None = None
     rank_gain_flag: str | None = None
     fingerprint: str | None = None
     full_root_number: int | None = None
 
 
+def _unramified_as_required(facts: PolyFacts, conditions) -> bool:
+    """v_p(disc) = 0 at the prime of every unramified_at condition."""
+    return all(valuation(facts.disc, c.prime) == 0 for c in conditions if c.kind == UNRAMIFIED_AT)
+
+
 def find_reference_specialization(
     P: Pencil,
     q: int,
-    constraints: SearchConstraints | None = None,
+    constraints: SearchConstraints,
     matched_profiles: dict[int, list[tuple[int, int]]] | None = None,
-    scan_height: int = 30,
 ) -> SpecializationRecord:
     """A specialization unramified at q (q does not divide the cleared fiber's
     discriminant), found by scanning small t0 subject to the constraints.
 
     Only the ramification-forcing valuation condition at q is dropped;
-    congruence (closeness) conditions still bind the reference side.
+    congruence (closeness) and unramified conditions still bind the reference
+    side.
     """
-    base = constraints or SearchConstraints(height_bound=scan_height)
-    base = SearchConstraints(
+    base = replace(
+        constraints,
         conditions=tuple(
-            c for c in base.conditions if not (c.prime == q and c.kind == VALUATION_EQUALS)
+            c for c in constraints.conditions if not (c.prime == q and c.kind == VALUATION_EQUALS)
         ),
-        height_bound=scan_height if constraints is None else base.height_bound,
-        excluded_primes=base.excluded_primes,
     )
+    declared = dict(matched_profiles or {})
     for t0 in enumerate_t0(base, P.branch_locations()):
         try:
             facts = PolyFacts(specialize(P, t0))
@@ -525,77 +529,67 @@ def find_reference_specialization(
             continue
         if valuation(facts.disc, q) != 0:
             continue
-        declared = {p: pairs for p, pairs in (matched_profiles or {}).items()}
+        if not _unramified_as_required(facts, base.conditions):
+            continue
         try:
             prof = build_profile(facts, declared=declared, primes=[q])
         except ValueError:
             continue
         if not (prof.irreducibility and prof.irreducibility.certified):
             continue
-        checks = (f"unramified at {q}: v_{q}(disc) = 0",)
-        return SpecializationRecord(t0, facts.poly, prof, "reference", checks)
+        return SpecializationRecord(t0, facts.poly, prof, "reference")
     raise SpecializationError(
         f"no reference specialization unramified at {q} below height {base.height_bound}"
     )
 
 
-def _evaluate_candidate(job) -> SpecializationRecord | None:
-    """One t0 through the full pipeline; None when any check fails. Top level
-    so that a process pool can run it."""
-    (P, t0, q, target_pairs, matched, reference, curve, reduction, conditions) = job
+def _evaluate_candidate(
+    P: Pencil,
+    t0: Fraction,
+    q: int,
+    declared: dict[int, list[tuple[int, int]]],
+    reference: SpecializationRecord,
+    curve: CurveLocalData | None,
+    reduction: str,
+    conditions: tuple[PrimeCondition, ...],
+) -> SpecializationRecord | None:
+    """One t0, already through enumerate_t0's exact conditions, through the
+    full pipeline; None when any check fails."""
     try:
-        h = specialize(P, t0)
+        facts = PolyFacts(specialize(P, t0))
     except SpecializationError:
         return None
-    declared = dict(matched)
-    declared[q] = target_pairs
+    if not _unramified_as_required(facts, conditions):
+        return None
     try:
-        prof = build_profile(h, declared=declared)
+        prof = build_profile(facts, declared=declared)
     except ValueError:
         return None
     if prof.signature != reference.profile.signature:
         return None
     if not (prof.irreducibility and prof.irreducibility.certified):
         return None
-    checks = []
-    for cond in conditions:
-        if cond.kind == VALUATION_EQUALS:
-            v = valuation(t0, cond.prime)
-            if v != cond.value:
-                return None
-            checks.append(f"v_{cond.prime}(t0) = {v}")
-        elif cond.kind == CONGRUENT_TO:
-            v = valuation(t0 - Fraction(cond.value), cond.prime)
-            if not v >= cond.modulus_exponent:
-                return None
-            checks.append(
-                f"v_{cond.prime}(t0 - {cond.value}) >= {cond.modulus_exponent}"
-            )
-    s_candidate = split_count_from_profile(target_pairs, reduction)
+    s_candidate = split_count_from_profile(declared[q], reduction)
     s_reference = split_count_from_profile(reference.profile.profile_at(q), reduction)
     ratio = (-1) ** (s_candidate + s_reference)
+    full = None
     if curve is not None:
         ratio = root_number_ratio(curve, prof, reference.profile, q)
+        try:
+            full = root_number_over_extension(curve, prof)
+        except ValueError:
+            pass
     fp = distinctness_fingerprint(prof.facts, reference.profile.facts or reference.poly)
     flag = (
         f"opposite-root-numbers {CONDITIONAL_TOKEN}"
         if ratio == -1
         else f"equal-root-numbers {CONDITIONAL_TOKEN}"
     )
-    full = None
-    if curve is not None:
-        try:
-            from .extension import root_number_over_extension
-
-            full = root_number_over_extension(curve, prof)
-        except ValueError:
-            full = None
     return SpecializationRecord(
         t0,
-        h,
+        facts.poly,
         prof,
         "candidate",
-        tuple(checks),
         ratio=ratio,
         rank_gain_flag=flag,
         fingerprint=fp,
@@ -613,7 +607,6 @@ def search_rank_gain(
     matched_profiles: dict[int, list[tuple[int, int]]] | None = None,
     assumed_reduction: str = "split",
     limit: int = 5,
-    threads: int = 1,
 ) -> list[SpecializationRecord]:
     """Height-ordered specializations satisfying the constraints, each compared
     against a reference specialization: emits (t0, polynomial, profiles, ratio,
@@ -622,8 +615,6 @@ def search_rank_gain(
     The profile at the designated prime on the candidate side is declared from
     the target decomposition pair and consistency-checked (tame bound, exact
     valuation recheck); the reference side is computed from factorization.
-    With threads > 1 the candidate pipeline runs on a process pool; results are
-    merged back in the serial enumeration order.
     """
     q = designated_prime
     if q in constraints.excluded_primes:
@@ -637,36 +628,19 @@ def search_rank_gain(
         reduction = "split" if L.type == SPLIT_MULT else "nonsplit"
     else:
         reduction = assumed_reduction
-    target_pairs = profile_from_decomposition(target)
+    declared = dict(matched_profiles or {})
+    declared[q] = profile_from_decomposition(target)
     if reference is None:
         reference = find_reference_specialization(
             P, q, constraints, matched_profiles=matched_profiles
         )
     out = [reference]
-    matched = {p: pairs for p, pairs in (matched_profiles or {}).items()}
-    jobs = (
-        (P, t0, q, target_pairs, matched, reference, curve, reduction, constraints.conditions)
-        for t0 in enumerate_t0(constraints, P.branch_locations())
-    )
-    if threads <= 1:
-        for job in jobs:
-            if len(out) > limit:
-                break
-            rec = _evaluate_candidate(job)
-            if rec is not None:
-                out.append(rec)
-        return out
-    from concurrent.futures import ProcessPoolExecutor
-    from itertools import islice
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        while len(out) <= limit:
-            window = list(islice(jobs, 8 * threads))
-            if not window:
-                break
-            for rec in pool.map(_evaluate_candidate, window):
-                if rec is not None:
-                    out.append(rec)
-                    if len(out) > limit:
-                        break
+    for t0 in enumerate_t0(constraints, P.branch_locations()):
+        if len(out) > limit:
+            break
+        rec = _evaluate_candidate(
+            P, t0, q, declared, reference, curve, reduction, constraints.conditions
+        )
+        if rec is not None:
+            out.append(rec)
     return out

@@ -435,9 +435,6 @@ def metacyclic_odd_orbit_search(
             continue
         normalizer = [g for g in els if compose(compose(g, c), inv[g]) in pset]
         for x in sorted(normalizer):
-            conj = compose(compose(x, c), inv[x])
-            if conj not in pset:
-                raise GroupError("normalizer scan produced a non-normalizing element")
             orb_h = orbit_count([c, x], n)
             if (n - orb_h) % 2 == 1:
                 out.append(

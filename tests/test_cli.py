@@ -131,6 +131,9 @@ def test_root_number_parse_error_line_number(capsys, tmp_path, extension_file):
         ("local: p=2 type=declared w=x", None, 7),
         (None, "poly: 1,0,-2\nprofile: p=2 pairs=a:b\n", 2),
         (None, "# comment\npoly: 1,x,2\n", 2),
+        ("local: p=4 type=declared w=+1", None, 7),
+        ("local: p=2 type=bogus w=+1", None, 7),
+        (None, "poly: 1,0,-2\nprofile: p=6 pairs=1:2\n", 2),
     ],
 )
 def test_malformed_numbers_exit_4_with_line(
@@ -146,6 +149,25 @@ def test_malformed_numbers_exit_4_with_line(
     err = capsys.readouterr().err
     assert code == 4
     assert f"parse error: line {line}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["specialize", "--pencil", "PENCIL", "--q", "4"], "4 is not prime"),
+        (
+            ["specialize", "--pencil", "PENCIL", "--q", "19", "--height", "0"],
+            "height bound must be >= 1",
+        ),
+        (["profile", "--extension", "EXT", "--primes", "3,4"], "4 is not prime"),
+    ],
+)
+def test_invalid_option_values_exit_4(capsys, pencil_file, extension_file, argv, message):
+    files = {"EXT": extension_file, "PENCIL": pencil_file}
+    code = main([files.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"parse error: line 0: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -174,6 +196,7 @@ def test_malformed_number_options_exit_4(capsys, pencil_file, extension_file, ar
         ("x:0:1", "line 0: malformed 'x'"),
         ("13:0", "--congruent takes p:value:exponent"),
         ("13:0:1:2", "--congruent takes p:value:exponent"),
+        ("4:0:1", "line 0: 4 is not prime"),
     ],
 )
 def test_malformed_congruent_option_exit_4(capsys, pencil_file, value, message):
@@ -284,21 +307,6 @@ def test_specialize_deterministic_same_seed(capsys, pencil_file):
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
-
-
-def test_specialize_threads_byte_identical(tmp_path, pencil_file, capsys):
-    """The candidate pipeline on a process pool (which pickles each record,
-    PolyFacts included) writes the same bytes as the serial run."""
-    reports = []
-    for threads in ("2", "1"):
-        dest = tmp_path / f"threads-{threads}.tsv"
-        argv = ["specialize", "--pencil", pencil_file, "--q", "19", "--height", "200"]
-        code = main(argv + ["--limit", "1", "--threads", threads, "--out", str(dest)])
-        assert code == 0
-        reports.append(dest.read_bytes())
-    capsys.readouterr()
-    assert reports[0] == reports[1]
-    assert b"candidate\t" in reports[0]
 
 
 # ---------------------------------------------------------------- profile

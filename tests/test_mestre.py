@@ -272,7 +272,6 @@ def test_search_quintic_pipeline_flip():
         5,
         cons,
         matched_profiles={2: [(1, 1)] * 5},
-        scan_height=12000,
     )
     assert reference.profile.profile_at(5) == ((1, 1),) * 5
     records = search_rank_gain(
@@ -326,6 +325,35 @@ def test_search_reproducible():
     a = search_rank_gain(pencil, None, cons, target, 19, limit=1)
     b = search_rank_gain(pencil, None, cons, target, 19, limit=1)
     assert [(r.t0, r.poly, r.ratio) for r in a] == [(r.t0, r.poly, r.ratio) for r in b]
+
+
+def test_search_enforces_unramified_conditions():
+    pencil = psl2_11_degree12_pencil()
+    target = pencil.branch_points[0].pair
+    unramified_23 = PrimeCondition(23, "unramified_at")
+    cons = SearchConstraints(
+        (PrimeCondition(19, "valuation_of_t0_equals", -1), unramified_23),
+        40,
+        (2, 3, 5, 7, 11),
+    )
+    records = search_rank_gain(pencil, None, cons, target, 19, limit=1)
+    assert [r.role for r in records] == ["reference", "candidate"]
+    # the first t0 of the enumeration, -18/19, has v_23(disc) = 6
+    assert records[1].t0 == F(-17, 19)
+    assert all(valuation(discriminant(r.poly), 23) == 0 for r in records)
+    # t0 = 2, the first reference t0 congruent to 2 mod 13, has v_23(disc) = 2
+    cons = SearchConstraints(
+        (
+            PrimeCondition(19, "valuation_of_t0_equals", -1),
+            PrimeCondition(13, "t0_congruent_to", 2, 1),
+            unramified_23,
+        ),
+        40,
+        (2, 3, 5, 7, 11),
+    )
+    reference = find_reference_specialization(pencil, 19, cons)
+    assert valuation(reference.t0 - 2, 13) >= 1
+    assert valuation(discriminant(reference.poly), 23) == 0
 
 
 def test_reference_error_names_the_height_searched():

@@ -192,7 +192,7 @@ def test_degree_12_fibers_match_reference(t0):
     check_against_reference(facts, h)
     other = specialize(psl2_11_degree12_pencil(), -t0)
     assert distinctness_fingerprint(facts, other) == ref_fingerprint(h, other, 200)
-    # the grown record pickles (as through the --threads pool) and keeps its facts
+    # the grown record pickles and keeps its facts
     copy = pickle.loads(pickle.dumps(facts))
     assert list(copy.frobenius(60)) == list(facts.frobenius(60))
 
