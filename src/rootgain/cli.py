@@ -17,7 +17,7 @@ from .algebra import NotASquare, PolyFacts, poly_from_descending_string
 from .extension import Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
 from .inputfmt import parse_prime, parse_value
-from .jacobian import CONDITIONAL_TOKEN, hyperelliptic_rank_gain_report
+from .jacobian import CONDITIONAL_TOKEN, JacobianError, hyperelliptic_rank_gain_report
 from .mestre import (
     MestreError,
     PrimeCondition,
@@ -29,6 +29,7 @@ from .mestre import (
 )
 from .permgroup import (
     CapExceeded,
+    GroupError,
     PermGroup,
     alternating_group,
     format_cycles,
@@ -70,17 +71,17 @@ def cmd_orbit_search(args) -> int:
     kind = args.group.lower()
     if kind in ("sn", "an", "psl2") and args.n < 1:
         raise ParseError(0, f"group spec {kind!r} needs a positive degree or prime")
-    if kind == "sn":
-        G = symmetric_group(args.n)
-    elif kind == "an":
-        G = alternating_group(args.n)
-    elif kind == "psl2":
-        if args.action == "deg55":
-            if args.n != 11:
-                raise MestreError("the degree-55 action is built for p = 11 only")
-            G = psl2_11_degree55()
-        else:
-            G = psl2_natural(args.n)
+    if kind == "psl2" and args.action == "deg55":
+        if args.n != 11:
+            raise ParseError(0, "the degree-55 action is built for p = 11 only")
+        G = psl2_11_degree55()
+    elif kind in ("sn", "an", "psl2"):
+        # a degree or prime the family does not have is an option error
+        build = {"sn": symmetric_group, "an": alternating_group, "psl2": psl2_natural}[kind]
+        try:
+            G = build(args.n)
+        except GroupError as exc:
+            raise ParseError(0, str(exc)) from None
     elif kind == "gens":
         if not args.generators or not args.degree:
             raise ParseError(0, "gens needs --generators and --degree")
@@ -258,7 +259,11 @@ def cmd_specialize(args) -> int:
 
 def cmd_jacobian(args) -> int:
     f = parse_value(0, poly_from_descending_string, args.f)
-    report = hyperelliptic_rank_gain_report(f, args.n, args.bound)
+    # a curve or target degree the report cannot take is an option error
+    try:
+        report = hyperelliptic_rank_gain_report(f, args.n, args.bound)
+    except JacobianError as exc:
+        raise ParseError(0, str(exc)) from None
     rows = report.rows
     if args.p is not None:
         rows = tuple(r for r in rows if r.prime == args.p)

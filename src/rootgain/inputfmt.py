@@ -63,7 +63,7 @@ def parse_prime(lineno: int, text) -> int:
 
 def parse_curve_file(text: str) -> CurveLocalData:
     coeffs = {}
-    declared = []
+    declared: dict[int, LocalReductionData] = {}
     for lineno, key, value in read_records(text):
         if key in ("a1", "a2", "a3", "a4", "a6"):
             coeffs[key] = parse_value(lineno, Fraction, value)
@@ -72,10 +72,12 @@ def parse_curve_file(text: str) -> CurveLocalData:
             if "p" not in attrs or "type" not in attrs:
                 raise ParseError(lineno, "local record needs p= and type=")
             prime = parse_prime(lineno, attrs["p"])
+            if prime in declared:
+                raise ParseError(lineno, f"duplicate declaration at p={prime}")
             w = attrs.get("w")
             w = parse_value(lineno, int, w) if w is not None else None
             try:
-                declared.append(LocalReductionData(prime, attrs["type"], w))
+                declared[prime] = LocalReductionData(prime, attrs["type"], w)
             except CurveError as exc:
                 raise ParseError(lineno, str(exc)) from None
         else:
@@ -86,7 +88,7 @@ def parse_curve_file(text: str) -> CurveLocalData:
     curve = EllipticCurveData.from_coeffs(
         coeffs["a1"], coeffs["a2"], coeffs["a3"], coeffs["a4"], coeffs["a6"]
     )
-    return CurveLocalData.build(curve, declared)
+    return CurveLocalData.build(curve, list(declared.values()))
 
 
 def _parse_pairs(lineno: int, text: str) -> list[tuple[int, int]]:

@@ -559,53 +559,87 @@ def group_typeset(elements) -> frozenset[tuple[int, ...]]:
     return frozenset(cycle_type(e) for e in elements)
 
 
+def _index_table(elements) -> np.ndarray:
+    """N x N int16 array whose [a, b] entry is the index of a*b (a after b).
+
+    Each permutation is encoded as a base-n integer and a row of products is
+    looked up in an n^n-entry code -> index array (1.6 MB at n = 7)."""
+    arr = np.array(elements, dtype=np.int64)
+    N, n = arr.shape
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    lookup = np.zeros(n**n, dtype=np.int16)
+    lookup[arr @ weights] = np.arange(N)
+    table = np.empty((N, N), dtype=np.int16)
+    for a in range(N):
+        table[a] = lookup[arr[a][arr] @ weights]
+    return table
+
+
+def _proper_closure(gen_idxs, table: np.ndarray) -> frozenset[int] | None:
+    """Index set of the subgroup generated inside the group of `table` (whose
+    index 0 is the identity), or None once it has passed half the group's order:
+    by Lagrange such a subgroup is the whole group."""
+    half = len(table) // 2
+    rows = [table[g].tolist() for g in gen_idxs]
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for w in frontier:
+            for row in rows:
+                x = row[w]
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        if len(seen) > half:
+            return None
+        frontier = new
+    return frozenset(seen)
+
+
 @lru_cache(maxsize=None)
 def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Cycle-type sets of all proper transitive subgroups of A_n, by exhaustive
-    enumeration (pair generation over class representatives plus upward closure;
-    complete for n <= 7, where minimal transitive groups are 2-generated)."""
+    enumeration: pairs <x, y> with x a class representative, then upward closure
+    up to conjugacy (complete for n <= 7, where minimal transitive groups are
+    2-generated).
+
+    Every pruning is exact:
+    - <x, y> has the orbits of {x, y}, so a pair whose two generators are not
+      transitive together is dropped before its closure is computed.
+    - A closure that passes N/2 elements is all of A_n (Lagrange), so it stops
+      there; A_n itself is never a proper subgroup.
+    - For each x, y runs over one element per orbit of C(x) acting by
+      conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, and the result
+      depends only on conjugacy classes of subgroups (`seen_all` holds every
+      conjugate of each subgroup found).
+    - Upward, <s, g> = <s, e g> for e in s, so one g per right coset s g is tried.
+    """
     if n < 4:
         return ()
     if n > 7:
         raise GroupError("transitive typeset enumeration is desk-scale for n <= 7 only")
-    G = alternating_group(n)
-    els = G.elements
-    index, table = multiplication_table(els)
+    els = alternating_group(n).elements
+    index = {e: i for i, e in enumerate(els)}
+    table = _index_table(els)
     N = len(els)
-    ident = index[identity_perm(n)]
-    inv_idx = [index[inverse(e)] for e in els]
-
-    def transitive(s: frozenset[int]) -> bool:
-        reach = {0}
-        frontier = [0]
-        members = [els[i] for i in s]
-        while frontier:
-            new = []
-            for pt in frontier:
-                for g in members:
-                    q = g[pt]
-                    if q not in reach:
-                        reach.add(q)
-                        new.append(q)
-            frontier = new
-            if len(reach) == n:
-                return True
-        return len(reach) == n
-
-    found: dict[frozenset[int], list[int]] = {}
-    rep_idxs = [index[r] for r in _an_class_representatives(n)]
-    for x in rep_idxs:
-        for y in range(N):
-            s = _closure_idx([x, y], table, ident)
-            if s not in found and transitive(s):
-                found[s] = [x, y]
+    inv_idx = np.array([index[inverse(e)] for e in els])
 
     def conjugates(s: frozenset[int]) -> set[frozenset[int]]:
-        out = set()
-        for g in range(N):
-            gi = inv_idx[g]
-            out.add(frozenset(table[table[g][e]][gi] for e in s))
-        return out
+        conj = table[table[:, sorted(s)], inv_idx[:, None]]
+        return {frozenset(row) for row in np.unique(np.sort(conj, axis=1), axis=0).tolist()}
+
+    found: dict[frozenset[int], list[int]] = {}
+    for x in (index[r] for r in _an_class_representatives(n)):
+        cent = np.flatnonzero(table[:, x] == table[x])
+        # column y holds the C(x)-orbit of y; keep y when it is the orbit's least
+        orbit_min = table[table[cent], inv_idx[cent, None]].min(axis=0)
+        for y in np.flatnonzero(orbit_min == np.arange(N)).tolist():
+            if orbit_count([els[x], els[y]], n) != 1:
+                continue
+            s = _proper_closure([x, y], table)
+            if s is not None and s not in found:
+                found[s] = [x, y]
 
     seen_all: set[frozenset[int]] = set()
     queue: list[frozenset[int]] = []
@@ -613,23 +647,22 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
         if s in seen_all:
             continue
-        seen_all |= conjugates(s) if len(s) < N else {s}
+        seen_all |= conjugates(s)
         queue.append(s)
     while queue:
         s = queue.pop(0)
         reps_done.append(s)
-        if len(s) == N:
-            continue
         gens = found[s]
+        members = sorted(s)
         covered = set(s)
         for g in range(N):
             if g in covered:
                 continue
-            t = _closure_idx(gens + [g], table, ident)
-            covered |= {table[e][g] for e in s}
-            if t not in seen_all:
+            t = _proper_closure(gens + [g], table)
+            covered.update(table[members, g].tolist())
+            if t is not None and t not in seen_all:
                 found[t] = gens + [g]
-                seen_all |= conjugates(t) if len(t) < N else {t}
+                seen_all |= conjugates(t)
                 queue.append(t)
-    sets = {group_typeset([els[i] for i in s]) for s in reps_done if len(s) < N}
+    sets = {group_typeset([els[i] for i in s]) for s in reps_done}
     return tuple(sorted(sets, key=lambda fs: sorted(fs)))

@@ -134,6 +134,7 @@ def test_root_number_parse_error_line_number(capsys, tmp_path, extension_file):
         ("local: p=4 type=declared w=+1", None, 7),
         ("local: p=2 type=bogus w=+1", None, 7),
         (None, "poly: 1,0,-2\nprofile: p=6 pairs=1:2\n", 2),
+        ("local: p=2 type=declared w=+1\nlocal: p=2 type=declared w=-1", None, 8),
     ],
 )
 def test_malformed_numbers_exit_4_with_line(
@@ -160,6 +161,14 @@ def test_malformed_numbers_exit_4_with_line(
             "height bound must be >= 1",
         ),
         (["profile", "--extension", "EXT", "--primes", "3,4"], "4 is not prime"),
+        (["orbit-search", "psl2", "4"], "psl2_natural needs an odd prime, got 4"),
+        (["orbit-search", "an", "2"], "alternating group needs degree >= 3"),
+        (
+            ["orbit-search", "psl2", "13", "--action", "deg55"],
+            "the degree-55 action is built for p = 11 only",
+        ),
+        (["jacobian", "--f", "1,0,0,0,1,1", "--n", "0"], "target degree must be >= 4"),
+        (["jacobian", "--f", "1,0,1", "--n", "5"], "hyperelliptic input needs degree >= 5"),
     ],
 )
 def test_invalid_option_values_exit_4(capsys, pencil_file, extension_file, argv, message):

@@ -305,6 +305,53 @@ def test_transitive_typesets_a4_a5():
     assert set(t5) == {c5, d5}
 
 
+def _all_pairs_typesets(n):
+    """Typesets of the proper transitive subgroups <x, y> of A_n over every pair
+    of cyclic subgroups, by plain closure: no conjugacy, order or orbit shortcuts.
+    (Every transitive subgroup of A_n, n <= 6, is 2-generated.)"""
+    els = alternating_group(n).elements
+    index = {e: i for i, e in enumerate(els)}
+    table = [[index[compose(a, b)] for b in els] for a in els]
+    gens = sorted({frozenset(cyclic_powers(g)): index[g] for g in els}.values())
+    subgroups = set()
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            seen = {0}
+            frontier = [0]
+            while frontier:
+                new = []
+                for w in frontier:
+                    for v in (table[x][w], table[y][w]):
+                        if v not in seen:
+                            seen.add(v)
+                            new.append(v)
+                frontier = new
+            subgroups.add(frozenset(seen))
+    types = set()
+    for s in subgroups:
+        members = [els[i] for i in s]
+        if len(s) < len(els) and orbit_count(members, n) == 1:
+            types.add(group_typeset(members))
+    return tuple(sorted(types, key=sorted))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_transitive_typesets_match_all_pairs_closure(n):
+    assert transitive_typesets(n) == _all_pairs_typesets(n)
+
+
+def test_transitive_typesets_a7():
+    c7 = "(1,2,3,4,5,6,7)"
+    groups = [
+        PermGroup(7, [cyc(c7, 7)]),
+        PermGroup(7, [cyc(c7, 7), cyc("(2,3,5)(4,7,6)", 7)]),
+        PermGroup(7, [cyc(c7, 7), cyc("(1,2)(3,6)", 7)]),
+    ]
+    assert [G.order() for G in groups] == [7, 21, 168]
+    expected = sorted((group_typeset(G.elements) for G in groups), key=sorted)
+    assert transitive_typesets(7) == tuple(expected)
+
+
 def test_group_typeset():
     G = alternating_group(4)
     assert group_typeset(G.elements) == {(1, 1, 1, 1), (2, 2), (1, 3)}
