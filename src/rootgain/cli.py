@@ -159,7 +159,10 @@ def cmd_mestre(args) -> int:
         if not args.odd_quintic:
             raise ParseError(0, "mestre solve needs --odd-quintic")
         f = parse_value(0, poly_from_descending_string, args.odd_quintic)
-        sols = mestre_solve_odd_quintic(f)
+        try:
+            sols = mestre_solve_odd_quintic(f)
+        except MestreError as exc:
+            raise ParseError(0, str(exc)) from None
         lines = [f"# f = {_descending(f)} (leading first); solutions: {len(sols)}"]
         lines.append("g\tr")
         for g, r in sols:
@@ -176,6 +179,8 @@ def cmd_mestre(args) -> int:
     except NotASquare as exc:
         _emit([f"NotASquare: {exc}"], args.out)
         return EXIT_EMPTY
+    except MestreError as exc:
+        raise ParseError(0, str(exc)) from None
     _emit([f"r = {_descending(r)}"], args.out)
     return EXIT_OK
 

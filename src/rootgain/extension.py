@@ -28,7 +28,7 @@ from .ellcurve import (
     CurveLocalData,
     local_root_number,
 )
-from .permgroup import GroupError, orbits, subgroup_closure
+from .permgroup import GroupError, PermGroup, orbits
 
 COMPUTED_UNRAMIFIED = "computed_unramified"
 DECLARED_PROFILE = "declared"
@@ -221,10 +221,9 @@ class DecompositionPair:
     tame: bool = True
 
     def __post_init__(self):
-        D = subgroup_closure(self.decomposition_gens or [tuple(range(self.degree))], self.degree)
-        I = subgroup_closure(self.inertia_gens or [tuple(range(self.degree))], self.degree)
-        dset = set(D)
-        iset = set(I)
+        D = PermGroup(self.degree, self.decomposition_gens)
+        dset = D.element_set
+        iset = PermGroup(self.degree, self.inertia_gens).element_set
         if not iset <= dset:
             raise GroupError("inertia subgroup not contained in decomposition group")
         from .permgroup import compose, inverse
@@ -237,8 +236,8 @@ class DecompositionPair:
         if self.tame:
             # D/I cyclic iff some x in D generates D together with I
             if not any(
-                set(subgroup_closure(list(self.inertia_gens) + [x], self.degree)) == dset
-                for x in D
+                PermGroup(self.degree, list(self.inertia_gens) + [x]).element_set == dset
+                for x in D.elements
             ):
                 raise GroupError("tame flag set but D/I is not cyclic")
 

@@ -1,16 +1,17 @@
 """Permutation groups of moderate degree: breadth-first element enumeration,
-orbits, signs, scan-based normalizers/centralizers, PSL2(p) and coset actions,
-and the odd-orbit certificate search over metacyclic subgroups.
+orbits, signs, centralizers and normalizers, PSL2(p) and coset actions, and the
+odd-orbit certificate search over metacyclic subgroups.
 
 Permutations are tuples of 0-based images; point labels are printed 1-based.
-Groups here are small enough (<= ~10^5 elements) that full enumeration beats
+Groups here are small enough (<= ~10^5 elements) that full enumeration, with
+elements numbered by their images on a base (`_BaseIndex`), beats
 stabilizer-chain machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -151,6 +152,56 @@ def orbit_count(gens, n: int) -> int:
 # ---------------------------------------------------------------- PermGroup
 
 
+class _BaseIndex:
+    """The elements of a group (rows of `arr`) numbered by their images on a base.
+
+    Points are taken in order and kept when they tell more elements apart; each
+    kept point at least halves the pointwise stabilizer of those before it, so a
+    base has at most log2 |G| points. A code reads the base images as base-n
+    digits. Products and conjugates of elements lie in the group, so their base
+    images alone identify them.
+    """
+
+    MAX_CODES = 1 << 22  # entries of the dense code -> row lookup, far below int64
+
+    def __init__(self, arr: np.ndarray):
+        N, n = arr.shape
+        self.base: list[int] = []
+        codes = np.zeros(N, dtype=np.int64)
+        distinct = 1
+        for point in range(n):
+            if distinct == N:
+                break
+            trial = codes * n + arr[:, point]
+            count = len(set(trial.tolist()))
+            if count > distinct:
+                if n ** (len(self.base) + 1) > self.MAX_CODES:
+                    raise GroupError(f"a base on {n} points needs over {self.MAX_CODES} codes")
+                self.base.append(point)
+                codes, distinct = trial, count
+        if distinct < N:
+            raise GroupError("the elements are not distinct")
+        self.arr = arr
+        self.weights = n ** np.arange(len(self.base) - 1, -1, -1, dtype=np.int64)
+        self.lookup = np.full(n ** len(self.base), -1, dtype=np.min_scalar_type(-N))
+        self.lookup[codes] = np.arange(N)
+        # g^-1 on the base, one row per element: the point each base point comes from
+        self.inverse_base = np.argmax(arr[:, :, None] == self.base, axis=1)
+
+    def find(self, images: np.ndarray) -> np.ndarray:
+        """Rows of the elements with the given base images (along the last axis)."""
+        return self.lookup[images @ self.weights]
+
+    def table(self) -> np.ndarray:
+        """N x N array of the row of a*b (a after b), found from a(b(base))."""
+        arr = self.arr.astype(np.intp)  # native-width index arrays gather fastest
+        on_base = arr[:, self.base]
+        table = np.empty((len(arr), len(arr)), dtype=self.lookup.dtype)
+        for a, images in enumerate(arr):
+            table[a] = self.find(images[on_base])
+        return table
+
+
 class PermGroup:
     """Finitely generated subgroup of S_n with lazily materialized elements."""
 
@@ -211,6 +262,10 @@ class PermGroup:
             self._array = np.array(self.elements, dtype=np.int32)
         return self._array
 
+    @cached_property
+    def base_index(self) -> _BaseIndex:
+        return _BaseIndex(self.element_array())
+
     def is_transitive(self) -> bool:
         return orbit_count(self.generators, self.degree) == 1
 
@@ -225,7 +280,7 @@ def symmetric_group(n: int) -> PermGroup:
     if n < 1:
         raise GroupError("degree must be >= 1")
     if n == 1:
-        return PermGroup(1, [()], name="S1")
+        return PermGroup(1, [(0,)], name="S1")
     gens = [perm_from_cycles("(1,2)", n)]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
@@ -265,10 +320,6 @@ def psl2_natural(p: int) -> PermGroup:
 # ---------------------------------------------------------------- subgroup scans
 
 
-def subgroup_closure(gens, n: int, cap: int = PermGroup.DEFAULT_CAP) -> tuple[Perm, ...]:
-    return PermGroup(n, gens, cap=cap).elements
-
-
 def is_subgroup(elements, G: PermGroup) -> bool:
     els = set(tuple(e) for e in elements)
     if identity_perm(G.degree) not in els:
@@ -288,43 +339,36 @@ def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
 
 
 def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:
-    """Exact normalizer of the given subgroup by full scan."""
+    """Exact normalizer of the given subgroup. Each g s g^-1 lies in G, so it
+    is matched against the subgroup by its base images alone."""
     sub = frozenset(tuple(e) for e in subgroup_elements)
     if not is_subgroup(sub, G):
         raise GroupError("normalizer_scan: given set is not a subgroup of G")
-    out = []
-    for g in G.elements:
-        gi = inverse(g)
-        if all(compose(compose(g, s), gi) in sub for s in sub):
-            out.append(g)
-    return out
+    index = G.base_index
+    sub_codes = np.array(list(sub))[:, index.base] @ index.weights
+    keep = np.arange(len(index.arr))
+    for s in sub:
+        # g(s(g^-1(b))) for each base point b and each g still kept
+        conj = index.arr[keep[:, None], np.array(s)[index.inverse_base[keep]]]
+        keep = keep[np.isin(conj @ index.weights, sub_codes)]
+    return [G.elements[i] for i in keep.tolist()]
 
 
 def coset_action(G: PermGroup, subgroup_elements) -> PermGroup:
-    """Action of G on left cosets of H; degree [G:H]."""
+    """Action of G on left cosets of H; degree [G:H]. Cosets are numbered in the
+    order they first appear among G's elements."""
     H = [tuple(e) for e in subgroup_elements]
     if not is_subgroup(H, G):
         raise GroupError("coset_action: H is not a subgroup of G")
-    els = G.elements
-
-    def coset_key(g: Perm) -> Perm:
-        return min(compose(g, h) for h in H)
-
-    keys: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    elt_to_coset: dict[Perm, int] = {}
-    for g in els:
-        k = coset_key(g)
-        if k not in keys:
-            keys[k] = len(reps)
-            reps.append(k)
-        elt_to_coset[g] = keys[k]
+    index = G.base_index
+    # g H is keyed by its first element in G's order: the least row among the g h
+    keys = np.min([index.find(index.arr[:, np.array(h)[index.base]]) for h in H], axis=0)
+    reps, coset = np.unique(keys, return_inverse=True)
     m = len(reps)
-    if m * len(H) != len(els):
+    if m * len(H) != len(keys):
         raise GroupError("coset count times |H| does not equal |G|")
-    new_gens = []
-    for a in G.generators:
-        new_gens.append(tuple(elt_to_coset[compose(a, reps[i])] for i in range(m)))
+    reps_on_base = index.arr[reps][:, index.base]
+    new_gens = [tuple(coset[index.find(np.array(a)[reps_on_base])].tolist()) for a in G.generators]
     return PermGroup(m, new_gens, cap=G.cap, name=f"{G.name or 'G'} on {m} cosets")
 
 
@@ -424,17 +468,13 @@ def metacyclic_odd_orbit_search(
     plain cyclic decomposition groups are covered); deterministic order.
     """
     n = G.degree
-    els = G.elements
-    inv = {g: inverse(g) for g in els}
     out: list[MetacyclicCandidate] = []
     for c, powers in cyclic_subgroup_representatives(G):
-        pset = frozenset(powers)
         orb_i = orbit_count([c], n)
         c_even = sign(c) == 1
         if require_inertia_even and not c_even:
             continue
-        normalizer = [g for g in els if compose(compose(g, c), inv[g]) in pset]
-        for x in sorted(normalizer):
+        for x in sorted(normalizer_scan(G, powers)):
             orb_h = orbit_count([c, x], n)
             if (n - orb_h) % 2 == 1:
                 out.append(
@@ -465,27 +505,38 @@ def psl2_11_degree55() -> PermGroup:
 # ---------------------------------------------------------------- small-group lattices
 
 
-def multiplication_table(elements) -> tuple[dict[Perm, int], list[list[int]]]:
-    els = [tuple(e) for e in elements]
-    index = {e: i for i, e in enumerate(els)}
-    table = [[index[compose(a, b)] for b in els] for a in els]
-    return index, table
-
-
-def _closure_idx(gen_idxs, table, identity_idx: int) -> frozenset[int]:
-    seen = {identity_idx}
-    frontier = [identity_idx]
-    gens = list(gen_idxs)
+def _proper_closure(gen_idxs, table: np.ndarray) -> frozenset[int] | None:
+    """Index set of the subgroup generated inside the group of `table`, or None
+    once it has passed half the group's order: by Lagrange such a subgroup is
+    the whole group. In a finite group every element is a product of the
+    generators, so the search starts from them."""
+    half = len(table) // 2
+    rows = [table[g].tolist() for g in gen_idxs]
+    seen = set(gen_idxs)
+    frontier = list(seen)
     while frontier:
         new = []
         for w in frontier:
-            for g in gens:
-                x = table[g][w]
+            for row in rows:
+                x = row[w]
                 if x not in seen:
                     seen.add(x)
                     new.append(x)
+        if len(seen) > half:
+            return None
         frontier = new
     return frozenset(seen)
+
+
+def _coset_extensions(s: frozenset[int], gens: list[int], table: np.ndarray):
+    """(gens + [g], its `_proper_closure`) for the first g outside s of each
+    right coset s g: <s, e g> = <s, g> for e in s."""
+    members = sorted(s)
+    covered = set(s)
+    for g in range(len(table)):
+        if g not in covered:
+            covered.update(table[members, g].tolist())
+            yield gens + [g], _proper_closure(gens + [g], table)
 
 
 def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
@@ -493,29 +544,25 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
 
     Cyclic subgroups first, then single-element extensions to a fixpoint; this
     reaches every subgroup since any chain <g1> <= <g1,g2> <= ... realizes it.
+    Upward, one g per right coset s g is tried (`_coset_extensions`). Raises
+    GroupError when the elements are not closed under composition.
     """
-    els = [tuple(e) for e in elements]
-    index, table = multiplication_table(els)
-    n = len(els)
-    ident = index[identity_perm(len(els[0]))]
+    arr = np.array([tuple(e) for e in elements], dtype=np.int32)
+    table = _BaseIndex(arr).table()
+    # base images identify a product only if it is a member: compare whole products
+    if not all(np.array_equal(a[arr], arr[row]) for a, row in zip(arr, table)):
+        raise GroupError("all_subgroups: the elements are not closed under composition")
+    whole = frozenset(range(len(arr)))
     found: dict[frozenset[int], list[int]] = {}
-    for g in range(n):
-        s = _closure_idx([g], table, ident)
-        if s not in found:
-            found[s] = [g]
+    for g in range(len(arr)):
+        found.setdefault(_proper_closure([g], table) or whole, [g])
     queue = sorted(found, key=sorted)
-    while queue:
-        new_queue = []
-        for s in queue:
-            gens = found[s]
-            for g in range(n):
-                if g in s:
-                    continue
-                t = _closure_idx(gens + [g], table, ident)
-                if t not in found:
-                    found[t] = gens + [g]
-                    new_queue.append(t)
-        queue = new_queue
+    for s in queue:
+        for gens, t in _coset_extensions(s, found[s], table):
+            t = t or whole
+            if t not in found:
+                found[t] = gens
+                queue.append(t)
     return [(s, found[s]) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
@@ -559,44 +606,6 @@ def group_typeset(elements) -> frozenset[tuple[int, ...]]:
     return frozenset(cycle_type(e) for e in elements)
 
 
-def _index_table(elements) -> np.ndarray:
-    """N x N int16 array whose [a, b] entry is the index of a*b (a after b).
-
-    Each permutation is encoded as a base-n integer and a row of products is
-    looked up in an n^n-entry code -> index array (1.6 MB at n = 7)."""
-    arr = np.array(elements, dtype=np.int64)
-    N, n = arr.shape
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    lookup = np.zeros(n**n, dtype=np.int16)
-    lookup[arr @ weights] = np.arange(N)
-    table = np.empty((N, N), dtype=np.int16)
-    for a in range(N):
-        table[a] = lookup[arr[a][arr] @ weights]
-    return table
-
-
-def _proper_closure(gen_idxs, table: np.ndarray) -> frozenset[int] | None:
-    """Index set of the subgroup generated inside the group of `table` (whose
-    index 0 is the identity), or None once it has passed half the group's order:
-    by Lagrange such a subgroup is the whole group."""
-    half = len(table) // 2
-    rows = [table[g].tolist() for g in gen_idxs]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for w in frontier:
-            for row in rows:
-                x = row[w]
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        if len(seen) > half:
-            return None
-        frontier = new
-    return frozenset(seen)
-
-
 @lru_cache(maxsize=None)
 def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Cycle-type sets of all proper transitive subgroups of A_n, by exhaustive
@@ -613,28 +622,29 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
       conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, and the result
       depends only on conjugacy classes of subgroups (`seen_all` holds every
       conjugate of each subgroup found).
-    - Upward, <s, g> = <s, e g> for e in s, so one g per right coset s g is tried.
+    - Upward, one g per right coset s g is tried (`_coset_extensions`).
     """
     if n < 4:
         return ()
     if n > 7:
         raise GroupError("transitive typeset enumeration is desk-scale for n <= 7 only")
-    els = alternating_group(n).elements
-    index = {e: i for i, e in enumerate(els)}
-    table = _index_table(els)
-    N = len(els)
-    inv_idx = np.array([index[inverse(e)] for e in els])
+    A = alternating_group(n)
+    els = A.elements
+    index = A.base_index
+    table = index.table()
+    inv_idx = index.find(index.inverse_base)
 
     def conjugates(s: frozenset[int]) -> set[frozenset[int]]:
         conj = table[table[:, sorted(s)], inv_idx[:, None]]
         return {frozenset(row) for row in np.unique(np.sort(conj, axis=1), axis=0).tolist()}
 
     found: dict[frozenset[int], list[int]] = {}
-    for x in (index[r] for r in _an_class_representatives(n)):
+    reps = np.array(_an_class_representatives(n))
+    for x in index.find(reps[:, index.base]).tolist():
         cent = np.flatnonzero(table[:, x] == table[x])
         # column y holds the C(x)-orbit of y; keep y when it is the orbit's least
         orbit_min = table[table[cent], inv_idx[cent, None]].min(axis=0)
-        for y in np.flatnonzero(orbit_min == np.arange(N)).tolist():
+        for y in np.flatnonzero(orbit_min == np.arange(len(els))).tolist():
             if orbit_count([els[x], els[y]], n) != 1:
                 continue
             s = _proper_closure([x, y], table)
@@ -643,26 +653,15 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
 
     seen_all: set[frozenset[int]] = set()
     queue: list[frozenset[int]] = []
-    reps_done: list[frozenset[int]] = []
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-        if s in seen_all:
-            continue
-        seen_all |= conjugates(s)
-        queue.append(s)
-    while queue:
-        s = queue.pop(0)
-        reps_done.append(s)
-        gens = found[s]
-        members = sorted(s)
-        covered = set(s)
-        for g in range(N):
-            if g in covered:
-                continue
-            t = _proper_closure(gens + [g], table)
-            covered.update(table[members, g].tolist())
+        if s not in seen_all:
+            seen_all |= conjugates(s)
+            queue.append(s)
+    for s in queue:
+        for gens, t in _coset_extensions(s, found[s], table):
             if t is not None and t not in seen_all:
-                found[t] = gens + [g]
+                found[t] = gens
                 seen_all |= conjugates(t)
                 queue.append(t)
-    sets = {group_typeset([els[i] for i in s]) for s in reps_done}
+    sets = {group_typeset([els[i] for i in s]) for s in queue}
     return tuple(sorted(sets, key=lambda fs: sorted(fs)))

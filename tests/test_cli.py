@@ -84,6 +84,13 @@ def test_orbit_search_generators_literal(capsys):
     assert code == 0  # the Klein four-group on 5 points has odd-orbit pairs
 
 
+def test_orbit_search_s1_empty_exit_3(capsys):
+    code, out = run(capsys, ["orbit-search", "sn", "1"])
+    assert code == 3
+    assert out.startswith("# group: S1 degree=1 order=1\n")
+    assert "candidates with degree - |orb(<I,x>)| odd: 0" in out
+
+
 def test_orbit_search_cap_exceeded_exit_2(capsys):
     code, _ = run(capsys, ["orbit-search", "sn", "12", "--cap", "1000"])
     assert code == 2
@@ -169,6 +176,9 @@ def test_malformed_numbers_exit_4_with_line(
         ),
         (["jacobian", "--f", "1,0,0,0,1,1", "--n", "0"], "target degree must be >= 4"),
         (["jacobian", "--f", "1,0,1", "--n", "5"], "hyperelliptic input needs degree >= 5"),
+        (["mestre", "solve", "--odd-quintic", "1,0,1"], "solver handles degree-5 polynomials"),
+        (["mestre", "solve", "--odd-quintic", "1,0,0,0,0,1"], "solver handles odd f only"),
+        (["mestre", "verify", "--f", "1,0,1,0,0,0", "--g", "1,0,0,0,1"], "f must be separable"),
     ],
 )
 def test_invalid_option_values_exit_4(capsys, pencil_file, extension_file, argv, message):

@@ -2,6 +2,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootgain.permgroup import (
     CapExceeded,
@@ -64,6 +66,12 @@ def test_enumerate_cap_exceeded():
     with pytest.raises(CapExceeded) as err:
         G.elements
     assert "1000" in str(err.value)
+
+
+def test_symmetric_group_of_degree_1():
+    G = symmetric_group(1)
+    assert G.elements == ((0,),)
+    assert metacyclic_odd_orbit_search(G) == []
 
 
 def test_symmetric_and_alternating_orders():
@@ -361,3 +369,162 @@ def test_cycle_type_and_order():
     p = cyc("(1,2)(3,4,5)", 7)
     assert cycle_type(p) == (1, 1, 2, 3)
     assert perm_order(p) == 6
+
+
+# ---------------------------------------------------------------- plain-loop oracle
+#
+# Each kernel against its definition written with `compose` loops: no tables,
+# base images or pruning.
+
+
+def _plain_closure(gens, n):
+    ident = identity_perm(n)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [x for w in frontier for g in gens if (x := compose(g, w)) not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+def _plain_normalizer(elements, sub):
+    return [g for g in elements if all(compose(compose(g, s), inverse(g)) in sub for s in sub)]
+
+
+def _plain_subgroups(elements):
+    """Every subgroup as a set of elements: joins of cyclic subgroups to a fixpoint
+    (each subgroup is the join of its cyclic subgroups)."""
+    n = len(elements[0])
+    cyclic = {frozenset(cyclic_powers(g)) for g in elements}
+    found = set(cyclic)
+    queue = list(cyclic)
+    while queue:
+        h = queue.pop()
+        for c in cyclic:
+            if not c <= h:
+                j = _plain_closure(list(h | c), n)
+                if j not in found:
+                    found.add(j)
+                    queue.append(j)
+    return found
+
+
+def _plain_metacyclic(G):
+    n = G.degree
+    reps = {}
+    for g in G.elements:
+        key = frozenset(cyclic_powers(g))
+        reps[key] = min(reps.get(key, g), g)
+    out = []
+    for key, c in sorted(reps.items(), key=lambda kv: (len(kv[0]), kv[1])):
+        for x in sorted(_plain_normalizer(G.elements, key)):
+            orb = orbit_count([c, x], n)
+            if (n - orb) % 2 == 1:
+                out.append((c, x, len(key), orbit_count([c], n), orb, sign(c) == 1))
+    return out
+
+
+def _dihedral(n):
+    return PermGroup(n, [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))])
+
+
+def _check_against_plain(elements, n, normalizer_group=None):
+    subs = all_subgroups(elements)
+    as_sets = [frozenset(elements[i] for i in s) for s, _ in subs]
+    assert len(set(as_sets)) == len(as_sets)
+    assert set(as_sets) == _plain_subgroups(elements)
+    for members, (_, gens) in zip(as_sets, subs):
+        assert _plain_closure([elements[i] for i in gens], n) == members
+    if normalizer_group is not None:
+        for h in as_sets:
+            assert normalizer_scan(normalizer_group, h) == _plain_normalizer(
+                normalizer_group.elements, h
+            )
+
+
+ORACLE_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "A5": lambda: alternating_group(5),
+    "PSL2(5)": lambda: psl2_natural(5),
+    "D5": lambda: _dihedral(5),
+    "D6": lambda: _dihedral(6),
+    "D8": lambda: _dihedral(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_kernels_match_plain_loops(name):
+    G = ORACLE_GROUPS[name]()
+    _check_against_plain(list(G.elements), G.degree, normalizer_group=G)
+    got = [
+        (m.c, m.x, m.inertia_order, m.orbits_inertia, m.orbits_full, m.inertia_in_alternating)
+        for m in metacyclic_odd_orbit_search(G)
+    ]
+    assert got == _plain_metacyclic(G)
+
+
+def test_psl2_7_normalizers_and_metacyclic_match_plain_loops():
+    G = psl2_natural(7)
+    for g in G.elements:
+        h = frozenset(cyclic_powers(g))
+        assert normalizer_scan(G, h) == _plain_normalizer(G.elements, h)
+    a = next(g for g in G.elements if perm_order(g) == 2)
+    for k in {_plain_closure([a, g], 8) for g in G.elements}:
+        assert normalizer_scan(G, k) == _plain_normalizer(G.elements, k)
+    got = [(m.c, m.x) for m in metacyclic_odd_orbit_search(G)]
+    assert got == [row[:2] for row in _plain_metacyclic(G)]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.integers(6, 8), st.randoms(use_true_random=False))
+def test_small_subgroups_of_sn_match_plain_loops(n, rng):
+    # seeded pairs of permutations, kept when they generate at most 32 elements
+    while True:
+        a, b = list(range(n)), list(range(n))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        try:
+            G = PermGroup(n, [a, b], cap=32)
+            G.elements
+            break
+        except CapExceeded:
+            continue
+    # a shuffled element order, so the identity is rarely first
+    elements = list(G.elements)
+    rng.shuffle(elements)
+    _check_against_plain(elements, n, normalizer_group=G)
+
+
+def test_all_subgroups_identity_not_first():
+    subs = all_subgroups([(1, 0), (0, 1)])
+    assert subs == [(frozenset({1}), [1]), (frozenset({0, 1}), [0])]
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        # x = (1,2,3) without its square
+        [(0, 1, 2, 3), (1, 2, 0, 3)],
+        # x = (1,2,3) and y = x^-1 (3,4): x y = (3,4) agrees with the identity
+        # on point 1, which alone tells the three apart
+        [(0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 3, 1)],
+    ],
+)
+def test_all_subgroups_rejects_sets_not_closed(elements):
+    with pytest.raises(GroupError):
+        all_subgroups(elements)
+
+
+def test_normalizer_scan_where_base_codes_outgrow_the_index():
+    # 11 disjoint transpositions on 64 points: order 2048, a base of 11 points
+    gens = [
+        tuple(2 * i + 1 - j % 2 if j // 2 == i else j for j in range(64)) for i in range(11)
+    ]
+    G = PermGroup(64, gens)
+    assert G.order() == 2048
+    h = cyclic_powers(compose(gens[0], gens[1]))
+    try:
+        got = normalizer_scan(G, h)
+    except GroupError:
+        return
+    assert got == _plain_normalizer(G.elements, frozenset(h))
