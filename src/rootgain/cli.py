@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: orbit-search, root-number, mestre {solve|verify}, specialize,
-jacobian, profile. All randomized internals take --seed (default 0) and every
-invocation is byte-reproducible under a fixed seed.
+jacobian, profile. Every invocation is byte-reproducible. No computation reads
+--seed (default 0); specialize only echoes it in its header.
 
-Exit codes: 0 success/nonempty, 2 internal error, 3 empty result, 4 parse error.
+Exit codes: 0 success/nonempty, 2 internal error, 3 empty result, 4 parse/usage error.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
+        p.add_argument("--seed", type=int, default=0, help="echoed in the specialize header")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("orbit-search", help="odd-orbit metacyclic certificate search")
@@ -401,7 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        if exc.code != 2:
+            raise
+        return EXIT_PARSE
     try:
         return args.func(args)
     except ParseError as exc:

@@ -35,9 +35,8 @@ from .extension import (
     root_number_ratio,
     split_count_from_profile,
 )
+from .jacobian import CONDITIONAL_TOKEN
 from .permgroup import perm_order, transitive_typesets
-
-CONDITIONAL_TOKEN = "conditional-on-parity-conjecture"
 
 
 class MestreError(ValueError):
@@ -171,105 +170,19 @@ def mestre_verify(f: PolyQ, g: PolyQ) -> PolyQ:
     return poly_sqrt_exact(h)
 
 
-class _Poly2:
-    """Sparse bivariate polynomial over Q in (B, C), for the solver only."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for k, v in (terms or {}).items():
-            v = Fraction(v)
-            if v:
-                self.terms[k] = v
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def var_b(cls):
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def var_c(cls):
-        return cls({(0, 1): Fraction(1)})
-
-    def __add__(self, o):
-        t = dict(self.terms)
-        for k, v in o.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
-        return _Poly2(t)
-
-    def __sub__(self, o):
-        t = dict(self.terms)
-        for k, v in o.terms.items():
-            t[k] = t.get(k, Fraction(0)) - v
-        return _Poly2(t)
-
-    def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return _Poly2({k: v * o for k, v in self.terms.items()})
-        t = {}
-        for (i, j), v in self.terms.items():
-            for (k, l), w in o.terms.items():
-                key = (i + k, j + l)
-                t[key] = t.get(key, Fraction(0)) + v * w
-        return _Poly2(t)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree_c(self):
-        return max((j for _, j in self.terms), default=0)
-
-    def coeff_of_c(self, j) -> PolyQ:
-        """Coefficient of C^j, as a polynomial in B."""
-        out = {}
-        for (i, jj), v in self.terms.items():
-            if jj == j:
-                out[i] = v
-        if not out:
-            return PolyQ([])
-        return PolyQ([out.get(i, Fraction(0)) for i in range(max(out) + 1)])
-
-    def eval_b(self, b0: Fraction) -> PolyQ:
-        """Substitute B = b0; result is a polynomial in C."""
-        out = {}
-        for (i, j), v in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + v * b0**i
-        if not out:
-            return PolyQ([])
-        return PolyQ([out.get(j, Fraction(0)) for j in range(max(out) + 1)])
-
-
-def _resultant_in_c(p1: _Poly2, p2: _Poly2) -> PolyQ:
-    """Res_C of (linear in C, quadratic in C) via the 3x3 Sylvester determinant,
-    with entries polynomials in B."""
-    a1 = p1.coeff_of_c(1)
-    a0 = p1.coeff_of_c(0)
-    b2 = p2.coeff_of_c(2)
-    b1 = p2.coeff_of_c(1)
-    b0 = p2.coeff_of_c(0)
-    # | a1 a0 0 |
-    # | 0  a1 a0|
-    # | b2 b1 b0|
-    return (
-        a1 * (a1 * b0 - a0 * b1)
-        + a0 * (a0 * b2)
-    )
-
-
 def mestre_solve_odd_quintic(f: PolyQ) -> list[tuple[PolyQ, PolyQ]]:
     """All monic even quartics g = X^4 + B X^2 + C with f'g - g'f a square,
     for odd separable quintics f.
 
-    The formal top-down square root of the (even, degree-8) difference leaves
-    two residual coefficient conditions in (B, C); these are eliminated by a
-    resultant in C, rational roots of the resulting sextic in B are extracted,
-    and back-substitution plus exact verification yields the solutions.
+    With f = lc * f0, f0 = X^5 + aX^3 + bX, the difference is lc times
+        f0'g - g'f0 = X^8 + (3B - a)X^6 + (5C + aB - 3b)X^4 + (3aC - bB)X^2 + bC,
+    so lc must be a square. The top-down square root X^4 + r2 X^2 + r0 has
+    r2 = (3B - a)/2 and r0 = 5C/2 + s with s = (aB - 3b - r2^2)/2, which
+    leaves two conditions with coefficients in Q[B]:
+        X^2:  a1 C + a0 = 0,           a1 = 3a - 5 r2, a0 = -(bB + 2 r2 s);
+        X^0:  b2 C^2 + b1 C + b0 = 0,  b2 = -25/4, b1 = b - 5s, b0 = -s^2.
+    Their resultant in C, a1 (a1 b0 - a0 b1) + a0^2 b2, is a sextic in B; its
+    rational roots, back-substitution and exact verification give the solutions.
     """
     if f.degree != 5:
         raise MestreError("solver handles degree-5 polynomials")
@@ -280,66 +193,38 @@ def mestre_solve_odd_quintic(f: PolyQ) -> list[tuple[PolyQ, PolyQ]]:
     lc = f.leading()
     if rational_sqrt(lc) is None:
         return []  # r^2 would need a square leading coefficient
-    fa = Fraction(f[3] / lc)
-    fb = Fraction(f[1] / lc)
-
-    B = _Poly2.var_b()
-    C = _Poly2.var_c()
-    one = _Poly2.const(1)
-    zero = _Poly2()
-    # expand h = f0'g - g'f0 for monic f0 = X^5 + aX^3 + bX and g = X^4+BX^2+C,
-    # as X-coefficient lists with bivariate entries
-    f0 = [zero, _Poly2.const(fb), zero, _Poly2.const(fa), zero, one]
-    f0d = [_Poly2.const(fb), zero, _Poly2.const(3 * fa), zero, _Poly2.const(5)]
-    gC = [C, zero, B, zero, one]
-    gCd = [zero, 2 * B, zero, _Poly2.const(4)]
-
-    def xmul(u, v):
-        out = [zero] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                out[i + j] = out[i + j] + ui * vj
-        return out
-
-    prod1 = xmul(f0d, gC)
-    prod2 = xmul(gCd, f0)
-    h = [p - q for p, q in zip(prod1, prod2)]
-    if any(not h[k].is_zero() for k in range(1, 9, 2)):
-        raise MestreError("difference is not even (violated parity bookkeeping)")
-    if (h[8] - one).terms:
-        raise MestreError("leading coefficient of the difference is not 1")
-    # top-down square root r = X^4 + r2 X^2 + r0 (r4 = 1 since h8 = 1):
+    a = f[3] / lc
+    b = f[1] / lc
     half = Fraction(1, 2)
-    r2 = h[6] * half
-    r0 = (h[4] - r2 * r2) * half
-    # residual conditions from the X^2 and X^0 coefficients:
-    cond1 = h[2] - 2 * r2 * r0
-    cond2 = h[0] - r0 * r0
-    if cond1.degree_c() != 1 or cond2.degree_c() != 2:
-        raise MestreError("unexpected elimination shape")
-    res_b = _resultant_in_c(cond1, cond2)
+    r2 = PolyQ([-a, 3]) * half
+    s = (PolyQ([-3 * b, a]) - r2 * r2) * half
+    a1 = PolyQ([3 * a]) - r2 * 5
+    a0 = -(PolyQ([0, b]) + r2 * s * 2)
+    b2 = Fraction(-25, 4)
+    b1 = PolyQ([b]) - s * 5
+    b0 = -(s * s)
+    res_b = a1 * (a1 * b0 - a0 * b1) + a0 * a0 * b2
     if res_b.is_zero():
         raise MestreError("degenerate elimination (unexpected for separable f)")
     out = []
     seen = set()
-    for b0 in rational_roots(res_b):
-        p1 = cond1.eval_b(b0)
-        p2 = cond2.eval_b(b0)
-        candidates: list[Fraction] = []
-        if p1.degree == 1:
-            candidates.append(-p1[0] / p1[1])
-        elif p1.is_zero() and not p2.is_zero():
-            candidates.extend(rational_roots(p2))
-        for c0 in candidates:
-            if p2(c0) != 0 or p1(c0) != 0:
+    for beta in rational_roots(res_b):
+        lin1, lin0 = a1(beta), a0(beta)
+        quad = PolyQ([b0(beta), b1(beta), b2])
+        if lin1:
+            candidates = [-lin0 / lin1]
+        elif lin0 == 0:
+            candidates = rational_roots(quad)
+        else:
+            candidates = []
+        for gamma in candidates:
+            if quad(gamma) != 0 or (beta, gamma) in seen:
                 continue
-            if (b0, c0) in seen:
-                continue
-            seen.add((b0, c0))
-            g = PolyQ([c0, 0, b0, 0, 1])
+            seen.add((beta, gamma))
+            g = PolyQ([gamma, 0, beta, 0, 1])
             try:
                 r = mestre_verify(f, g)
-            except (NotASquare, MestreError):
+            except NotASquare:
                 continue
             out.append((g, r))
     out.sort(key=lambda gr: (gr[0][2], gr[0][0]))

@@ -339,11 +339,18 @@ def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
 
 
 def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:
-    """Exact normalizer of the given subgroup. Each g s g^-1 lies in G, so it
-    is matched against the subgroup by its base images alone."""
+    """Exact normalizer of the given subgroup of G; raises GroupError on a set
+    that is not one."""
     sub = frozenset(tuple(e) for e in subgroup_elements)
     if not is_subgroup(sub, G):
         raise GroupError("normalizer_scan: given set is not a subgroup of G")
+    return _normalizer(G, sub)
+
+
+def _normalizer(G: PermGroup, sub) -> list[Perm]:
+    """normalizer_scan without the subgroup check, for callers whose set is a
+    subgroup by construction. Each g s g^-1 lies in G, so it is matched against
+    the subgroup by its base images alone."""
     index = G.base_index
     sub_codes = np.array(list(sub))[:, index.base] @ index.weights
     keep = np.arange(len(index.arr))
@@ -474,7 +481,7 @@ def metacyclic_odd_orbit_search(
         c_even = sign(c) == 1
         if require_inertia_even and not c_even:
             continue
-        for x in sorted(normalizer_scan(G, powers)):
+        for x in sorted(_normalizer(G, powers)):
             orb_h = orbit_count([c, x], n)
             if (n - orb_h) % 2 == 1:
                 out.append(
@@ -496,7 +503,7 @@ def psl2_11_degree55() -> PermGroup:
     cyclic subgroup of order 6 (a subgroup of order 12)."""
     G = psl2_natural(11)
     c6 = next(c for c in G.elements if perm_order(c) == 6)
-    N = normalizer_scan(G, cyclic_powers(c6))
+    N = _normalizer(G, cyclic_powers(c6))
     if len(N) != 12:
         raise GroupError(f"expected an order-12 normalizer, got {len(N)}")
     return coset_action(G, N)

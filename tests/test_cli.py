@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootgain.algebra import PolyQ
 from rootgain.cli import main
@@ -209,6 +211,39 @@ def test_malformed_number_options_exit_4(capsys, pencil_file, extension_file, ar
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # a negative leading coefficient after a space reads as an option
+        ["jacobian", "--f", "-1,0,0,0,1,1", "--n", "5"],
+        ["mestre", "solve", "--odd-quintic", "-1,0,5,0,-4,0"],
+        ["mestre", "verify", "--f", "1,0,1,0,1,0", "--g", "-1,0,0"],
+        ["mestre", "factor"],
+        ["orbit-search", "psl2", "eleven"],
+        ["specialize", "--q", "19"],
+        [],
+    ],
+)
+def test_usage_errors_exit_4(capsys, argv):
+    code = main(argv)
+    assert code == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_leading_coefficient_attached_with_equals(capsys):
+    code, out = run(capsys, ["mestre", "solve", "--odd-quintic=-1,0,5,0,-4,0"])
+    assert code == 3  # -1 is not a square
+    assert out.startswith("# f = -1,0,5,0,-4,0 (leading first); solutions: 0\n")
+    code, out = run(capsys, ["jacobian", "--f=-1,0,0,0,1,1", "--n", "5"])
+    assert code == 0
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["mestre", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
     "value, message",
     [
         ("13:a:1", "line 0: malformed 'a'"),
@@ -255,6 +290,46 @@ def test_mestre_verify_not_square_exit_3(capsys):
     code, out = run(capsys, ["mestre", "verify", "--f", "5,0,0,0,4,0", "--g", "1"])
     assert code == 3
     assert "NotASquare" in out
+
+
+_NUMBER = st.one_of(
+    st.integers(-300, 300).map(str),
+    st.tuples(st.integers(-300, 300), st.integers(-9, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_ENTRY = st.one_of(
+    _NUMBER,
+    st.sampled_from(["", "1/0", "x", "-", "--", "1.5", "1e3", " 2", "nan", "inf", "-h", "0/0"]),
+    st.text(max_size=3),
+)
+_COEFFS = st.one_of(
+    st.lists(_ENTRY, max_size=7).map(",".join),
+    # odd quintics, so the solver and the identity check run too
+    st.tuples(_NUMBER, _NUMBER, _NUMBER).map(lambda t: f"{t[0]},0,{t[1]},0,{t[2]},0"),
+)
+
+
+def _option(name, value, attached):
+    return [f"{name}={value}"] if attached else [name, value]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # only --help may exit, with 0
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(f=_COEFFS, attached=st.booleans())
+def test_mestre_solve_fuzz_ends_in_0_3_or_4(f, attached):
+    assert _exit_code(["mestre", "solve", *_option("--odd-quintic", f, attached)]) in (0, 3, 4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(f=_COEFFS, g=_COEFFS, attached=st.booleans())
+def test_mestre_verify_fuzz_ends_in_0_3_or_4(f, g, attached):
+    argv = ["mestre", "verify", *_option("--f", f, attached), *_option("--g", g, attached)]
+    assert _exit_code(argv) in (0, 3, 4)
 
 
 # ---------------------------------------------------------------- jacobian

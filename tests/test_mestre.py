@@ -68,6 +68,56 @@ def test_solver_identities_hold_memberwise():
             assert r.leading() > 0
 
 
+def _groebner_solutions(f: PolyQ) -> list[tuple[F, F]]:
+    """Every rational (B, C) with f'g - g'f = lc (X^4 + uX^2 + v)^2 for
+    g = X^4 + BX^2 + C, from a lex Groebner basis in sympy."""
+    sp = pytest.importorskip("sympy")
+    X, B, C, u, v = sp.symbols("X B C u v")
+    q = [sp.Rational(c.numerator, c.denominator) for c in f.coeffs]
+    fx = sum(c * X**i for i, c in enumerate(q))
+    g = X**4 + B * X**2 + C
+    diff = sp.diff(fx, X) * g - sp.diff(g, X) * fx - q[-1] * (X**4 + u * X**2 + v) ** 2
+    basis = sp.groebner(sp.Poly(sp.expand(diff), X).coeffs(), u, v, C, B, order="lex")
+    sols = sp.solve(list(basis), [u, v, C, B], dict=True)
+    return sorted(
+        (F(int(s[B].p), int(s[B].q)), F(int(s[C].p), int(s[C].q)))
+        for s in sols
+        if s[B].is_rational and s[C].is_rational
+    )
+
+
+def _seeded_square_lc_quintics(count: int, seed: int) -> list[PolyQ]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        lc = rng.choice([1, 4, F(9, 4), 25])
+        if rng.random() < 0.5:  # roots 0, +-s, +-t
+            s, t = rng.randint(1, 12), rng.randint(1, 12)
+            a, b = -(s * s + t * t), s * s * t * t
+        else:
+            a, b = rng.randint(-60, 60), rng.randint(-400, 400)
+        f = PolyQ([0, b, 0, a, 0, 1]) * lc
+        if b and f.is_separable():
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize(
+    "f",
+    [F1, F2, F1 * 9, *_seeded_square_lc_quintics(6, seed=7)],
+    ids=lambda f: ",".join(map(str, f.coeffs[::-2])),
+)
+def test_solver_matches_groebner_oracle(f):
+    got = [(g[2], g[0]) for g, _ in mestre_solve_odd_quintic(f)]
+    assert got == _groebner_solutions(f)
+
+
+@pytest.mark.parametrize("lc", [2, -1, F(3, 4), -4])
+def test_solver_non_square_leading_coefficient_is_empty(lc):
+    for f in (F1, F2, *_seeded_square_lc_quintics(4, seed=11)):
+        assert mestre_solve_odd_quintic(f * lc) == []
+
+
 def test_solver_rejects_bad_shapes():
     with pytest.raises(MestreError):
         mestre_solve_odd_quintic(PolyQ([1, 0, 0, 0, 0, 1]))  # not odd

@@ -227,6 +227,20 @@ def test_normalizer_of_c3_in_s3():
     assert len(N) == 6
 
 
+@pytest.mark.parametrize(
+    "elements",
+    [
+        ["(1,2,3)"],  # no identity
+        ["()", "(1,2,3)"],  # not closed
+        ["()", "(1,2)(3,4)", "(1,3)(2,4)"],  # not closed
+        ["()", "(1,2)"],  # a subgroup of S4, not of A4
+    ],
+)
+def test_normalizer_scan_rejects_non_subgroup(elements):
+    with pytest.raises(GroupError):
+        normalizer_scan(alternating_group(4), [cyc(e, 4) for e in elements])
+
+
 # ---------------------------------------------------------------- metacyclic search
 
 
