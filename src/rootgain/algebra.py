@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 Rational = Fraction
 
@@ -656,21 +657,30 @@ def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
 
 
 def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Squarefree monic f -> [(product of irreducibles of degree d, d)]."""
-    p = f.p
-    out = []
+    """Squarefree monic f -> [(product of irreducibles of degree d, d)].
+
+    x^p mod f is found once; each later x^(p^d) mod f is x^(p^(d-1)) times
+    the Frobenius matrix of f, whose row i is x^(ip) mod f. Every gcd is taken
+    with the cofactor cur, which divides f, so the matrix is built only once.
+    """
+    p, n = f.p, f.degree
     x = PolyFp._of(p, [0, 1])
-    h = x
+    h = x.pow_mod(p, f)
+    rows = [PolyFp._of(p, [1])]
+    for _ in range(n - 1):
+        rows.append(rows[-1] * h % f)
+    cols = list(zip(*(r.coeffs + (0,) * (n - len(r.coeffs)) for r in rows)))
+    out = []
     cur = f
-    d = 0
-    while cur.degree >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(p, cur)
-        g = (h - x % cur).gcd(cur)
+    d = 1
+    while cur.degree >= 2 * d:
+        if d > 1:
+            h = PolyFp._of(p, [sum(map(mul, h.coeffs, col)) % p for col in cols])
+        g = (h - x).gcd(cur)
         if g.degree > 0:
             out.append((g, d))
             cur = cur // g
-            h = h % cur
+        d += 1
     if cur.degree > 0:
         out.append((cur, cur.degree))
     return out
@@ -772,9 +782,13 @@ class PolyFacts:
         return valuation(self.poly.leading(), p) == 0 and valuation(self.disc, p) == 0
 
     def pattern(self, p: int) -> tuple[int, ...]:
-        """Sorted factor degrees mod the good prime p."""
+        """Sorted factor degrees mod the good prime p, read off the
+        distinct-degree factorization of the (squarefree) reduction."""
         if p not in self._patterns:
-            self._patterns[p] = tuple(factor_degrees(PolyFp.reduce(self.poly, p)))
+            if not self.is_good(p):
+                raise AlgebraError(f"p={p} divides disc or the leading coefficient")
+            dd = _distinct_degree(PolyFp.reduce(self.poly, p).monic())
+            self._patterns[p] = tuple(sorted(d for g, d in dd for _ in range(g.degree // d)))
         return self._patterns[p]
 
     def frobenius(self, count: int):

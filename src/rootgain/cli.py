@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import NotASquare, PolyFacts, poly_from_descending_string
-from .extension import Incomputable, build_profile, root_number_over_extension
+from .extension import ExtensionError, Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
 from .inputfmt import parse_prime, parse_value
 from .jacobian import CONDITIONAL_TOKEN, JacobianError, hyperelliptic_rank_gain_report
@@ -312,7 +312,11 @@ def cmd_profile(args) -> int:
             computable.append(p)
         else:
             skipped.append(p)
-    prof = build_profile(facts, declared=declared, primes=computable)
+    try:
+        prof = build_profile(facts, declared=declared, primes=computable)
+    except ExtensionError as exc:
+        sys.stderr.write(f"Incomputable: {exc}\n")
+        return EXIT_EMPTY
     cert = prof.irreducibility
     lines = [
         f"# poly (leading first): {_descending(poly)}",

@@ -101,17 +101,26 @@ def _parse_pairs(lineno: int, text: str) -> list[tuple[int, int]]:
             raise ParseError(lineno, f"profile pair must be e:f, got {item!r}")
         e, f = item.split(":", 1)
         out.append((parse_value(lineno, int, e), parse_value(lineno, int, f)))
+        if min(out[-1]) < 1:
+            raise ParseError(lineno, f"profile pair {item!r} needs e, f >= 1")
     if not out:
         raise ParseError(lineno, "empty profile pair list")
     return out
 
 
 def parse_extension_file(text: str) -> tuple[PolyQ, dict[int, list[tuple[int, int]]]]:
+    """The separable nonconstant poly: and its declared profiles, each with
+    Sum e*f equal to the degree."""
     poly = None
     declared: dict[int, list[tuple[int, int]]] = {}
+    profile_lines: dict[int, int] = {}
     for lineno, key, value in read_records(text):
         if key == "poly":
             poly = parse_value(lineno, poly_from_descending_string, value)
+            if poly.degree < 1:
+                raise ParseError(lineno, "poly: must have degree >= 1")
+            if not poly.is_separable():
+                raise ParseError(lineno, "poly: has a repeated root")
         elif key == "profile":
             attrs = _attrs(lineno, value)
             if "p" not in attrs or "pairs" not in attrs:
@@ -120,10 +129,17 @@ def parse_extension_file(text: str) -> tuple[PolyQ, dict[int, list[tuple[int, in
             if p in declared:
                 raise ParseError(lineno, f"duplicate profile for p={p}")
             declared[p] = _parse_pairs(lineno, attrs["pairs"])
+            profile_lines[p] = lineno
         else:
             raise ParseError(lineno, f"unknown extension key {key!r}")
     if poly is None:
         raise ParseError(0, "extension file missing poly:")
+    for p, pairs in declared.items():
+        total = sum(e * f for e, f in pairs)
+        if total != poly.degree:
+            raise ParseError(
+                profile_lines[p], f"sum of e*f is {total}, expected the degree {poly.degree}"
+            )
     return poly, declared
 
 

@@ -161,6 +161,51 @@ def test_malformed_numbers_exit_4_with_line(
     assert f"parse error: line {line}:" in err
 
 
+def _both_commands(curve_file, extension_file):
+    return [
+        ["profile", "--extension", str(extension_file), "--primes", "3,7"],
+        ["root-number", "--curve", str(curve_file), "--extension", str(extension_file)],
+    ]
+
+
+@pytest.mark.parametrize(
+    "extension_text, line, message",
+    [
+        ("poly: 0\n", 1, "poly: must have degree >= 1"),
+        ("poly: 5\n", 1, "poly: must have degree >= 1"),
+        ("# x^2\npoly: 1,0,0\n", 2, "poly: has a repeated root"),
+        ("poly: 1,0,-4,0,4\n", 1, "poly: has a repeated root"),
+        ("poly: 1,0,-2\nprofile: p=2 pairs=1:5\n", 2, "sum of e*f is 5, expected the degree 2"),
+        ("profile: p=2 pairs=1:1\npoly: 1,0,-2\n", 1, "sum of e*f is 1, expected the degree 2"),
+        ("poly: 1,0,-2\nprofile: p=2 pairs=0:1,1:2\n", 2, "profile pair '0:1' needs e, f >= 1"),
+    ],
+)
+def test_bad_extension_files_exit_4_in_both_commands(
+    capsys, tmp_path, curve_file, extension_text, line, message
+):
+    ext = tmp_path / "bad-ext.txt"
+    ext.write_text(extension_text)
+    for argv in _both_commands(curve_file, ext):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4, argv[0]
+        assert captured.err == f"parse error: line {line}: {message}\n"
+        assert captured.out == ""
+
+
+def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
+    ext = tmp_path / "tame.txt"
+    ext.write_text("poly: 1,0,-2\nprofile: p=3 pairs=2:1\n")
+    why = "declared profile at p=3 rejected: v_3(disc) = 0 is below the tame bound 1"
+    profile, root_number = _both_commands(curve_file, ext)
+    assert main(profile) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"Incomputable: {why}\n")
+    code, out = run(capsys, root_number)
+    assert code == 3
+    assert out.endswith(f"W(E/F) = Incomputable: {why}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -330,6 +375,55 @@ def test_mestre_solve_fuzz_ends_in_0_3_or_4(f, attached):
 def test_mestre_verify_fuzz_ends_in_0_3_or_4(f, g, attached):
     argv = ["mestre", "verify", *_option("--f", f, attached), *_option("--g", g, attached)]
     assert _exit_code(argv) in (0, 3, 4)
+
+
+@st.composite
+def _extension_lines(draw):
+    """A poly: line (random, with a square factor, constant, or malformed) and
+    up to two profile: lines, whose pairs often sum to the degree."""
+    unit = st.integers(1, 9) | st.integers(-9, -1)
+    coeffs = [draw(unit), *draw(st.lists(st.integers(-9, 9), max_size=4)), draw(unit)]
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    shapes = [
+        ",".join(map(str, coeffs)),
+        f"1,{2 * a},{a * a + 2 * b},{2 * a * b},{b * b}",
+        f"0,1,{2 * a},{a * a}",
+        str(b),
+        draw(st.lists(_ENTRY, max_size=6).map(",".join)),
+    ]
+    poly = shapes[draw(st.sampled_from([0, 0, 0, 0, 1, 2, 3, 4, 4]))]
+    lines = [f"poly: {poly}"]
+    for _ in range(draw(st.integers(0, 2))):
+        prime = draw(st.sampled_from(["2", "3", "5", "7", "4", "x", "-3"]))
+        if draw(st.booleans()):  # e*f summing to len(coeffs) - 1
+            pairs, rest = [], len(coeffs) - 1
+            while rest > 0:
+                e = draw(st.integers(1, rest))
+                f = draw(st.integers(1, rest // e))
+                pairs.append(f"{e}:{f}")
+                rest -= e * f
+            text = ",".join(pairs)
+        else:
+            text = draw(
+                st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=4).map(
+                    lambda ps: ",".join(f"{e}:{f}" for e, f in ps)
+                )
+                | st.sampled_from(["1", "1:", "a:b", "1:1,,1:1", "99999:99999", "1:1:1"])
+            )
+        lines.append(f"profile: p={prime} pairs={text}")
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=_extension_lines())
+def test_extension_file_fuzz_ends_in_0_3_or_4(tmp_path_factory, lines):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    ext = workdir / "ext.txt"
+    ext.write_text("\n".join(lines) + "\n")
+    curve = workdir / "curve.txt"
+    curve.write_text(CURVE_TEXT)
+    for argv in _both_commands(curve, ext):
+        assert _exit_code(argv) in (0, 3, 4), argv[0]
 
 
 # ---------------------------------------------------------------- jacobian

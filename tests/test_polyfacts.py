@@ -211,6 +211,17 @@ def test_moduli_checked_where_polyfp_enters():
         profile_at_unramified(PolyQ([1, 0, 1]), 6)
 
 
+def test_pattern_refuses_a_bad_prime():
+    # X^4 - 4 has disc -2^14, and reduces to X^4 mod 2
+    facts = PolyFacts(PolyQ([-4, 0, 0, 0, 1]))
+    with pytest.raises(AlgebraError):
+        facts.pattern(2)
+    assert facts.pattern(3) == (1, 1, 2)  # nothing cached at 2
+    # 2X^2 - 1: the leading coefficient vanishes mod 2
+    with pytest.raises(AlgebraError):
+        PolyFacts(PolyQ([-1, 0, 2])).pattern(2)
+
+
 def test_zero_discriminant_raises_instead_of_seeking_a_good_prime():
     h = PolyQ([0, 0, 1])  # X^2: no prime is good
     with pytest.raises(AlgebraError):
