@@ -22,6 +22,7 @@ from .mestre import (
     MestreError,
     PrimeCondition,
     SearchConstraints,
+    SpecializationError,
     an_certificate,
     mestre_solve_odd_quintic,
     mestre_verify,
@@ -224,15 +225,21 @@ def cmd_specialize(args) -> int:
         )
     except MestreError as exc:
         raise ParseError(0, str(exc)) from None
-    records = search_rank_gain(
-        pencil,
-        curve,
-        constraints,
-        target,
-        args.q,
-        assumed_reduction=args.assume_reduction,
-        limit=args.limit,
-    )
+    try:
+        records = search_rank_gain(
+            pencil,
+            curve,
+            constraints,
+            target,
+            args.q,
+            assumed_reduction=args.assume_reduction,
+            limit=args.limit,
+        )
+    except SpecializationError as exc:  # no reference fiber below the height bound
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_EMPTY
+    except MestreError as exc:  # --q excluded, or not multiplicative for --curve
+        raise ParseError(0, str(exc)) from None
     lines = [
         DISCLAIMER,
         f"# pencil {pencil.name or args.pencil}, designated prime {args.q}, "

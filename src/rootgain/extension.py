@@ -308,6 +308,8 @@ def _contribution_at(bundle: CurveLocalData, p: int, F: ExtensionProfile) -> int
         )
     if L.type == UNKNOWN_23:
         raise Incomputable(p, "prime 2 or 3 divides the discriminant and is undeclared")
+    if L.declared_root_number is None:
+        raise Incomputable(p, f"{L.type} prime with no declared local root number")
     w = local_root_number(L)
     return w ** F.degree
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from .algebra import PolyQ, is_prime, poly_from_descending_string
 from .ellcurve import CurveError, CurveLocalData, EllipticCurveData, LocalReductionData
 from .extension import DecompositionPair
-from .mestre import BranchPoint, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
-from .permgroup import perm_from_cycles
+from .mestre import BranchPoint, MestreError, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
+from .permgroup import GroupError, perm_from_cycles
 
 
 class ParseError(ValueError):
@@ -85,10 +85,14 @@ def parse_curve_file(text: str) -> CurveLocalData:
     missing = [k for k in ("a1", "a2", "a3", "a4", "a6") if k not in coeffs]
     if missing:
         raise ParseError(0, f"curve file missing {', '.join(missing)}")
-    curve = EllipticCurveData.from_coeffs(
-        coeffs["a1"], coeffs["a2"], coeffs["a3"], coeffs["a4"], coeffs["a6"]
-    )
-    return CurveLocalData.build(curve, list(declared.values()))
+    # a singular model, or one that is not p-integral at a bad prime p >= 5
+    try:
+        curve = EllipticCurveData.from_coeffs(
+            coeffs["a1"], coeffs["a2"], coeffs["a3"], coeffs["a4"], coeffs["a6"]
+        )
+        return CurveLocalData.build(curve, list(declared.values()))
+    except CurveError as exc:
+        raise ParseError(0, str(exc)) from None
 
 
 def _parse_pairs(lineno: int, text: str) -> list[tuple[int, int]]:
@@ -168,13 +172,19 @@ def _parse_branch(lineno: int, value: str) -> BranchPoint:
         degree = parse_value(lineno, int, attrs["degree"])
         dg = _parse_perm_list(lineno, attrs.get("d", ""), degree)
         ig = _parse_perm_list(lineno, attrs.get("i", ""), degree)
-        pair = DecompositionPair(degree, dg, ig)
-    return BranchPoint(
-        location=location,
-        ramification_index=parse_value(lineno, int, attrs["e"]),
-        inertia_class=attrs.get("class"),
-        pair=pair,
-    )
+        try:
+            pair = DecompositionPair(degree, dg, ig)
+        except GroupError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    try:
+        return BranchPoint(
+            location=location,
+            ramification_index=parse_value(lineno, int, attrs["e"]),
+            inertia_class=attrs.get("class"),
+            pair=pair,
+        )
+    except MestreError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def parse_pencil_file(text: str) -> Pencil:
@@ -214,7 +224,10 @@ def parse_pencil_file(text: str) -> Pencil:
     if form == "mestre":
         if fpoly is None or gpoly is None:
             raise ParseError(0, "mestre form needs f: and g:")
-        return mestre_form_pencil(fpoly, gpoly, branch_points=tuple(branches))
+        try:
+            return mestre_form_pencil(fpoly, gpoly, branch_points=tuple(branches))
+        except MestreError as exc:
+            raise ParseError(0, str(exc)) from None
     if form == "general":
         if degree is None:
             raise ParseError(0, "general form needs degree:")

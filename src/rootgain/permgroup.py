@@ -122,27 +122,27 @@ def format_cycles(a: Perm) -> str:
 
 
 def orbits(gens, n: int) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of {0..n-1} under the generated subgroup."""
+    """Orbit partition of {0..n-1} under the generated subgroup, each orbit
+    sorted, in the order of their least points."""
     for g in gens:
         if len(g) != n:
             raise GroupError(f"generator degree {len(g)} != {n}")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for i in range(n):
-            a, b = find(i), find(g[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    buckets: dict[int, list[int]] = {}
+    seen = [False] * n
+    out = []
     for i in range(n):
-        buckets.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
+        if seen[i]:
+            continue
+        # i is the least point of its orbit: a smaller one would have reached it
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:
+            for g in gens:
+                k = g[j]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
 
 
 def orbit_count(gens, n: int) -> int:
@@ -330,12 +330,20 @@ def is_subgroup(elements, G: PermGroup) -> bool:
 
 
 def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
-    """Exact centralizer by full scan (vectorized over the element table)."""
+    """Exact centralizer of the permutation x in G, in G's element order.
+
+    g commutes with x only if g(x(i)) = x(g(i)) at a point i that x moves, which
+    in a 2-transitive group leaves about |G|/(n-1) rows; only those are compared
+    on every point. x need not lie in G.
+    """
     arr = G.element_array()
-    xa = np.array(x, dtype=np.int32)
-    mask = (arr[:, xa] == xa[arr]).all(axis=1)
-    els = G.elements
-    return [els[i] for i in np.flatnonzero(mask)]
+    xa = np.array(x)
+    moved = np.flatnonzero(xa != np.arange(len(xa)))
+    i = moved[0] if len(moved) else 0
+    rows = np.flatnonzero(arr[:, xa[i]] == xa[arr[:, i]])
+    survivors = arr[rows]
+    rows = rows[(survivors[:, xa] == xa[survivors]).all(axis=1)]
+    return [G.elements[r] for r in rows.tolist()]
 
 
 def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:

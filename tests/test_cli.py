@@ -161,6 +161,64 @@ def test_malformed_numbers_exit_4_with_line(
     assert f"parse error: line {line}:" in err
 
 
+@pytest.mark.parametrize(
+    "curve_text, pencil_text, message",
+    [
+        (
+            "a1: 0\na2: 0\na3: 0\na4: 0\na6: 0\n",
+            None,
+            "singular Weierstrass model (discriminant 0)",
+        ),
+        ("a1: 0\na2: 0\na3: 0\na4: 1/5\na6: 1\n", None, "model is not 5-integral"),
+        (None, "form: mestre\nf: 1,0,0\ng: 1\n", "f must be separable"),
+    ],
+)
+def test_bad_curve_and_pencil_models_exit_4(
+    capsys, tmp_path, extension_file, curve_text, pencil_text, message
+):
+    if curve_text is not None:
+        curve = tmp_path / "curve.txt"
+        curve.write_text(curve_text)
+        argv = ["root-number", "--curve", str(curve), "--extension", extension_file]
+    else:
+        pencil = tmp_path / "bad.pencil"
+        pencil.write_text(pencil_text)
+        argv = ["specialize", "--pencil", str(pencil), "--q", "19"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == f"parse error: line 0: {message}\n"
+    assert captured.out == ""
+
+
+def test_root_number_undeclared_additive_prime_is_incomputable(capsys, tmp_path):
+    # y^2 + xy = x^3 + x^2 + 5 has additive reduction at 5, found automatically
+    curve = tmp_path / "curve.txt"
+    curve.write_text("a1: 1\na2: 1\na3: 0\na4: 0\na6: 5\n")
+    ext = tmp_path / "ext.txt"
+    ext.write_text("poly: 1,-1\n")
+    code, out = run(capsys, ["root-number", "--curve", str(curve), "--extension", str(ext)])
+    assert code == 3
+    assert out.endswith(
+        "W(E/F) = Incomputable: incomputable at p=5: additive prime with no declared"
+        " local root number\n"
+    )
+
+
+def test_specialize_without_reference_fiber_exits_3(capsys, tmp_path):
+    # every fiber is x^2 + 13, ramified at 13
+    pencil = tmp_path / "ramified.pencil"
+    pencil.write_text(
+        "form: general\ndegree: 2\ncoeff: k=0 num=13\ncoeff: k=1 num=0\ncoeff: k=2 num=1\n"
+        "branch: location=inf e=2 degree=2 D=(1,2)\n"
+    )
+    code = main(["specialize", "--pencil", str(pencil), "--q", "13", "--height", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "no reference specialization unramified at 13 below height 3\n"
+    assert captured.out == ""
+
+
 def _both_commands(curve_file, extension_file):
     return [
         ["profile", "--extension", str(extension_file), "--primes", "3,7"],
@@ -226,10 +284,20 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
         (["mestre", "solve", "--odd-quintic", "1,0,1"], "solver handles degree-5 polynomials"),
         (["mestre", "solve", "--odd-quintic", "1,0,0,0,0,1"], "solver handles odd f only"),
         (["mestre", "verify", "--f", "1,0,1,0,0,0", "--g", "1,0,0,0,1"], "f must be separable"),
+        (
+            ["specialize", "--pencil", "PENCIL", "--q", "5"],
+            "designated prime 5 lies in the excluded set",
+        ),
+        (
+            ["specialize", "--pencil", "PENCIL", "--q", "19", "--curve", "CURVE"],
+            "designated prime 19 is not multiplicative for the curve",
+        ),
     ],
 )
-def test_invalid_option_values_exit_4(capsys, pencil_file, extension_file, argv, message):
-    files = {"EXT": extension_file, "PENCIL": pencil_file}
+def test_invalid_option_values_exit_4(
+    capsys, pencil_file, extension_file, curve_file, argv, message
+):
+    files = {"EXT": extension_file, "PENCIL": pencil_file, "CURVE": curve_file}
     code = main([files.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert code == 4
@@ -424,6 +492,88 @@ def test_extension_file_fuzz_ends_in_0_3_or_4(tmp_path_factory, lines):
     curve.write_text(CURVE_TEXT)
     for argv in _both_commands(curve, ext):
         assert _exit_code(argv) in (0, 3, 4), argv[0]
+
+
+@st.composite
+def _curve_lines(draw):
+    """a1..a6 (small numbers, now and then malformed or missing, sometimes all
+    zero so the model is singular) and up to two local: lines."""
+    zero = draw(st.integers(0, 5)) == 0
+    lines = []
+    for key in ("a1", "a2", "a3", "a4", "a6"):
+        num, den = draw(st.integers(-9, 9)), draw(st.sampled_from([1] * 9 + [2, 3, 5]))
+        value = "0" if zero else f"{num}/{den}"
+        lines.append(f"{key}: {draw(st.sampled_from([value] * 18 + ['x', '1/0']))}")
+    for _ in range(draw(st.integers(0, 2))):
+        prime = draw(st.sampled_from(["2", "3", "5", "7"] * 3 + ["4", "x"]))
+        kinds = ["declared"] * 3 + ["good", "split_mult", "additive", "bogus"]
+        kind = draw(st.sampled_from(kinds))
+        w = draw(st.sampled_from([" w=+1", " w=-1"] * 3 + ["", " w=0", " w=x"]))
+        lines.append(f"local: p={prime} type={kind}{w}")
+    lines = [line for line in lines if draw(st.sampled_from([True] * 19 + [False]))]
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lines=_curve_lines(), poly=st.sampled_from(["1,-1", "1,0,-2", "1,0,0,-2"]))
+def test_curve_file_fuzz_ends_in_0_3_or_4(tmp_path_factory, lines, poly):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    curve = workdir / "curve.txt"
+    curve.write_text("\n".join(lines) + "\n")
+    ext = workdir / "ext.txt"
+    ext.write_text(f"poly: {poly}\n")
+    assert _exit_code(["root-number", "--curve", str(curve), "--extension", str(ext)]) in (0, 3, 4)
+
+
+# valid branch records (drawn most often) and invalid ones
+_BRANCHES = (
+    *3 * (
+        "branch: location=inf e=2 degree=5 D=(1,2)(3,4)",
+        "branch: location=0 e=2 degree=3 D=(1,2)",
+        "branch: location=1/2 e=3 degree=4 D=(1,2,3) I=(1,2,3)",
+    ),
+    "branch: location=inf e=1 degree=5 D=(1,2)(3,4)",
+    "branch: location=inf e=2 degree=3 D=(1,2) I=(1,2,3)",
+    "branch: location=inf e=2 degree=4 D=(1,2,3,4) I=(1,3)",
+    "branch: location=inf e=2",
+)
+
+
+@st.composite
+def _pencil_lines(draw):
+    """A form: mestre pencil (random f and g, f with a square factor, or
+    malformed) or a form: general one (random coeff: rows, some missing or with
+    a zero denominator), with branch: lines valid or not; a line is now and
+    then left out."""
+
+    def coeffs(lo, hi):
+        return ",".join(map(str, draw(st.lists(st.integers(-5, 5), min_size=lo, max_size=hi))))
+
+    if draw(st.booleans()):
+        a = draw(st.integers(-3, 3))
+        f = draw(st.sampled_from([coeffs(3, 6)] * 6 + [f"1,{2 * a},{a * a}", "1,0,0", "1,x"]))
+        lines = ["form: mestre", f"f: {f}", f"g: {coeffs(1, 3)}"]
+    else:
+        degree = draw(st.integers(1, 4))
+        lines = ["form: general", f"degree: {degree}"]
+        for k in range(degree + 1):
+            den = draw(st.sampled_from(["", "", "", " den=1,1", " den=0", " den=1,0"]))
+            lines.append(f"coeff: k={k} num={coeffs(1, 3)}{den}")
+    lines += draw(st.lists(st.sampled_from(_BRANCHES), min_size=1, max_size=2))
+    lines = [line for line in lines if draw(st.sampled_from([True] * 19 + [False]))]
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lines=_pencil_lines(), q=st.sampled_from(["5", "5", "7", "13", "4"]))
+def test_pencil_file_fuzz_ends_in_0_3_or_4(tmp_path_factory, lines, q):
+    pencil = tmp_path_factory.mktemp("fuzz") / "fuzz.pencil"
+    pencil.write_text("\n".join(lines) + "\n")
+    # height 6 reaches candidates t0 with v_q(t0) = -1 for q = 5 only, so q is
+    # taken out of the default excluded set
+    argv = ["specialize", "--pencil", str(pencil), "--q", q, "--height", "6", "--limit", "1"]
+    argv += ["--exclude", "2,3"]
+    assert _exit_code(argv) in (0, 3, 4)
 
 
 # ---------------------------------------------------------------- jacobian

@@ -91,6 +91,47 @@ def test_orbits_double_transposition_in_s5():
     assert orbits([cyc("(1,2)(3,4)", 5)], 5) == ((0, 1), (2, 3), (4,))
 
 
+def _union_find_orbits(gens, n):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for i in range(n):
+            a, b = find(i), find(g[i])
+            parent[max(a, b)] = min(a, b)
+    buckets = {}
+    for i in range(n):
+        buckets.setdefault(find(i), []).append(i)
+    return tuple(tuple(v) for _, v in sorted(buckets.items()))
+
+
+@st.composite
+def _generator_lists(draw):
+    n = draw(st.integers(1, 60))
+    perm = st.permutations(range(n)).map(tuple)
+    # sparse generators too: a few transpositions leave many orbits
+    swaps = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)
+
+    def apply(pairs):
+        images = list(range(n))
+        for i, j in pairs:
+            images[i], images[j] = images[j], images[i]
+        return tuple(images)
+
+    return n, draw(st.lists(perm | swaps.map(apply), max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_generator_lists())
+def test_orbits_match_union_find(case):
+    n, gens = case
+    assert orbits(gens, n) == _union_find_orbits(gens, n)
+
+
 def test_orbits_degree_mismatch():
     with pytest.raises(GroupError):
         orbits([cyc("(1,2)", 3)], 5)
@@ -213,6 +254,23 @@ def test_degree_times_subgroup_order_is_group_order():
 
 
 # ---------------------------------------------------------------- scans
+
+
+def _plain_centralizer(G, x):
+    return [g for g in G.elements if compose(g, x) == compose(x, g)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_centralizer_scan_matches_plain_loop(p):
+    G = psl2_natural(p)
+    n = p + 1
+    involutions = [g for g in G.elements if perm_order(g) == 2]
+    others = [g for g in G.elements if perm_order(g) > 2][:: len(G.elements) // 8]
+    # permutations outside G: a transposition and an n-cycle of S_n
+    outside = [cyc("(1,2)", n), tuple(range(1, n)) + (0,)]
+    assert not any(x in G for x in outside)
+    for x in [identity_perm(n)] + involutions + others + outside:
+        assert centralizer_scan(G, x) == _plain_centralizer(G, x)
 
 
 def test_centralizer_of_transposition_in_s3():
