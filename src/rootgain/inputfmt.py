@@ -187,6 +187,15 @@ def _parse_branch(lineno: int, value: str) -> BranchPoint:
         raise ParseError(lineno, str(exc)) from None
 
 
+def _branch_points(branches, degree: int) -> tuple[BranchPoint, ...]:
+    """The parsed `branch:` records, each decomposition pair checked against the
+    pencil's X-degree at its line."""
+    for lineno, bp in branches:
+        if bp.pair is not None and bp.pair.degree != degree:
+            raise ParseError(lineno, f"branch degree {bp.pair.degree} != pencil X-degree {degree}")
+    return tuple(bp for _, bp in branches)
+
+
 def parse_pencil_file(text: str) -> Pencil:
     form = None
     family = None
@@ -214,7 +223,7 @@ def parse_pencil_file(text: str) -> Pencil:
             den = parse_value(lineno, poly_from_descending_string, attrs.get("den", "1"))
             coeff_rows[k] = (num, den)
         elif key == "branch":
-            branches.append(_parse_branch(lineno, value))
+            branches.append((lineno, _parse_branch(lineno, value)))
         else:
             raise ParseError(lineno, f"unknown pencil key {key!r}")
     if family is not None:
@@ -224,17 +233,19 @@ def parse_pencil_file(text: str) -> Pencil:
     if form == "mestre":
         if fpoly is None or gpoly is None:
             raise ParseError(0, "mestre form needs f: and g:")
+        points = _branch_points(branches, fpoly.degree)
         try:
-            return mestre_form_pencil(fpoly, gpoly, branch_points=tuple(branches))
+            return mestre_form_pencil(fpoly, gpoly, branch_points=points)
         except MestreError as exc:
             raise ParseError(0, str(exc)) from None
     if form == "general":
         if degree is None:
             raise ParseError(0, "general form needs degree:")
+        points = _branch_points(branches, degree)
         coeffs = []
         for k in range(degree + 1):
             if k not in coeff_rows:
                 raise ParseError(0, f"general form missing coeff k={k}")
             coeffs.append(coeff_rows[k])
-        return Pencil(tuple(coeffs), tuple(branches), name="general")
+        return Pencil(tuple(coeffs), points, name="general")
     raise ParseError(0, "pencil file needs family: or form: mestre|general")

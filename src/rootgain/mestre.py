@@ -88,11 +88,16 @@ class Pencil:
 
 
 def mestre_form_pencil(f: PolyQ, g: PolyQ, branch_points=()) -> Pencil:
-    """f(X) - t*g(X); requires deg g < deg f and separable f."""
+    """f(X) - t*g(X); requires deg g < deg f, separable f, and g nonzero and
+    prime to f (otherwise every fiber is f, or shares the factor gcd(f, g))."""
     if g.degree >= f.degree:
         raise MestreError("Mestre form needs deg g < deg f")
     if not f.is_separable():
         raise MestreError("f must be separable")
+    if g.is_zero():
+        raise MestreError("g must be nonzero: every fiber would be f")
+    if f.gcd(g).degree > 0:
+        raise MestreError("f and g must be coprime: gcd(f, g) divides every fiber")
     coeffs = []
     for i in range(f.degree + 1):
         coeffs.append((PolyQ([f[i], -g[i]]), PolyQ([1])))

@@ -357,15 +357,16 @@ def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:
 
 def _normalizer(G: PermGroup, sub) -> list[Perm]:
     """normalizer_scan without the subgroup check, for callers whose set is a
-    subgroup by construction. Each g s g^-1 lies in G, so it is matched against
-    the subgroup by its base images alone."""
+    subgroup by construction. Each g s g^-1 lies in G, so its base images find
+    its row, which a mask over G's rows tests for membership in the subgroup."""
     index = G.base_index
-    sub_codes = np.array(list(sub))[:, index.base] @ index.weights
+    in_sub = np.zeros(len(index.arr), dtype=bool)
+    in_sub[index.find(np.array(list(sub))[:, index.base])] = True
     keep = np.arange(len(index.arr))
     for s in sub:
         # g(s(g^-1(b))) for each base point b and each g still kept
         conj = index.arr[keep[:, None], np.array(s)[index.inverse_base[keep]]]
-        keep = keep[np.isin(conj @ index.weights, sub_codes)]
+        keep = keep[in_sub[index.find(conj)]]
     return [G.elements[i] for i in keep.tolist()]
 
 
@@ -544,13 +545,15 @@ def _proper_closure(gen_idxs, table: np.ndarray) -> frozenset[int] | None:
 
 
 def _coset_extensions(s: frozenset[int], gens: list[int], table: np.ndarray):
-    """(gens + [g], its `_proper_closure`) for the first g outside s of each
-    right coset s g: <s, e g> = <s, g> for e in s."""
+    """(gens + [g], its `_proper_closure`) for the least g of each double coset
+    s g s other than s: <s, a g b> = <s, g> for a, b in s. A walk over g in
+    ascending order meets each double coset first at its least element, so
+    every later g would only rebuild a subgroup already found."""
     members = sorted(s)
-    covered = set(s)
-    for g in range(len(table)):
-        if g not in covered:
-            covered.update(table[members, g].tolist())
+    left = table[:, members].min(axis=1)  # least element of each left coset x s
+    least = left[table[members]].min(axis=0)  # least element of each s x s
+    for g in np.flatnonzero(least == np.arange(len(table))).tolist():
+        if g not in s:
             yield gens + [g], _proper_closure(gens + [g], table)
 
 
@@ -559,13 +562,14 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
 
     Cyclic subgroups first, then single-element extensions to a fixpoint; this
     reaches every subgroup since any chain <g1> <= <g1,g2> <= ... realizes it.
-    Upward, one g per right coset s g is tried (`_coset_extensions`). Raises
+    Upward, one g per double coset s g s is tried (`_coset_extensions`). Raises
     GroupError when the elements are not closed under composition.
     """
     arr = np.array([tuple(e) for e in elements], dtype=np.int32)
     table = _BaseIndex(arr).table()
-    # base images identify a product only if it is a member: compare whole products
-    if not all(np.array_equal(a[arr], arr[row]) for a, row in zip(arr, table)):
+    # base images identify a product only if it is a member: compare whole
+    # products, [a, b, i] = a(b(i))
+    if not np.array_equal(arr[:, arr], arr[table]):
         raise GroupError("all_subgroups: the elements are not closed under composition")
     whole = frozenset(range(len(arr)))
     found: dict[frozenset[int], list[int]] = {}
@@ -637,7 +641,7 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
       conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, and the result
       depends only on conjugacy classes of subgroups (`seen_all` holds every
       conjugate of each subgroup found).
-    - Upward, one g per right coset s g is tried (`_coset_extensions`).
+    - Upward, one g per double coset s g s is tried (`_coset_extensions`).
     """
     if n < 4:
         return ()

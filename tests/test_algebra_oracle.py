@@ -1,0 +1,83 @@
+"""Exact polynomial invariants checked against sympy, which shares no code with
+rootgain: discriminant and resultant against sympy's, sturm_real_roots against
+Poly.count_roots and rational_roots against the linear factors of sympy's
+factorization over Q, on derandomized polynomials of degree <= 8 with rational
+coefficients, including products with repeated and shared factors."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rootgain.algebra import PolyQ, discriminant, resultant, rational_roots, sturm_real_roots
+
+sympy = pytest.importorskip("sympy")
+X = sympy.symbols("x")
+
+MAX_DEGREE = 8
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+nonzero = coefficients.filter(lambda c: c != 0)
+
+
+@st.composite
+def factors(draw, max_degree=4):
+    degree = draw(st.integers(1, max_degree))
+    return PolyQ(draw(st.lists(coefficients, min_size=degree, max_size=degree)) + [draw(nonzero)])
+
+
+@st.composite
+def products(draw, max_degree=MAX_DEGREE):
+    """A nonzero constant times up to three factors, each taken once or twice
+    while the degree stays within max_degree (the first always fits)."""
+    out = PolyQ([draw(nonzero)])
+    for f in draw(st.lists(factors(), min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(1, 2))):
+            if out.degree + f.degree <= max_degree:
+                out = out * f
+    return out
+
+
+def to_sympy(f: PolyQ):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], X)
+
+
+def to_fraction(r) -> F:
+    r = sympy.Rational(r)
+    return F(int(r.p), int(r.q))
+
+
+ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE
+@given(products())
+def test_discriminant_matches_sympy(f):
+    assert discriminant(f) == to_fraction(sympy.discriminant(to_sympy(f)))
+
+
+@ORACLE
+@given(products(max_degree=4), products(max_degree=4), st.none() | factors(max_degree=2))
+def test_resultant_matches_sympy(f, g, shared):
+    if shared is not None:
+        # a common factor makes the resultant vanish
+        f, g = f * shared, g * shared
+    assert resultant(f, g) == to_fraction(sympy.resultant(to_sympy(f), to_sympy(g)))
+
+
+@ORACLE
+@given(products())
+def test_sturm_real_roots_matches_count_roots(f):
+    assert sturm_real_roots(f) == to_sympy(f).count_roots()
+
+
+@ORACLE
+@given(products(), st.lists(coefficients, max_size=2))
+def test_rational_roots_match_sympy(f, roots):
+    for r in roots:
+        if f.degree < MAX_DEGREE:
+            f = f * PolyQ([-r, 1])
+    _, parts = to_sympy(f).factor_list()
+    linear = [g for g, _ in parts if g.degree() == 1]
+    expected = sorted(-to_fraction(g.nth(0)) / to_fraction(g.nth(1)) for g in linear)
+    assert rational_roots(f) == expected

@@ -171,6 +171,18 @@ def test_malformed_numbers_exit_4_with_line(
         ),
         ("a1: 0\na2: 0\na3: 0\na4: 1/5\na6: 1\n", None, "model is not 5-integral"),
         (None, "form: mestre\nf: 1,0,0\ng: 1\n", "f must be separable"),
+        # every fiber is f, which has the root -1
+        (
+            None,
+            "form: mestre\nf: -2,-5,-4,-3,-2\ng: 0\n",
+            "g must be nonzero: every fiber would be f",
+        ),
+        # X^2 - 1 divides both, so every fiber
+        (
+            None,
+            "form: mestre\nf: 1,0,-5,0,4,0\ng: 1,0,0,0,-1\n",
+            "f and g must be coprime: gcd(f, g) divides every fiber",
+        ),
     ],
 )
 def test_bad_curve_and_pencil_models_exit_4(
@@ -188,6 +200,19 @@ def test_bad_curve_and_pencil_models_exit_4(
     captured = capsys.readouterr()
     assert code == 4
     assert captured.err == f"parse error: line 0: {message}\n"
+    assert captured.out == ""
+
+
+def test_specialize_branch_degree_other_than_pencil_degree_exits_4(capsys, tmp_path):
+    pencil = tmp_path / "quadratic.pencil"
+    pencil.write_text(
+        "form: mestre\nf: 1,0,-3\ng: 1\nbranch: location=inf e=2 degree=5 D=(1,2)(3,4)\n"
+    )
+    argv = ["specialize", "--pencil", str(pencil), "--q", "5", "--height", "6", "--limit", "1"]
+    code = main(argv + ["--exclude", "2,3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "parse error: line 4: branch degree 5 != pencil X-degree 2\n"
     assert captured.out == ""
 
 

@@ -125,6 +125,13 @@ def test_parse_pencil_unknown_family():
         ("form: mestre\nf: 1,0,0\ng: 1\nbranch: location=inf e=2 degree=x D=(1,2)\n", 4),
         ("form: general\nbranch: location=inf e=1\n", 2),
         ("form: general\nbranch: location=inf e=2 degree=3 D=(1,2) I=(1,2,3)\n", 2),
+        # a branch degree other than the pencil's X-degree
+        ("form: mestre\nf: 1,0,-3\ng: 1\nbranch: location=inf e=2 degree=5 D=(1,2)(3,4)\n", 4),
+        (
+            "form: general\nbranch: location=inf e=2 degree=5 D=(1,2)(3,4)\ndegree: 1\n"
+            "coeff: k=0 num=1\ncoeff: k=1 num=1\n",
+            2,
+        ),
     ],
 )
 def test_parse_pencil_malformed_numbers_name_the_line(text, lineno):

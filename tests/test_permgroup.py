@@ -1,6 +1,7 @@
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from rootgain.permgroup import (
     symmetric_group,
     transitive_typesets,
 )
+from rootgain.permgroup import _coset_extensions
 
 
 def cyc(text, degree):
@@ -600,3 +602,93 @@ def test_normalizer_scan_where_base_codes_outgrow_the_index():
     except GroupError:
         return
     assert got == _plain_normalizer(G.elements, frozenset(h))
+
+
+# ---------------------------------------------------------------- lattice traversal
+#
+# `all_subgroups` extends each subgroup s by one g per double coset s g s. The
+# plain loop below takes one g per right coset s g instead: it tries more g, but
+# must reach the same subgroups with the same generator lists.
+
+
+def _compose_table(elements):
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[compose(a, b)] for b in elements] for a in elements]
+
+
+def _right_coset_subgroups(elements):
+    table = _compose_table(elements)
+
+    def closure(gens):
+        seen = set(gens)
+        frontier = list(seen)
+        while frontier:
+            frontier = [x for w in frontier for g in gens if (x := table[g][w]) not in seen]
+            seen.update(frontier)
+        return frozenset(seen)
+
+    found = {}
+    for g in range(len(elements)):
+        found.setdefault(closure([g]), [g])
+    queue = sorted(found, key=sorted)
+    for s in queue:
+        covered = set(s)
+        for g in range(len(elements)):
+            if g not in covered:
+                covered.update(table[e][g] for e in s)
+                t = closure(found[s] + [g])
+                if t not in found:
+                    found[t] = found[s] + [g]
+                    queue.append(t)
+    return [(s, found[s]) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+def _involution_centralizers(p, count=None):
+    G = psl2_natural(p)
+    ident = identity_perm(p + 1)
+    involutions = [g for g in G.elements if g != ident and compose(g, g) == ident]
+    if count is not None:
+        involutions = involutions[:: len(involutions) // count][:count]
+    return [centralizer_scan(G, x) for x in involutions]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_all_subgroups_match_right_coset_traversal(name):
+    elements = ORACLE_GROUPS[name]().elements
+    assert all_subgroups(elements) == _right_coset_subgroups(elements)
+
+
+def _divisor_count_and_sum(m):
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    return len(divisors), sum(divisors)
+
+
+@pytest.mark.parametrize("p, count", [(19, None), (43, 4)])
+def test_involution_centralizer_lattices(p, count):
+    # C(x) is dihedral of order p + 1 = 2m, with tau(m) + sigma(m) subgroups
+    tau, sigma = _divisor_count_and_sum((p + 1) // 2)
+    for C in _involution_centralizers(p, count):
+        subs = all_subgroups(C)
+        assert subs == _right_coset_subgroups(C)
+        assert len(subs) == tau + sigma
+
+
+def _double_coset(s, g, elements):
+    return frozenset(compose(compose(a, elements[g]), b) for a in s for b in s)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "D8"])
+def test_coset_extensions_take_one_g_per_double_coset(name):
+    elements = ORACLE_GROUPS[name]().elements
+    table = np.array(_compose_table(elements))
+    index = {e: i for i, e in enumerate(elements)}
+    for s, gens in all_subgroups(elements):
+        members = frozenset(elements[i] for i in s)
+        tried = [new[-1] for new, _ in _coset_extensions(s, gens, table)]
+        assert tried == sorted(tried)
+        doubles = [_double_coset(members, g, elements) for g in tried]
+        assert len(set(doubles)) == len(doubles)
+        assert not any(members & d for d in doubles)
+        assert frozenset().union(members, *doubles) == frozenset(elements)
+        # each g is the first of its double coset in the group's order
+        assert tried == [min(index[e] for e in d) for d in doubles]
