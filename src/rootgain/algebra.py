@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import lshift, mul
 
 Rational = Fraction
 
@@ -56,10 +56,16 @@ TOP_VALUE = _TopValue()
 # primes and quadratic symbols
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to every base in _SMALL_PRIMES
+# (399165290221 * 798330580441); from it on, base 41 is added as well
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24 with these witnesses)."""
+    """Deterministic Miller-Rabin, exact for n < psi_13 = 3317044064679887385961981.
+
+    The bases 2..37 are exact below psi_12; 41 is added only from psi_12 on,
+    so the bases 2..41 are exact below psi_13 (Sorenson-Webster)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -70,7 +76,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES if n < _PSI_12 else _SMALL_PRIMES + (41,):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -114,6 +120,11 @@ def valuation(x: Rational | int, p: int):
     """p-adic valuation of a rational; valuation of 0 is TOP_VALUE."""
     if not is_prime(p):
         raise AlgebraError(f"valuation: {p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x: Rational | int, p: int):
+    """valuation for a p already known to be prime."""
     x = Fraction(x)
     if x == 0:
         return TOP_VALUE
@@ -508,6 +519,11 @@ class PolyFp:
         """f mod p; denominators must be prime to p."""
         if not is_prime(p):
             raise AlgebraError(f"PolyFp: modulus {p} is not prime")
+        return cls._reduce(f, p)
+
+    @classmethod
+    def _reduce(cls, f: PolyQ, p: int) -> PolyFp:
+        """reduce for a p already known to be prime."""
         out = []
         for c in f.coeffs:
             if c.denominator % p == 0:
@@ -656,33 +672,118 @@ def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
     return out
 
 
+def _divmod_list(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b over F_p, on reduced ascending trimmed
+    lists, b nonzero."""
+    m = len(b) - 1
+    if len(a) <= m:
+        return [], a
+    inv = pow(b[-1], -1, p)
+    low = b[:m]
+    q = [0] * (len(a) - m)
+    r = a[:]
+    for k in range(len(a) - 1, m - 1, -1):
+        c = q[k - m] = r[k] * inv % p
+        if c:
+            r[k - m : k] = [x - c * y for x, y in zip(r[k - m : k], low)]
+    r = [x % p for x in r[:m]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gcd_list(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of reduced ascending trimmed lists, a nonzero."""
+    while b:
+        m = len(b) - 1
+        if m and len(a) == m + 2:
+            # the step a remainder sequence almost always takes: quotient
+            # q1 X + q0, and the remainder in one pass
+            inv = pow(b[-1], -1, p)
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * b[-2]) * inv % p
+            r = [(x - q1 * y - q0 * z) % p for x, y, z in zip(a, [0] + b, b[:m])]
+            while r and not r[-1]:
+                r.pop()
+        else:
+            r = _divmod_list(a, b, p)[1]
+        a, b = b, r
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
 def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """Squarefree monic f -> [(product of irreducibles of degree d, d)].
 
-    x^p mod f is found once; each later x^(p^d) mod f is x^(p^(d-1)) times
-    the Frobenius matrix of f, whose row i is x^(ip) mod f. Every gcd is taken
-    with the cofactor cur, which divides f, so the matrix is built only once.
+    A residue mod f (degree < n) is Kronecker-packed into one int, coefficient
+    i in bits [i*w, (i+1)*w). A product of two packed residues is one big-int
+    multiply; its slots n..2n-1 are reduced mod p and folded back through the
+    packed x^(n+k) mod f, and the n low slots are read off mod p once. Every
+    slot stays below 2*n*p^2 < 2^w, so no slot carries into the next, for
+    every p.
+
+    x^p mod f is found by left-to-right squaring (a set bit of p costs one
+    shift by x); each later x^(p^d) mod f is x^(p^(d-1)) times the Frobenius
+    matrix of f, whose row i is x^(ip) mod f. Every gcd is taken with the
+    cofactor cur, which divides f, so the matrix is built only once.
     """
     p, n = f.p, f.degree
-    x = PolyFp._of(p, [0, 1])
-    h = x.pow_mod(p, f)
-    rows = [PolyFp._of(p, [1])]
+    if n == 1:  # x is not reduced mod a linear f, which is its own block
+        return [(f, 1)]
+    w = (2 * n * p * p).bit_length() + 1
+    slot = (1 << w) - 1
+    low = (1 << n * w) - 1
+    shifts = range(0, n * w, w)
+
+    def pack(cs: list[int]) -> int:
+        return sum(map(lshift, cs, shifts))
+
+    def unpack(v: int) -> list[int]:
+        return [(v >> s & slot) % p for s in shifts]
+
+    # folds[k] = x^(n+k) mod f, packed; f is monic, so x^n = x^n - f mod f
+    xn = r = [-c % p for c in f.coeffs[:n]]
+    folds = [pack(r)]
     for _ in range(n - 1):
-        rows.append(rows[-1] * h % f)
-    cols = list(zip(*(r.coeffs + (0,) * (n - len(r.coeffs)) for r in rows)))
+        r = [(x + r[-1] * y) % p for x, y in zip([0] + r[:-1], xn)]
+        folds.append(pack(r))
+
+    def mul_mod(a: int, b: int, by_x: bool = False) -> int:
+        """The packed residue a * b (* x) mod f, for packed residues a, b."""
+        prod = a * b << w if by_x else a * b
+        acc = prod & low
+        high = prod >> n * w
+        for fold in folds:
+            if not high:
+                break
+            acc += (high & slot) % p * fold
+            high >>= w
+        return pack(unpack(acc))
+
+    frob = 1 << w  # x
+    for bit in bin(p)[3:]:
+        frob = mul_mod(frob, frob, bit == "1")
+    rows = [1, frob]
+    for _ in range(n - 2):
+        rows.append(mul_mod(rows[-1], frob))
+    h = unpack(frob)
     out = []
-    cur = f
+    cur = list(f.coeffs)
     d = 1
-    while cur.degree >= 2 * d:
-        if d > 1:
-            h = PolyFp._of(p, [sum(map(mul, h.coeffs, col)) % p for col in cols])
-        g = (h - x).gcd(cur)
-        if g.degree > 0:
-            out.append((g, d))
-            cur = cur // g
+    while len(cur) > 2 * d:
+        if d > 1:  # h times the Frobenius matrix: the packed rows weighted by h
+            h = unpack(sum(map(mul, h, rows)))
+        hx = h[:]
+        hx[1] = (hx[1] - 1) % p
+        while hx and not hx[-1]:
+            hx.pop()
+        g = _gcd_list(cur, hx, p)
+        if len(g) > 1:
+            out.append((PolyFp._of(p, g), d))
+            cur = _divmod_list(cur, g, p)[0]
         d += 1
-    if cur.degree > 0:
-        out.append((cur, cur.degree))
+    if len(cur) > 1:
+        out.append((PolyFp._of(p, cur), len(cur) - 1))
     return out
 
 
@@ -779,15 +880,26 @@ class PolyFacts:
 
     def is_good(self, p: int) -> bool:
         """p divides neither disc nor the leading coefficient (p must be prime)."""
-        return valuation(self.poly.leading(), p) == 0 and valuation(self.disc, p) == 0
+        if not is_prime(p):
+            raise AlgebraError(f"is_good: {p} is not prime")
+        return self._is_good(p)
+
+    def _is_good(self, p: int) -> bool:
+        """is_good for a p already known to be prime: both the leading
+        coefficient and disc are p-adic units."""
+        return all(x.numerator % p and x.denominator % p for x in (self.poly.leading(), self.disc))
 
     def pattern(self, p: int) -> tuple[int, ...]:
         """Sorted factor degrees mod the good prime p, read off the
         distinct-degree factorization of the (squarefree) reduction."""
+        if p not in self._patterns and not self.is_good(p):
+            raise AlgebraError(f"p={p} divides disc or the leading coefficient")
+        return self._pattern(p)
+
+    def _pattern(self, p: int) -> tuple[int, ...]:
+        """pattern for a p already known to be a good prime."""
         if p not in self._patterns:
-            if not self.is_good(p):
-                raise AlgebraError(f"p={p} divides disc or the leading coefficient")
-            dd = _distinct_degree(PolyFp.reduce(self.poly, p).monic())
+            dd = _distinct_degree(PolyFp._reduce(self.poly, p).monic())
             self._patterns[p] = tuple(sorted(d for g, d in dd for _ in range(g.degree // d)))
         return self._patterns[p]
 
@@ -799,10 +911,10 @@ class PolyFacts:
         for i in range(count):
             if i == len(self._good):
                 p = next_prime(self._good[-1] if self._good else 1)
-                while not self.is_good(p):
+                while not self._is_good(p):
                     p = next_prime(p)
                 self._good.append(p)
-            yield self._good[i], self.pattern(self._good[i])
+            yield self._good[i], self._pattern(self._good[i])
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import NotASquare, PolyFacts, poly_from_descending_string
+from .algebra import NotASquare, PolyFacts, is_prime, poly_from_descending_string
 from .extension import ExtensionError, Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
 from .inputfmt import parse_prime, parse_value
@@ -271,6 +271,12 @@ def cmd_specialize(args) -> int:
 
 def cmd_jacobian(args) -> int:
     f = parse_value(0, poly_from_descending_string, args.f)
+    # a --p the report never scans would be "rejected" without a look
+    if args.p is not None:
+        if not is_prime(args.p):
+            raise ParseError(0, f"--p {args.p} is not prime")
+        if args.p > args.bound:
+            raise ParseError(0, f"--p {args.p} lies above --bound {args.bound}")
     # a curve or target degree the report cannot take is an option error
     try:
         report = hyperelliptic_rank_gain_report(f, args.n, args.bound)

@@ -17,6 +17,7 @@ from .algebra import (
     PolyFacts,
     PolyQ,
     Rational,
+    _valuation,
     is_prime,
     iter_primes,
     poly_sqrt_exact,
@@ -335,11 +336,12 @@ class SearchConstraints:
 
 
 def _satisfies_exact(t0: Fraction, cond: PrimeCondition) -> bool:
+    # cond.prime was proven prime when the condition was made
     if cond.kind == VALUATION_EQUALS:
-        return valuation(t0, cond.prime) == cond.value
+        return _valuation(t0, cond.prime) == cond.value
     if cond.kind == CONGRUENT_TO:
         # an exact hit gives TOP_VALUE, which compares above every exponent
-        return valuation(t0 - Fraction(cond.value), cond.prime) >= cond.modulus_exponent
+        return _valuation(t0 - Fraction(cond.value), cond.prime) >= cond.modulus_exponent
     return True  # UNRAMIFIED_AT is checked on the fiber (_unramified_as_required)
 
 

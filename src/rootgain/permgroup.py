@@ -388,44 +388,6 @@ def coset_action(G: PermGroup, subgroup_elements) -> PermGroup:
     return PermGroup(m, new_gens, cap=G.cap, name=f"{G.name or 'G'} on {m} cosets")
 
 
-def is_primitive(G: PermGroup) -> bool:
-    """Transitive with only trivial block systems (minimal-block search)."""
-    n = G.degree
-    gens = G.generators
-    if not G.is_transitive():
-        return False
-    if n == 1:
-        return True
-    for delta in range(1, n):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return None
-            parent[max(ra, rb)] = min(ra, rb)
-            return min(ra, rb), max(ra, rb)
-
-        queue = [(0, delta)]
-        union(0, delta)
-        while queue:
-            a, b = queue.pop()
-            for g in gens:
-                merged = union(g[a], g[b])
-                if merged:
-                    queue.append(merged)
-        size = sum(1 for i in range(n) if find(i) == find(0))
-        if size != n:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------- cyclic subgroups
 
 

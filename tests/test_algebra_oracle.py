@@ -2,15 +2,25 @@
 rootgain: discriminant and resultant against sympy's, sturm_real_roots against
 Poly.count_roots and rational_roots against the linear factors of sympy's
 factorization over Q, on derandomized polynomials of degree <= 8 with rational
-coefficients, including products with repeated and shared factors."""
+coefficients, including products with repeated and shared factors. is_prime
+is checked against sympy's isprime at the strong pseudoprimes psi_12 and
+psi_13 and on seeded products of two 12-digit primes."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootgain.algebra import PolyQ, discriminant, resultant, rational_roots, sturm_real_roots
+from rootgain.algebra import (
+    PolyQ,
+    discriminant,
+    is_prime,
+    rational_roots,
+    resultant,
+    sturm_real_roots,
+)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.symbols("x")
@@ -81,3 +91,20 @@ def test_rational_roots_match_sympy(f, roots):
     linear = [g for g, _ in parts if g.degree() == 1]
     expected = sorted(-to_fraction(g.nth(0)) / to_fraction(g.nth(1)) for g in linear)
     assert rational_roots(f) == expected
+
+
+# psi_12 and psi_13: the least composites that are strong pseudoprimes to every
+# prime base up to 37 and up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_isprime_at_the_pseudoprimes_and_on_semiprimes():
+    assert PSI_12 == 399165290221 * 798330580441
+    rng = random.Random(20261018)
+    twelve_digit = [int(sympy.nextprime(rng.randrange(10**11, 10**12))) for _ in range(40)]
+    semiprimes = [a * b for a, b in zip(twelve_digit[::2], twelve_digit[1::2])]
+    nearby = [int(sympy.nextprime(n)) for n in (PSI_12, PSI_13 - 10**6)] + [PSI_12 - 2, PSI_12 + 2]
+    for n in [PSI_12, PSI_13 - 2, *semiprimes, *twelve_digit, *nearby]:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not is_prime(PSI_12)

@@ -317,6 +317,11 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
             ["specialize", "--pencil", "PENCIL", "--q", "19", "--curve", "CURVE"],
             "designated prime 19 is not multiplicative for the curve",
         ),
+        (
+            ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "10", "--p", "23"],
+            "--p 23 lies above --bound 10",
+        ),
+        (["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--p", "4"], "--p 4 is not prime"),
     ],
 )
 def test_invalid_option_values_exit_4(
@@ -620,6 +625,15 @@ def test_jacobian_smooth_prime_rejected(capsys):
     )
     assert code == 3
     assert "rejected" in out
+
+
+def test_jacobian_p_restricts_the_report_to_a_node_prime(capsys):
+    # 23 is a node prime; with --bound 10 the same --p is an option error
+    code, out = run(
+        capsys, ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "30", "--p", "23"]
+    )
+    assert code == 0
+    assert [l.split("\t")[0] for l in out.splitlines()[3:]] == ["23"]
 
 
 # ---------------------------------------------------------------- specialize

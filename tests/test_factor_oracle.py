@@ -1,7 +1,10 @@
 """Mod-p factorization checked against sympy, which shares no code with
 rootgain: the Frobenius patterns of PolyFacts, factor_degrees,
 is_irreducible_mod_p and factor_mod_p all agree with the factor degrees of
-sympy's Poly(..., modulus=p).factor_list()."""
+sympy's Poly(..., modulus=p).factor_list(). The packed distinct-degree kernel
+is compared block by block with sympy's gf_ddf_zassenhaus, and factor_mod_p
+factor by factor with gf_factor_sqf, at primes up to 2^89 - 1, whose packed
+slots are wider than 64 bits."""
 
 import random
 from fractions import Fraction as F
@@ -14,6 +17,7 @@ from rootgain.algebra import (
     PolyFacts,
     PolyFp,
     PolyQ,
+    _distinct_degree,
     factor_degrees,
     factor_mod_p,
     is_irreducible_mod_p,
@@ -22,6 +26,8 @@ from rootgain.mestre import psl2_11_degree12_pencil, specialize
 
 sympy = pytest.importorskip("sympy")
 X = sympy.symbols("x")
+gf = pytest.importorskip("sympy.polys.galoistools")
+ZZ = sympy.ZZ
 
 PRIMES = (2, 3, 5, 7, 13, 101)
 
@@ -122,3 +128,60 @@ def test_factor_mod_p_gives_irreducibles_whose_product_is_the_input(p):
         assert product * f.coeffs[-1] == f
         assert sorted(g.degree for g, m in factors for _ in range(m)) == oracle_degrees(f)
 
+
+# ---------------------------------------------------------------- the kernel
+
+KERNEL_PRIMES = (2, 3, 5, 101, 2**31 - 1, 10**9 + 7, 2**61 - 1, 2**89 - 1)
+LARGE_PRIMES = KERNEL_PRIMES[-3:]
+
+
+def squarefree_monic(p: int, rng: random.Random, max_degree: int = 16) -> list[PolyFp]:
+    """For each degree 1..max_degree: a random monic polynomial and a product
+    of random monic factors of degree <= 4 (several blocks even at large p),
+    each the first of its kind drawn that sympy finds squarefree mod p."""
+
+    def monic(d):
+        return PolyFp(p, [rng.randrange(p) for _ in range(d)] + [1])
+
+    def product(d):
+        parts = []
+        while sum(parts) < d:
+            parts.append(min(rng.randint(1, 4), d - sum(parts)))
+        return reduce(mul, map(monic, parts))
+
+    out = []
+    for degree in range(1, max_degree + 1):
+        for make in (monic, product):
+            f = make(degree)
+            while not gf.gf_sqf_p(list(reversed(f.coeffs)), p, ZZ):
+                f = make(degree)
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_distinct_degree_matches_gf_ddf_zassenhaus(p):
+    rng = random.Random(p)
+    for f in squarefree_monic(p, rng):
+        expected = gf.gf_ddf_zassenhaus(list(reversed(f.coeffs)), p, ZZ)
+        # each block: the product's exact coefficients, and d
+        assert [(list(reversed(g.coeffs)), d) for g, d in _distinct_degree(f)] == expected, f
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_factor_mod_p_and_irreducibility_at_large_primes(p):
+    rng = random.Random(p + 1)
+    for f in squarefree_monic(p, rng, max_degree=8):
+        _, expected = gf.gf_factor_sqf(list(reversed(f.coeffs)), p, ZZ)
+        got = factor_mod_p(f)
+        assert sorted(list(reversed(g.coeffs)) for g, _ in got) == sorted(expected), f
+        assert all(m == 1 for _, m in got)
+        assert is_irreducible_mod_p(f) == (len(expected) == 1), f
+    # seeded irreducibles, as sympy finds them, alone and squared
+    for degree in (2, 3, 5, 8):
+        g = PolyFp(p, [rng.randrange(p) for _ in range(degree)] + [1])
+        while not gf.gf_irreducible_p(list(reversed(g.coeffs)), p, ZZ):
+            g = PolyFp(p, [rng.randrange(p) for _ in range(degree)] + [1])
+        assert is_irreducible_mod_p(g)
+        assert not is_irreducible_mod_p(g * g)
+        assert factor_mod_p(g * g) == [(g, 2)]
