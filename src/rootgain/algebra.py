@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import lshift, mul
 
@@ -90,11 +91,14 @@ def is_prime(n: int) -> bool:
 
 
 def iter_primes():
-    """2, 3, 5, 7, ..."""
-    p = 2
+    """2, 3, 5, 7, ...: the primes of a sieve whose bound doubles each time
+    it runs out."""
+    done, bound = 1, 64
     while True:
-        yield p
-        p = next_prime(p)
+        for p in primes_up_to(bound):
+            if p > done:
+                yield p
+        done, bound = bound, 2 * bound
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -106,14 +110,6 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, b in enumerate(sieve) if b]
-
-
-def next_prime(n: int) -> int:
-    """The least prime above n."""
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
 
 
 def valuation(x: Rational | int, p: int):
@@ -580,20 +576,8 @@ class PolyFp:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError
-        rem = list(self.coeffs)
-        if len(rem) < len(other.coeffs):
-            return PolyFp._of(self.p, []), self
-        quo = [0] * (len(rem) - len(other.coeffs) + 1)
-        inv = pow(other.coeffs[-1], -1, self.p)
-        while len(rem) >= len(other.coeffs) and rem:
-            c = rem[-1] * inv % self.p
-            d = len(rem) - len(other.coeffs)
-            quo[d] = c
-            for i, b in enumerate(other.coeffs):
-                rem[i + d] = (rem[i + d] - c * b) % self.p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return PolyFp._of(self.p, quo), PolyFp._of(self.p, rem)
+        q, r = _divmod_list(list(self.coeffs), other.coeffs, self.p)
+        return PolyFp._of(self.p, q), PolyFp._of(self.p, r)
 
     def __mod__(self, other: PolyFp) -> PolyFp:
         return self.divmod(other)[1]
@@ -608,10 +592,11 @@ class PolyFp:
         return self * inv
 
     def gcd(self, other: PolyFp) -> PolyFp:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """The monic gcd; 0 when both are 0."""
+        self._check(other)
+        if self.is_zero():
+            return other.monic()
+        return PolyFp._of(self.p, _gcd_list(list(self.coeffs), list(other.coeffs), self.p))
 
     def derivative(self) -> PolyFp:
         return PolyFp._of(self.p, [i * c % self.p for i, c in enumerate(self.coeffs)][1:])
@@ -848,10 +833,9 @@ def is_irreducible_mod_p(f: PolyFp) -> bool:
         return False
     if f.degree == 1:
         return True
-    sf = _squarefree_decomposition(f)
-    if len(sf) != 1 or sf[0][1] != 1:
+    if f.gcd(f.derivative()).degree != 0:
         return False
-    dd = _distinct_degree(sf[0][0])
+    dd = _distinct_degree(f.monic())
     return len(dd) == 1 and dd[0][1] == f.degree
 
 
@@ -867,7 +851,6 @@ class PolyFacts:
 
     def __init__(self, poly: PolyQ):
         self.poly = poly
-        self._good: list[int] = []  # the first good primes, increasing
         self._patterns: dict[int, tuple[int, ...]] = {}
 
     @classmethod
@@ -908,13 +891,8 @@ class PolyFacts:
         primes and patterns are found one at a time, as far as iterated."""
         if self.disc == 0:
             raise AlgebraError("no prime is good for a polynomial with discriminant 0")
-        for i in range(count):
-            if i == len(self._good):
-                p = next_prime(self._good[-1] if self._good else 1)
-                while not self._is_good(p):
-                    p = next_prime(p)
-                self._good.append(p)
-            yield self._good[i], self._pattern(self._good[i])
+        for p in islice(filter(self._is_good, iter_primes()), count):
+            yield p, self._pattern(p)
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import NotASquare, PolyFacts, is_prime, poly_from_descending_string
+from .algebra import NotASquare, PolyFacts, is_prime, poly_from_descending_string, rational_sqrt
 from .extension import ExtensionError, Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
 from .inputfmt import parse_prime, parse_value
@@ -23,7 +23,6 @@ from .mestre import (
     PrimeCondition,
     SearchConstraints,
     SpecializationError,
-    an_certificate,
     mestre_solve_odd_quintic,
     mestre_verify,
     search_rank_gain,
@@ -252,8 +251,8 @@ def cmd_specialize(args) -> int:
             f"p={p}[" + ",".join(f"{e}:{f}" for e, f in rec.profile.prime_profiles[p]) + "]"
             for p in sorted(rec.profile.prime_profiles)
         )
-        cert = an_certificate(rec.profile.facts, pattern_primes=args.pattern_primes)
-        parity = "square-disc" if cert.contained_in_alternating else "nonsquare-disc"
+        square = rational_sqrt(rec.profile.facts.disc) is not None
+        parity = "square-disc" if square else "nonsquare-disc"
         ratio = "" if rec.ratio is None else f"{rec.ratio:+d}"
         flag = rec.rank_gain_flag or "reference"
         fp = rec.fingerprint or "-"
@@ -275,6 +274,8 @@ def cmd_jacobian(args) -> int:
     if args.p is not None:
         if not is_prime(args.p):
             raise ParseError(0, f"--p {args.p} is not prime")
+        if args.p == 2:
+            raise ParseError(0, "--p 2: the node-prime scan covers odd primes only")
         if args.p > args.bound:
             raise ParseError(0, f"--p {args.p} lies above --bound {args.bound}")
     # a curve or target degree the report cannot take is an option error
@@ -395,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-reduction", choices=["split", "nonsplit"], default="split")
     p.add_argument("--exclude", default="2,3,5,7,11", help="excluded prime set")
     p.add_argument("--congruent", action="append", help="extra condition p:value:exponent")
-    p.add_argument("--pattern-primes", type=int, default=40)
     common(p)
     p.set_defaults(func=cmd_specialize)
 

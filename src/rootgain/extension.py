@@ -261,20 +261,7 @@ def split_prime_count(pair: DecompositionPair, reduction: str) -> int:
     """Primes above p that stay split multiplicative: all D-orbits when the
     base reduction is split; D-orbits with an even number of I-orbits when
     non-split."""
-    if reduction not in ("split", "nonsplit"):
-        raise ExtensionError("reduction must be 'split' or 'nonsplit'")
-    n = pair.degree
-    d_orbits = orbits(pair.decomposition_gens, n)
-    if reduction == "split":
-        return len(d_orbits)
-    i_orbits = orbits(pair.inertia_gens, n)
-    count = 0
-    for O in d_orbits:
-        pts = set(O)
-        f = sum(1 for io in i_orbits if set(io) <= pts)
-        if f % 2 == 0:
-            count += 1
-    return count
+    return split_count_from_profile(profile_from_decomposition(pair), reduction)
 
 
 def split_count_from_profile(pairs, reduction: str) -> int:

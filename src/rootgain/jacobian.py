@@ -64,7 +64,9 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
     separable cofactor not vanishing at a.
 
     A prime with v_p(disc f) = 1 always has this shape; the flag records that
-    fast pre-filter, but every prime is verified directly.
+    fast pre-filter, but every prime is tested directly: for odd p, gcd(f, f')
+    = X - a says exactly this (a root of multiplicity m leaves (X-a)^(m-1) in
+    the gcd, or (X-a)^m when p | m).
     """
     if f.degree < 5:
         raise JacobianError("hyperelliptic input needs degree >= 5")
@@ -81,25 +83,13 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
         g = fp.gcd(fp.derivative())
         if g.degree != 1:
             continue
-        # monic linear gcd: root a = -constant term
+        # monic linear gcd: the double root a = -constant term
         a = (-g[0]) % p
-        lin = PolyFp(p, [-a, 1])
-        q1, r1 = fp.divmod(lin)
-        if not r1.is_zero():
-            continue
-        q2, r2 = q1.divmod(lin)
-        if not r2.is_zero():
-            continue
-        cof = q2
-        if cof(a) == 0:
-            continue
-        if cof.gcd(cof.derivative()).degree != 0:
-            continue
         out.append(
             NodePrimeRecord(
                 prime=p,
                 node=a,
-                cofactor=cof,
+                cofactor=fp // (g * g),
                 disc_valuation_one=(valuation(disc, p) == 1),
             )
         )

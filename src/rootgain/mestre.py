@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .algebra import (
@@ -285,15 +286,9 @@ def distinctness_fingerprint(
         raise MestreError("fingerprints compare polynomials of equal degree")
     if f1.disc == 0 or f2.disc == 0:
         raise MestreError("fingerprints compare polynomials of nonzero discriminant")
-    count = 0
-    for p in iter_primes():
-        if count >= max_primes:
-            break
-        if not (f1.is_good(p) and f2.is_good(p)):
-            continue
-        count += 1
-        if f1.pattern(p) != f2.pattern(p):
-            return "distinct"
+    good = filter(lambda p: f1._is_good(p) and f2._is_good(p), iter_primes())
+    if any(f1._pattern(p) != f2._pattern(p) for p in islice(good, max_primes)):
+        return "distinct"
     return "indistinguishable"
 
 

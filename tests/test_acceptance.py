@@ -184,8 +184,6 @@ def test_criterion_8_specialization_smoke(tmp_path, capsys):
             "200",
             "--limit",
             "2",
-            "--pattern-primes",
-            "25",
             "--out",
             str(out_path),
         ]
@@ -244,8 +242,6 @@ def test_criterion_9_determinism(tmp_path, capsys):
             "40",
             "--limit",
             "1",
-            "--pattern-primes",
-            "15",
             "--seed",
             "11",
         ],

@@ -4,25 +4,30 @@ Poly.count_roots and rational_roots against the linear factors of sympy's
 factorization over Q, on derandomized polynomials of degree <= 8 with rational
 coefficients, including products with repeated and shared factors. is_prime
 is checked against sympy's isprime at the strong pseudoprimes psi_12 and
-psi_13 and on seeded products of two 12-digit primes."""
+psi_13 and on seeded products of two 12-digit primes, iter_primes against
+primerange, and F_p division and gcd against sympy's galoistools."""
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootgain.algebra import (
+    PolyFp,
     PolyQ,
     discriminant,
     is_prime,
+    iter_primes,
     rational_roots,
     resultant,
     sturm_real_roots,
 )
 
 sympy = pytest.importorskip("sympy")
+galoistools = pytest.importorskip("sympy.polys.galoistools")
 X = sympy.symbols("x")
 
 MAX_DEGREE = 8
@@ -108,3 +113,38 @@ def test_is_prime_matches_isprime_at_the_pseudoprimes_and_on_semiprimes():
     for n in [PSI_12, PSI_13 - 2, *semiprimes, *twelve_digit, *nearby]:
         assert is_prime(n) == sympy.isprime(n), n
     assert not is_prime(PSI_12)
+
+
+def test_iter_primes_matches_primerange():
+    first = list(islice(iter_primes(), 5000))
+    assert first == list(sympy.primerange(2, sympy.prime(5000) + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**61 - 1])
+def test_polyfp_divmod_and_gcd_match_galoistools(p):
+    """Seeded pairs of degree -1 (zero) to 9, so zero operands and a divisor
+    of higher degree occur, and products with a shared factor, so that gcds
+    are not all 1."""
+    ZZ = sympy.polys.domains.ZZ
+    rng = random.Random(p)
+
+    def poly(degree):
+        if degree < 0:
+            return PolyFp(p, [])
+        return PolyFp(p, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+    def desc(f):
+        return list(reversed(f.coeffs))
+
+    for i in range(300):
+        a, b = poly(rng.randint(-1, 9)), poly(rng.randint(-1, 9))
+        if i % 3 == 0:
+            shared = poly(rng.randint(1, 3))
+            a, b = a * shared, b * shared
+        assert desc(a.gcd(b)) == galoistools.gf_gcd(desc(a), desc(b), p, ZZ), (a, b)
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(b)
+            continue
+        q, r = a.divmod(b)
+        assert (desc(q), desc(r)) == galoistools.gf_div(desc(a), desc(b), p, ZZ), (a, b)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rootgain.algebra import PolyQ
 from rootgain.cli import main
-from rootgain.mestre import mestre_form_pencil, specialize
+from rootgain.mestre import an_certificate, mestre_form_pencil, specialize
 
 CURVE_TEXT = """\
 # Y^2 = X(X-1)(X-5)
@@ -322,6 +322,10 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
             "--p 23 lies above --bound 10",
         ),
         (["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--p", "4"], "--p 4 is not prime"),
+        (
+            ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "60", "--p", "2"],
+            "--p 2: the node-prime scan covers odd primes only",
+        ),
     ],
 )
 def test_invalid_option_values_exit_4(
@@ -650,8 +654,6 @@ def test_specialize_smoke(capsys, pencil_file):
         "40",
         "--limit",
         "1",
-        "--pattern-primes",
-        "20",
     ]
     code, out = run(capsys, argv)
     assert code == 0
@@ -676,14 +678,38 @@ def test_specialize_deterministic_same_seed(capsys, pencil_file):
         "40",
         "--limit",
         "1",
-        "--pattern-primes",
-        "20",
         "--seed",
         "7",
     ]
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "pencil_text, options",
+    [
+        ("family: psl2-11-degree12\n", ["--height", "200"]),
+        # an S3 family: every record has a nonsquare discriminant
+        (
+            "form: mestre\nf: 1,0,-1,-1\ng: 1,0,1\nbranch: location=inf e=2 degree=3 D=(1,2)\n",
+            ["--height", "100", "--exclude", "2,3"],
+        ),
+    ],
+    ids=["psl2-11-degree12", "cubic"],
+)
+def test_specialize_parity_column_matches_an_certificate(capsys, tmp_path, pencil_text, options):
+    pencil = tmp_path / "p.pencil"
+    pencil.write_text(pencil_text)
+    argv = ["specialize", "--pencil", str(pencil), "--q", "19", "--limit", "2", *options]
+    code, out = run(capsys, argv)
+    assert code == 0
+    records = [l.split("\t") for l in out.splitlines() if l.startswith(("reference\t", "candidate\t"))]
+    assert len(records) == 3
+    for record in records:
+        poly = PolyQ.from_descending([F(c) for c in record[2].split(",")])
+        square = an_certificate(poly).contained_in_alternating
+        assert record[7] == ("square-disc" if square else "nonsquare-disc")
 
 
 # ---------------------------------------------------------------- profile

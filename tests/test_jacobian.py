@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from rootgain.algebra import PolyFp, PolyQ, factor_mod_p, legendre, primes_up_to
+from rootgain.algebra import (
+    PolyFp,
+    PolyQ,
+    discriminant,
+    factor_mod_p,
+    legendre,
+    primes_up_to,
+    valuation,
+)
 from rootgain.jacobian import (
     JacobianError,
     NodePrimeRecord,
@@ -83,6 +91,48 @@ def test_triple_root_prime_excluded():
     assert lift.is_separable()
     recs = find_node_primes(lift, 7)
     assert all(r.prime != 7 for r in recs)
+
+
+def node_primes_full_check(f, bound):
+    """find_node_primes with every check spelled out: divide by X - a twice,
+    then require a cofactor that is nonzero at a and separable."""
+    disc = discriminant(f)
+    out = []
+    for p in primes_up_to(bound):
+        if p == 2 or valuation(f.leading(), p) != 0:
+            continue
+        fp = PolyFp.reduce(f, p)
+        if fp.gcd(fp.derivative()).degree != 1:
+            continue
+        a = -fp.gcd(fp.derivative())[0] % p
+        lin = PolyFp(p, [-a, 1])
+        q1, r1 = fp.divmod(lin)
+        q2, r2 = q1.divmod(lin)
+        if r1.is_zero() and r2.is_zero() and q2(a) and q2.gcd(q2.derivative()).degree == 0:
+            out.append((p, a, q2, valuation(disc, p) == 1))
+    return out
+
+
+def test_find_node_primes_matches_the_full_check():
+    # a linear gcd(f, f') at an odd prime already forces the node shape; the
+    # planted cases have a root of multiplicity 3 mod 7, and mod 3 (where the
+    # derivative keeps all three factors)
+    rng = random.Random(20261018)
+    polys = [
+        (PolyQ([-1, 1]) ** 3) * PolyQ([3, 1, 1]) + PolyQ([7]),
+        (PolyQ([-1, 1]) ** 3) * PolyQ([2, 1, 1]) + PolyQ([3]),
+    ]
+    while len(polys) < 1000:
+        degree = rng.randint(5, 8)
+        f = PolyQ([rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, 1, 2, 3, -1))])
+        if f.is_separable():
+            polys.append(f)
+    nodes = 0
+    for f in polys:
+        got = [(r.prime, r.node, r.cofactor, r.disc_valuation_one) for r in find_node_primes(f, 60)]
+        assert got == node_primes_full_check(f, 60), f
+        nodes += len(got)
+    assert nodes > 500
 
 
 def test_inseparable_rejected():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from rootgain.algebra import NotASquare, PolyQ, discriminant, rational_sqrt, valuation
 from rootgain.ellcurve import CurveLocalData, EllipticCurveData, LocalReductionData
-from rootgain.extension import DecompositionPair, root_number_over_extension
+from rootgain.extension import DecompositionPair, certify_irreducible, root_number_over_extension
 from rootgain.mestre import (
     CONDITIONAL_TOKEN,
     BranchPoint,
@@ -205,6 +206,40 @@ def test_an_certificate_specialized_quintic():
     assert cert.contained_in_alternating
     assert cert.verdict == "alternating-consistent"
     assert cert.ruled_out == 2  # the two proper transitive typesets of A5
+
+
+def test_an_certificate_matches_sympy_galois_group():
+    """Seeded monic irreducible polynomials of degree 3 to 6 (coefficients in
+    [-4, 4]), six with a square discriminant and four without per degree,
+    against sympy's galois_group: the alternating bit must agree, and
+    'alternating-consistent' must name A_n itself. Polynomials whose
+    irreducibility certify_irreducible cannot certify (such as Klein-four
+    quartics, whose every pattern splits 2 + 2) are skipped: an_certificate
+    refuses them."""
+    sympy = pytest.importorskip("sympy")
+    galois = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
+    x = sympy.symbols("x")
+    for n in (3, 4, 5, 6):
+        rng = random.Random(f"an-certificate/{n}")
+        wanted = {True: 6, False: 4}
+        verdicts = set()
+        while any(wanted.values()):
+            h = PolyQ([rng.randint(-4, 4) for _ in range(n)] + [1])
+            disc = discriminant(h)
+            square = rational_sqrt(disc) is not None
+            if disc == 0 or not wanted[square]:
+                continue
+            poly = sympy.Poly([int(c) for c in reversed(h.coeffs)], x)
+            if not poly.is_irreducible or not certify_irreducible(h).certified:
+                continue
+            wanted[square] -= 1
+            group, alternating = galois.galois_group(poly)
+            cert = an_certificate(h)
+            assert cert.contained_in_alternating == alternating, h
+            if cert.verdict == "alternating-consistent":
+                assert group.order() == factorial(n) // 2, h
+            verdicts.add((cert.verdict, group.order() == factorial(n) // 2))
+        assert ("alternating-consistent", True) in verdicts
 
 
 def test_an_certificate_degree_12_heuristic():
