@@ -60,6 +60,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the least strong pseudoprime to every base in _SMALL_PRIMES
 # (399165290221 * 798330580441); from it on, base 41 is added as well
 _PSI_12 = 318665857834031151167461
+# psi_13 (1287836182261 * 2575672364521), the least strong pseudoprime to every
+# base 2..41: is_prime is proven only below it
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -88,6 +91,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def unproven_prime_reason(n: int) -> str | None:
+    """Why an input n cannot be taken as a proven prime, or None if it can."""
+    if not is_prime(n):
+        return f"{n} is not prime"
+    if n >= _PSI_13:
+        return f"{n} is beyond the proven primality range (p < {_PSI_13})"
+    return None
 
 
 def iter_primes():

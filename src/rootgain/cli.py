@@ -13,7 +13,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import NotASquare, PolyFacts, is_prime, poly_from_descending_string, rational_sqrt
+from .algebra import NotASquare, PolyFacts, poly_from_descending_string, rational_sqrt
+from .algebra import unproven_prime_reason
 from .extension import ExtensionError, Incomputable, build_profile, root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
 from .inputfmt import parse_prime, parse_value
@@ -272,8 +273,9 @@ def cmd_jacobian(args) -> int:
     f = parse_value(0, poly_from_descending_string, args.f)
     # a --p the report never scans would be "rejected" without a look
     if args.p is not None:
-        if not is_prime(args.p):
-            raise ParseError(0, f"--p {args.p} is not prime")
+        reason = unproven_prime_reason(args.p)
+        if reason:
+            raise ParseError(0, f"--p {reason}")
         if args.p == 2:
             raise ParseError(0, "--p 2: the node-prime scan covers odd primes only")
         if args.p > args.bound:

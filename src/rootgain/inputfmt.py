@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import PolyQ, is_prime, poly_from_descending_string
+from .algebra import PolyQ, poly_from_descending_string, unproven_prime_reason
 from .ellcurve import CurveError, CurveLocalData, EllipticCurveData, LocalReductionData
 from .extension import DecompositionPair
 from .mestre import BranchPoint, MestreError, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
@@ -54,10 +54,11 @@ def parse_value(lineno: int, parse, text: str):
 
 
 def parse_prime(lineno: int, text) -> int:
-    """parse_value(lineno, int, text), which must be a prime."""
+    """parse_value(lineno, int, text), which must be a proven prime."""
     p = parse_value(lineno, int, text)
-    if not is_prime(p):
-        raise ParseError(lineno, f"{p} is not prime")
+    reason = unproven_prime_reason(p)
+    if reason:
+        raise ParseError(lineno, reason)
     return p
 
 

@@ -19,11 +19,11 @@ from .algebra import (
     PolyQ,
     Rational,
     _valuation,
-    is_prime,
     iter_primes,
     poly_sqrt_exact,
     rational_roots,
     rational_sqrt,
+    unproven_prime_reason,
     valuation,
 )
 from .ellcurve import SPLIT_MULT, CurveLocalData
@@ -310,8 +310,9 @@ class PrimeCondition:
     def __post_init__(self):
         if self.kind not in (VALUATION_EQUALS, CONGRUENT_TO, UNRAMIFIED_AT):
             raise MestreError(f"unknown condition kind {self.kind!r}")
-        if not is_prime(self.prime):
-            raise MestreError(f"{self.prime} is not prime")
+        reason = unproven_prime_reason(self.prime)
+        if reason:
+            raise MestreError(reason)
         if self.kind == CONGRUENT_TO and self.modulus_exponent < 1:
             raise MestreError("congruence condition needs a positive modulus exponent")
 

@@ -483,12 +483,12 @@ def psl2_11_degree55() -> PermGroup:
 # ---------------------------------------------------------------- small-group lattices
 
 
-def _proper_closure(gen_idxs, table: np.ndarray) -> frozenset[int] | None:
+def _proper_closure(gen_idxs, table: np.ndarray, limit: int) -> frozenset[int] | None:
     """Index set of the subgroup generated inside the group of `table`, or None
-    once it has passed half the group's order: by Lagrange such a subgroup is
-    the whole group. In a finite group every element is a product of the
-    generators, so the search starts from them."""
-    half = len(table) // 2
+    once it has passed `limit` elements, a bound the caller knows no proper
+    subgroup exceeds (half the group's order, by Lagrange). In a finite group
+    every element is a product of the generators, so the search starts from
+    them."""
     rows = [table[g].tolist() for g in gen_idxs]
     seen = set(gen_idxs)
     frontier = list(seen)
@@ -500,23 +500,23 @@ def _proper_closure(gen_idxs, table: np.ndarray) -> frozenset[int] | None:
                 if x not in seen:
                     seen.add(x)
                     new.append(x)
-        if len(seen) > half:
+        if len(seen) > limit:
             return None
         frontier = new
     return frozenset(seen)
 
 
-def _coset_extensions(s: frozenset[int], gens: list[int], table: np.ndarray):
-    """(gens + [g], its `_proper_closure`) for the least g of each double coset
-    s g s other than s: <s, a g b> = <s, g> for a, b in s. A walk over g in
-    ascending order meets each double coset first at its least element, so
-    every later g would only rebuild a subgroup already found."""
+def _coset_extensions(s: frozenset[int], gens: list[int], table: np.ndarray, limit: int):
+    """(gens + [g], its `_proper_closure` under `limit`) for the least g of each
+    double coset s g s other than s: <s, a g b> = <s, g> for a, b in s. A walk
+    over g in ascending order meets each double coset first at its least
+    element, so every later g would only rebuild a subgroup already found."""
     members = sorted(s)
     left = table[:, members].min(axis=1)  # least element of each left coset x s
     least = left[table[members]].min(axis=0)  # least element of each s x s
     for g in np.flatnonzero(least == np.arange(len(table))).tolist():
         if g not in s:
-            yield gens + [g], _proper_closure(gens + [g], table)
+            yield gens + [g], _proper_closure(gens + [g], table, limit)
 
 
 def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
@@ -534,12 +534,13 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     if not np.array_equal(arr[:, arr], arr[table]):
         raise GroupError("all_subgroups: the elements are not closed under composition")
     whole = frozenset(range(len(arr)))
+    half = len(arr) // 2
     found: dict[frozenset[int], list[int]] = {}
     for g in range(len(arr)):
-        found.setdefault(_proper_closure([g], table) or whole, [g])
+        found.setdefault(_proper_closure([g], table, half) or whole, [g])
     queue = sorted(found, key=sorted)
     for s in queue:
-        for gens, t in _coset_extensions(s, found[s], table):
+        for gens, t in _coset_extensions(s, found[s], table, half):
             t = t or whole
             if t not in found:
                 found[t] = gens
@@ -551,7 +552,8 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
 
 
 def _an_class_representatives(n: int) -> list[Perm]:
-    """One permutation per conjugacy class of A_n (split classes get two)."""
+    """One permutation per conjugacy class of A_n (split classes get two), by
+    cycle type in descending partition order: the identity comes last."""
 
     def partitions(total, maxpart):
         if total == 0:
@@ -597,9 +599,17 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     Every pruning is exact:
     - <x, y> has the orbits of {x, y}, so a pair whose two generators are not
       transitive together is dropped before its closure is computed.
-    - A closure that passes N/2 elements is all of A_n (Lagrange), so it stops
-      there; A_n itself is never a proper subgroup.
-    - For each x, y runs over one element per orbit of C(x) acting by
+    - A closure that passes N/n elements is all of A_n, so it stops there. For
+      n >= 5, A_n is simple, so it acts faithfully on the m cosets of a proper
+      subgroup; then N divides m!, which needs m >= n (Dixon-Mortimer, GTM
+      163, Sec. 5.2). A_4 has a subgroup of index 3, so there the bound is N/2
+      (Lagrange).
+    - For the k-th class representative x_k, y runs over classes k, k+1, ...
+      only: <x, y> = <y, x>, and conjugating a pair conjugates the subgroup it
+      generates, so every pair, in one of its two orders, is conjugate to some
+      (x_k, y) with y in class k or later. The identity class is the last, so
+      the identity pairs only with itself.
+    - Within those classes, y runs over one element per orbit of C(x) acting by
       conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, and the result
       depends only on conjugacy classes of subgroups (`seen_all` holds every
       conjugate of each subgroup found).
@@ -614,21 +624,27 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     index = A.base_index
     table = index.table()
     inv_idx = index.find(index.inverse_base)
+    limit = len(els) // n if n >= 5 else len(els) // 2
 
     def conjugates(s: frozenset[int]) -> set[frozenset[int]]:
         conj = table[table[:, sorted(s)], inv_idx[:, None]]
         return {frozenset(row) for row in np.unique(np.sort(conj, axis=1), axis=0).tolist()}
 
+    reps = index.find(np.array(_an_class_representatives(n))[:, index.base]).tolist()
+    class_of = np.empty(len(els), dtype=np.intp)
+    for k, x in enumerate(reps):
+        class_of[table[table[:, x], inv_idx]] = k  # g x g^-1 for every g
+
     found: dict[frozenset[int], list[int]] = {}
-    reps = np.array(_an_class_representatives(n))
-    for x in index.find(reps[:, index.base]).tolist():
+    for k, x in enumerate(reps):
         cent = np.flatnonzero(table[:, x] == table[x])
-        # column y holds the C(x)-orbit of y; keep y when it is the orbit's least
-        orbit_min = table[table[cent], inv_idx[cent, None]].min(axis=0)
-        for y in np.flatnonzero(orbit_min == np.arange(len(els))).tolist():
+        ys = np.flatnonzero(class_of >= k)
+        # column j holds the C(x)-orbit of ys[j]; keep ys[j] when it is the orbit's least
+        orbit_min = table[table[np.ix_(cent, ys)], inv_idx[cent, None]].min(axis=0)
+        for y in ys[orbit_min == ys].tolist():
             if orbit_count([els[x], els[y]], n) != 1:
                 continue
-            s = _proper_closure([x, y], table)
+            s = _proper_closure([x, y], table, limit)
             if s is not None and s not in found:
                 found[s] = [x, y]
 
@@ -639,7 +655,7 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
             seen_all |= conjugates(s)
             queue.append(s)
     for s in queue:
-        for gens, t in _coset_extensions(s, found[s], table):
+        for gens, t in _coset_extensions(s, found[s], table, limit):
             if t is not None and t not in seen_all:
                 found[t] = gens
                 seen_all |= conjugates(t)

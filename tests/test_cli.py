@@ -8,6 +8,13 @@ from rootgain.algebra import PolyQ
 from rootgain.cli import main
 from rootgain.mestre import an_certificate, mestre_form_pencil, specialize
 
+# psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to every base
+# 2..41, so no input prime at or above it is taken as proven
+PSI_13_MESSAGE = (
+    "3317044064679887385961981 is beyond the proven primality range"
+    " (p < 3317044064679887385961981)"
+)
+
 CURVE_TEXT = """\
 # Y^2 = X(X-1)(X-5)
 a1: 0
@@ -144,6 +151,8 @@ def test_root_number_parse_error_line_number(capsys, tmp_path, extension_file):
         ("local: p=2 type=bogus w=+1", None, 7),
         (None, "poly: 1,0,-2\nprofile: p=6 pairs=1:2\n", 2),
         ("local: p=2 type=declared w=+1\nlocal: p=2 type=declared w=-1", None, 8),
+        ("local: p=3317044064679887385961981 type=declared w=+1", None, 7),
+        (None, "poly: 1,0,-2\nprofile: p=3317044064679887385961981 pairs=1:2\n", 2),
     ],
 )
 def test_malformed_numbers_exit_4_with_line(
@@ -326,6 +335,15 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
             ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "60", "--p", "2"],
             "--p 2: the node-prime scan covers odd primes only",
         ),
+        (
+            ["profile", "--extension", "EXT", "--primes", "3317044064679887385961981"],
+            PSI_13_MESSAGE,
+        ),
+        (["specialize", "--pencil", "PENCIL", "--q", "3317044064679887385961981"], PSI_13_MESSAGE),
+        (
+            ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--p", "3317044064679887385961981"],
+            f"--p {PSI_13_MESSAGE}",
+        ),
     ],
 )
 def test_invalid_option_values_exit_4(
@@ -398,6 +416,7 @@ def test_help_exits_0():
         ("13:0", "--congruent takes p:value:exponent"),
         ("13:0:1:2", "--congruent takes p:value:exponent"),
         ("4:0:1", "line 0: 4 is not prime"),
+        ("3317044064679887385961981:0:1", f"line 0: {PSI_13_MESSAGE}"),
     ],
 )
 def test_malformed_congruent_option_exit_4(capsys, pencil_file, value, message):

@@ -34,7 +34,7 @@ from rootgain.permgroup import (
     symmetric_group,
     transitive_typesets,
 )
-from rootgain.permgroup import _coset_extensions
+from rootgain.permgroup import _coset_extensions, _proper_closure
 
 
 def cyc(text, degree):
@@ -432,6 +432,28 @@ def test_transitive_typesets_a7():
     assert transitive_typesets(7) == tuple(expected)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_transitive_typesets_match_sympy_transitive_subgroups(n):
+    """sympy lists the transitive subgroups of S_n up to conjugacy; those in A_n
+    (every generator even) other than A_n itself give the typesets."""
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import galois
+
+    listed = {
+        4: galois.S4TransitiveSubgroups,
+        5: galois.S5TransitiveSubgroups,
+        6: galois.S6TransitiveSubgroups,
+    }[n]
+    types = set()
+    for member in listed:
+        G = member.get_perm_group()
+        if all(g.is_even for g in G.generators) and G.order() < factorial(n) // 2:
+            types.add(
+                frozenset(tuple(sorted(map(len, g.full_cyclic_form))) for g in G.elements)
+            )
+    assert transitive_typesets(n) == tuple(sorted(types, key=sorted))
+
+
 def test_group_typeset():
     G = alternating_group(4)
     assert group_typeset(G.elements) == {(1, 1, 1, 1), (2, 2), (1, 3)}
@@ -682,7 +704,7 @@ def test_coset_extensions_take_one_g_per_double_coset(name):
     index = {e: i for i, e in enumerate(elements)}
     for s, gens in all_subgroups(elements):
         members = frozenset(elements[i] for i in s)
-        tried = [new[-1] for new, _ in _coset_extensions(s, gens, table)]
+        tried = [new[-1] for new, _ in _coset_extensions(s, gens, table, len(table) // 2)]
         assert tried == sorted(tried)
         doubles = [_double_coset(members, g, elements) for g in tried]
         assert len(set(doubles)) == len(doubles)
@@ -690,3 +712,18 @@ def test_coset_extensions_take_one_g_per_double_coset(name):
         assert frozenset().union(members, *doubles) == frozenset(elements)
         # each g is the first of its double coset in the group's order
         assert tried == [min(index[e] for e in d) for d in doubles]
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL2(7)"])
+def test_proper_closure_is_none_exactly_past_its_limit(name):
+    G = {"A5": alternating_group(5), "A6": alternating_group(6), "PSL2(7)": psl2_natural(7)}[name]
+    elements = G.elements
+    table = np.array(_compose_table(elements))
+    index = {e: i for i, e in enumerate(elements)}
+    rng = random.Random(f"proper-closure/{name}")
+    for _ in range(40):
+        gens = rng.sample(range(len(elements)), rng.randint(1, 3))
+        H = frozenset(index[e] for e in _plain_closure([elements[g] for g in gens], G.degree))
+        for limit in (len(H) - 1, len(H), len(elements) // G.degree, rng.randint(1, len(elements))):
+            expected = None if len(H) > limit else H
+            assert _proper_closure(gens, table, limit) == expected
