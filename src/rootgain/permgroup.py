@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -400,20 +401,46 @@ def cyclic_powers(c: Perm) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-def cyclic_subgroup_representatives(G: PermGroup) -> list[tuple[Perm, tuple[Perm, ...]]]:
-    """One (canonical generator, element tuple) per cyclic subgroup, including the
-    trivial one; the canonical generator is the lexicographically least generator."""
-    by_set: dict[frozenset[Perm], Perm] = {}
-    powers: dict[frozenset[Perm], tuple[Perm, ...]] = {}
-    for c in G.elements:
-        pw = cyclic_powers(c)
-        key = frozenset(pw)
-        if key not in by_set or c < by_set[key]:
-            by_set[key] = c
-            powers[key] = pw
-    items = [(gen, powers[key]) for key, gen in by_set.items()]
-    items.sort(key=lambda t: (len(t[1]), t[0]))
-    return items
+def cyclic_subgroup_representatives(
+    G: PermGroup,
+) -> tuple[list[tuple[Perm, tuple[Perm, ...]]], np.ndarray]:
+    """One (canonical generator, its powers) per cyclic subgroup of G, including
+    the trivial one, ordered by (order, generator); the canonical generator is
+    the lexicographically least generator. Also returns, for each row of G's
+    elements, the position in that list of the subgroup the element generates.
+
+    Each subgroup <c> is built once, from the first of its generators in G's
+    order: c^k(b) = c(c^(k-1)(b)) gives the powers on the base, whose images
+    find their rows, and every c^j with gcd(j, |c|) = 1 is then marked done.
+    """
+    index = G.base_index
+    elements = G.elements
+    start = tuple(index.base)
+    todo = [True] * len(elements)
+    found = []  # (canonical generator, rows of its powers, rows of its generators)
+    for i, c in enumerate(elements):
+        if not todo[i]:
+            continue
+        images = [start]
+        b = tuple(c[v] for v in start)
+        while b != start:
+            images.append(b)
+            b = tuple(c[v] for v in b)
+        m = len(images)
+        rows = index.find(np.array(images, dtype=np.intp).reshape(m, len(start)))
+        coprime = [j for j in range(m) if gcd(j, m) == 1]
+        gen_rows = rows[coprime]
+        for r in gen_rows.tolist():
+            todo[r] = False
+        j0 = min(coprime, key=lambda j: elements[rows[j]])
+        found.append((elements[rows[j0]], rows[j0 * np.arange(m) % m], gen_rows))
+    found.sort(key=lambda t: (len(t[1]), t[0]))
+    generated_by = np.empty(len(elements), dtype=np.intp)
+    reps = []
+    for k, (gen, power_rows, gen_rows) in enumerate(found):
+        generated_by[gen_rows] = k
+        reps.append((gen, tuple(elements[r] for r in power_rows.tolist())))
+    return reps, generated_by
 
 
 # ---------------------------------------------------------------- metacyclic search
@@ -443,29 +470,61 @@ def metacyclic_odd_orbit_search(
     """All (cyclic I = <c>, x in N_G(I)) with n - |orb(<I,x>)| odd.
 
     One canonical generator per cyclic subgroup (including the trivial one, so
-    plain cyclic decomposition groups are covered); deterministic order.
+    plain cyclic decomposition groups are covered); deterministic order, by
+    (|I|, c) and then by x.
+
+    The search is solved once per conjugacy class of cyclic subgroups, on the
+    first subgroup R = <c> of the class in that order: one normalizer and one
+    orbit count per x in N(R). A conjugate g R g^-1 takes the odd x as g x g^-1,
+    with the same orbit count. This is exact: N(g R g^-1) = g N(R) g^-1, and
+    <g R g^-1, g x g^-1> = g <R, x> g^-1 has as many orbits as <R, x>. orb(I)
+    and the sign of a generator are class functions (a generator of g R g^-1 is
+    g c^j g^-1 with gcd(j, |c|) = 1, and j is odd when |c| is even, while c of
+    odd order is even), so `require_inertia_even` drops whole classes.
     """
     n = G.degree
+    reps, generated_by = cyclic_subgroup_representatives(G)
+    index = G.base_index
+    every = np.arange(len(index.arr))[:, None]
+    solved: dict[int, tuple[int, bool, list[tuple[Perm, int]]]] = {}
     out: list[MetacyclicCandidate] = []
-    for c, powers in cyclic_subgroup_representatives(G):
-        orb_i = orbit_count([c], n)
-        c_even = sign(c) == 1
-        if require_inertia_even and not c_even:
-            continue
-        for x in sorted(_normalizer(G, powers)):
-            orb_h = orbit_count([c, x], n)
-            if (n - orb_h) % 2 == 1:
-                out.append(
-                    MetacyclicCandidate(
-                        degree=n,
-                        c=c,
-                        x=x,
-                        inertia_order=len(powers),
-                        orbits_inertia=orb_i,
-                        orbits_full=orb_h,
-                        inertia_in_alternating=c_even,
-                    )
+    for k, (c, powers) in enumerate(reps):
+        if k not in solved:
+            orb_i = orbit_count([c], n)
+            c_even = sign(c) == 1
+            odd = []
+            if c_even or not require_inertia_even:
+                for x in sorted(_normalizer(G, powers)):
+                    orb_h = orbit_count([c, x], n)
+                    if (n - orb_h) % 2 == 1:
+                        odd.append((x, orb_h))
+            xs = np.array([x for x, _ in odd], dtype=np.intp).reshape(len(odd), n)
+            orbs = np.array([orb_h for _, orb_h in odd], dtype=np.intp)
+            # g c g^-1 on the base for every g, and the subgroup it generates
+            conj = generated_by[index.find(index.arr[every, np.array(c)[index.inverse_base]])]
+            subgroups, conjugators = np.unique(conj, return_index=True)
+            for s, g in zip(subgroups.tolist(), conjugators.tolist()):
+                if s == k:
+                    solved[s] = (orb_i, c_even, odd)
+                    continue
+                g = index.arr[g]
+                moved = g[xs[:, np.argsort(g)]]  # g x g^-1
+                order = np.lexsort(moved.T[::-1])
+                moved_odd = list(zip(map(tuple, moved[order].tolist()), orbs[order].tolist()))
+                solved[s] = (orb_i, c_even, moved_odd)
+        orb_i, c_even, odd = solved.pop(k)
+        for x, orb_h in odd:
+            out.append(
+                MetacyclicCandidate(
+                    degree=n,
+                    c=c,
+                    x=x,
+                    inertia_order=len(powers),
+                    orbits_inertia=orb_i,
+                    orbits_full=orb_h,
+                    inertia_in_alternating=c_even,
                 )
+            )
     return out
 
 
@@ -627,8 +686,11 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     limit = len(els) // n if n >= 5 else len(els) // 2
 
     def conjugates(s: frozenset[int]) -> set[frozenset[int]]:
-        conj = table[table[:, sorted(s)], inv_idx[:, None]]
-        return {frozenset(row) for row in np.unique(np.sort(conj, axis=1), axis=0).tolist()}
+        conj = np.sort(table[table[:, sorted(s)], inv_idx[:, None]], axis=1)
+        # equal sorted rows have equal bytes: one row per distinct conjugate
+        raw, width = conj.tobytes(), conj.shape[1] * conj.itemsize
+        distinct = {raw[i * width : (i + 1) * width]: i for i in range(len(conj))}
+        return {frozenset(row) for row in conj[list(distinct.values())].tolist()}
 
     reps = index.find(np.array(_an_class_representatives(n))[:, index.base]).tolist()
     class_of = np.empty(len(els), dtype=np.intp)

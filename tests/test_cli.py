@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -103,6 +104,57 @@ def test_orbit_search_s1_empty_exit_3(capsys):
 def test_orbit_search_cap_exceeded_exit_2(capsys):
     code, _ = run(capsys, ["orbit-search", "sn", "12", "--cap", "1000"])
     assert code == 2
+
+
+# Pair counts of `orbit-search psl2 p`, taken once from the matrix enumeration
+# odd_orbit_pairs(psl2_elements(p), p + 1) of perfbench/expected.py, which
+# builds PSL2(p) from 2x2 matrices and counts with plain compose loops.
+PSL2_PAIR_COUNTS = {17: 1224, 19: 3420, 23: 6072}
+
+
+@pytest.mark.parametrize("p", sorted(PSL2_PAIR_COUNTS))
+def test_orbit_search_psl2_pair_counts(capsys, p):
+    code, out = run(capsys, ["orbit-search", "psl2", str(p)])
+    count = PSL2_PAIR_COUNTS[p]
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[1] == f"# candidates with degree - |orb(<I,x>)| odd: {count}"
+    assert len(lines) == 3 + count
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ["an", "7"],
+            5043,
+            "2a25f3777df5c9271354a1347d502340ffa647bc687b33b75402ac583aaefe22",
+        ),
+        (
+            ["psl2", "17"],
+            1227,
+            "4d54db929880a4bb00dc027600d0d3766a69f8f67ae8b1ba8b0b0f7891a2f256",
+        ),
+    ],
+    ids=["an-7", "psl2-17"],
+)
+def test_orbit_search_reports_are_pinned(capsys, argv, lines, digest):
+    # reports are byte-identical across versions unless a change says otherwise
+    code, out = run(capsys, ["orbit-search", *argv])
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_orbit_search_require_even_inertia_drops_odd_classes(capsys):
+    _, every = run(capsys, ["orbit-search", "sn", "4"])
+    code, even = run(capsys, ["orbit-search", "sn", "4", "--require-even-inertia"])
+    assert code == 0
+    assert "candidates with degree - |orb(<I,x>)| odd: 60" in every
+    assert "candidates with degree - |orb(<I,x>)| odd: 24" in even
+    rows = [line.split("\t") for line in every.splitlines()[3:]]
+    kept = ["\t".join(row) for row in rows if row[5] == "true"]
+    assert even.splitlines()[3:] == kept
 
 
 # ---------------------------------------------------------------- root-number

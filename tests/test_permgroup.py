@@ -17,6 +17,7 @@ from rootgain.permgroup import (
     coset_action,
     cycle_type,
     cyclic_powers,
+    cyclic_subgroup_representatives,
     fixed_points,
     format_cycles,
     group_typeset,
@@ -503,19 +504,46 @@ def _plain_subgroups(elements):
     return found
 
 
-def _plain_metacyclic(G):
-    n = G.degree
+def _plain_cyclic_subgroups(G):
+    """{<g>: least generator}, one `cyclic_powers` loop per element."""
     reps = {}
     for g in G.elements:
         key = frozenset(cyclic_powers(g))
         reps[key] = min(reps.get(key, g), g)
+    return reps
+
+
+def _plain_metacyclic(G):
+    n = G.degree
+    inverses = {g: inverse(g) for g in G.elements}
     out = []
-    for key, c in sorted(reps.items(), key=lambda kv: (len(kv[0]), kv[1])):
-        for x in sorted(_plain_normalizer(G.elements, key)):
+    for key, c in sorted(_plain_cyclic_subgroups(G).items(), key=lambda kv: (len(kv[0]), kv[1])):
+        # g normalizes <c> exactly when g c g^-1 lies in <c>
+        normalizer = [g for g in G.elements if compose(compose(g, c), inverses[g]) in key]
+        for x in sorted(normalizer):
             orb = orbit_count([c, x], n)
             if (n - orb) % 2 == 1:
                 out.append((c, x, len(key), orbit_count([c], n), orb, sign(c) == 1))
     return out
+
+
+def _search_rows(G, require_inertia_even=False):
+    return [
+        (m.c, m.x, m.inertia_order, m.orbits_inertia, m.orbits_full, m.inertia_in_alternating)
+        for m in metacyclic_odd_orbit_search(G, require_inertia_even)
+    ]
+
+
+def _check_search_against_plain(G):
+    reps, generated_by = cyclic_subgroup_representatives(G)
+    plain = sorted(_plain_cyclic_subgroups(G).items(), key=lambda kv: (len(kv[0]), kv[1]))
+    assert reps == [(c, cyclic_powers(c)) for _, c in plain]
+    position = {key: k for k, (key, _) in enumerate(plain)}
+    assert generated_by.tolist() == [position[frozenset(cyclic_powers(g))] for g in G.elements]
+    rows = _plain_metacyclic(G)
+    assert _search_rows(G) == rows
+    # require_inertia_even skips every subgroup whose generator c is odd
+    assert _search_rows(G, require_inertia_even=True) == [row for row in rows if row[-1]]
 
 
 def _dihedral(n):
@@ -550,11 +578,22 @@ ORACLE_GROUPS = {
 def test_kernels_match_plain_loops(name):
     G = ORACLE_GROUPS[name]()
     _check_against_plain(list(G.elements), G.degree, normalizer_group=G)
-    got = [
-        (m.c, m.x, m.inertia_order, m.orbits_inertia, m.orbits_full, m.inertia_in_alternating)
-        for m in metacyclic_odd_orbit_search(G)
-    ]
-    assert got == _plain_metacyclic(G)
+    _check_search_against_plain(G)
+
+
+# groups whose classes of cyclic subgroups have many conjugates each
+CLASS_GROUPS = {
+    "PSL2(11)": lambda: psl2_natural(11),
+    "PSL2(13)": lambda: psl2_natural(13),
+    "PSL2(11) on 55 points": psl2_11_degree55,
+    "A6": lambda: alternating_group(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
+def test_class_wise_metacyclic_search_matches_plain_loop(name):
+    G = CLASS_GROUPS[name]()
+    _check_search_against_plain(G)
 
 
 def test_psl2_7_normalizers_and_metacyclic_match_plain_loops():
@@ -565,8 +604,7 @@ def test_psl2_7_normalizers_and_metacyclic_match_plain_loops():
     a = next(g for g in G.elements if perm_order(g) == 2)
     for k in {_plain_closure([a, g], 8) for g in G.elements}:
         assert normalizer_scan(G, k) == _plain_normalizer(G.elements, k)
-    got = [(m.c, m.x) for m in metacyclic_odd_orbit_search(G)]
-    assert got == [row[:2] for row in _plain_metacyclic(G)]
+    assert _search_rows(G) == _plain_metacyclic(G)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -587,6 +625,11 @@ def test_small_subgroups_of_sn_match_plain_loops(n, rng):
     elements = list(G.elements)
     rng.shuffle(elements)
     _check_against_plain(elements, n, normalizer_group=G)
+    # the same group enumerated in that order (after the identity): the first
+    # subgroup of each class, and the conjugators found, move with it
+    H = PermGroup(n, elements)
+    assert H.elements[1:] == tuple(e for e in elements if e != identity_perm(n))
+    _check_search_against_plain(H)
 
 
 def test_all_subgroups_identity_not_first():
