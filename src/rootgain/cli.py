@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from .algebra import NotASquare, PolyFacts, poly_from_descending_string, rational_sqrt
 from .algebra import unproven_prime_reason
@@ -70,6 +72,8 @@ def _emit(lines, out_path: str | None) -> None:
 
 def cmd_orbit_search(args) -> int:
     kind = args.group.lower()
+    if args.cap is not None and args.cap < 1:
+        raise ParseError(0, f"--cap must be >= 1, got {args.cap}")
     if kind in ("sn", "an", "psl2") and args.n < 1:
         raise ParseError(0, f"group spec {kind!r} needs a positive degree or prime")
     if kind == "psl2" and args.action == "deg55":
@@ -95,7 +99,7 @@ def cmd_orbit_search(args) -> int:
             raise ParseError(0, f"bad generator literal: {exc}") from None
     else:
         raise ParseError(0, f"unknown group spec {args.group!r}")
-    if args.cap:
+    if args.cap is not None:
         G = PermGroup(G.degree, G.generators, cap=args.cap, name=G.name)
     cands = metacyclic_odd_orbit_search(G, require_inertia_even=args.require_even_inertia)
     lines = [
@@ -103,11 +107,14 @@ def cmd_orbit_search(args) -> int:
         f"# candidates with degree - |orb(<I,x>)| odd: {len(cands)}",
         "inertia_generator\tx\t|I|\torb(I)\torb(H)\tI_in_An",
     ]
-    for m in cands:
-        lines.append(
-            f"{format_cycles(m.c)}\t{format_cycles(m.x)}\t{m.inertia_order}\t"
-            f"{m.orbits_inertia}\t{m.orbits_full}\t{str(m.inertia_in_alternating).lower()}"
-        )
+    # candidates come grouped by c: format each c once
+    for c, group in groupby(cands, key=attrgetter("c")):
+        c_text = format_cycles(c)
+        for m in group:
+            lines.append(
+                f"{c_text}\t{format_cycles(m.x)}\t{m.inertia_order}\t"
+                f"{m.orbits_inertia}\t{m.orbits_full}\t{str(m.inertia_in_alternating).lower()}"
+            )
     _emit(lines, args.out)
     return EXIT_OK if cands else EXIT_EMPTY
 

@@ -1,6 +1,6 @@
-"""Permutation groups of moderate degree: breadth-first element enumeration,
-orbits, signs, centralizers and normalizers, PSL2(p) and coset actions, and the
-odd-orbit certificate search over metacyclic subgroups.
+"""Permutation groups of moderate degree: breadth-first element enumeration on
+arrays, orbits, signs, centralizers and normalizers, PSL2(p) and coset actions,
+and the odd-orbit certificate search over metacyclic subgroups.
 
 Permutations are tuples of 0-based images; point labels are printed 1-based.
 Groups here are small enough (<= ~10^5 elements) that full enumeration, with
@@ -217,51 +217,55 @@ class PermGroup:
         self.generators = gens
         self.cap = cap
         self.name = name
-        self._elements: tuple[Perm, ...] | None = None
-        self._element_set: frozenset[Perm] | None = None
         self._array: np.ndarray | None = None
 
-    @property
-    def elements(self) -> tuple[Perm, ...]:
-        """Breadth-first closure; deterministic order under fixed generator order."""
-        if self._elements is None:
-            ident = identity_perm(self.degree)
-            seen = {ident}
-            order = [ident]
-            frontier = [ident]
-            while frontier:
-                new = []
-                for w in frontier:
-                    for g in self.generators:
-                        x = compose(g, w)
-                        if x not in seen:
-                            seen.add(x)
-                            order.append(x)
-                            new.append(x)
-                            if len(order) > self.cap:
-                                raise CapExceeded(
-                                    f"group order exceeds enumeration cap {self.cap}"
-                                )
-                frontier = new
-            self._elements = tuple(order)
-            self._element_set = frozenset(seen)
-        return self._elements
+    def element_array(self) -> np.ndarray:
+        """The elements, one row of images each, in breadth-first order from the
+        identity: each level lists g after w for every w of the previous level and
+        then every generator g, keeping the products not met before.
+        Deterministic under a fixed generator order."""
+        if self._array is None:
+            n = self.degree
+            gens = np.array(self.generators, dtype=np.int32).reshape(len(self.generators), n)
+            frontier = np.arange(n, dtype=np.int32)[None, :]
+            seen = {frontier.tobytes()}
+            levels = [frontier]
+            while len(frontier):
+                # row j * len(gens) + i is g_i after the j-th frontier element
+                products = gens[:, frontier].swapaxes(0, 1).reshape(-1, n)
+                raw, width = products.tobytes(), n * products.itemsize
+                fresh = []
+                for r in range(len(products)):
+                    key = raw[r * width : (r + 1) * width]
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(r)
+                        if len(seen) > self.cap:
+                            raise CapExceeded(f"group order exceeds enumeration cap {self.cap}")
+                frontier = products[fresh]
+                levels.append(frontier)
+            self._array = np.concatenate(levels)
+        return self._array
 
-    @property
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """The rows of `element_array` as tuples, converted a block of rows at a
+        time so that only one block's lists are alive at once."""
+        arr = self.element_array()
+        out: list[Perm] = []
+        for start in range(0, len(arr), 4096):
+            out.extend(map(tuple, arr[start : start + 4096].tolist()))
+        return tuple(out)
+
+    @cached_property
     def element_set(self) -> frozenset[Perm]:
-        self.elements
-        return self._element_set
+        return frozenset(self.elements)
 
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.element_array())
 
     def __contains__(self, p: Perm) -> bool:
         return tuple(p) in self.element_set
-
-    def element_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.array(self.elements, dtype=np.int32)
-        return self._array
 
     @cached_property
     def base_index(self) -> _BaseIndex:
@@ -272,8 +276,8 @@ class PermGroup:
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
-        if self._elements is not None:
-            return f"PermGroup({label}, order {len(self._elements)})"
+        if self._array is not None:
+            return f"PermGroup({label}, order {len(self._array)})"
         return f"PermGroup({label}, {len(self.generators)} generators)"
 
 

@@ -396,6 +396,8 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
             ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--p", "3317044064679887385961981"],
             f"--p {PSI_13_MESSAGE}",
         ),
+        (["orbit-search", "psl2", "11", "--cap", "0"], "--cap must be >= 1, got 0"),
+        (["orbit-search", "psl2", "11", "--cap", "-3"], "--cap must be >= 1, got -3"),
     ],
 )
 def test_invalid_option_values_exit_4(

@@ -472,14 +472,28 @@ def test_cycle_type_and_order():
 # base images or pruning.
 
 
-def _plain_closure(gens, n):
+def _plain_enumeration(gens, n):
+    """The breadth-first closure on tuples: g after w for every w of a level and
+    then every generator g, in that order, keeping the products not met before."""
     ident = identity_perm(n)
     seen = {ident}
+    order = [ident]
     frontier = [ident]
     while frontier:
-        frontier = [x for w in frontier for g in gens if (x := compose(g, w)) not in seen]
-        seen.update(frontier)
-    return frozenset(seen)
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = compose(g, w)
+                if x not in seen:
+                    seen.add(x)
+                    order.append(x)
+                    new.append(x)
+        frontier = new
+    return tuple(order)
+
+
+def _plain_closure(gens, n):
+    return frozenset(_plain_enumeration(gens, n))
 
 
 def _plain_normalizer(elements, sub):
@@ -579,6 +593,52 @@ def test_kernels_match_plain_loops(name):
     G = ORACLE_GROUPS[name]()
     _check_against_plain(list(G.elements), G.degree, normalizer_group=G)
     _check_search_against_plain(G)
+
+
+ENUMERATION_GROUPS = {
+    **ORACLE_GROUPS,
+    **{f"PSL2({p})": (lambda p=p: psl2_natural(p)) for p in (3, 5, 7, 11, 13, 17, 19, 23)},
+    **{f"S{n}": (lambda n=n: symmetric_group(n)) for n in range(1, 8)},
+    **{f"A{n}": (lambda n=n: alternating_group(n)) for n in range(3, 8)},
+    "PSL2(11) on 55 points": psl2_11_degree55,
+    # a repeated generator and the identity as a generator
+    "gens": lambda: PermGroup(
+        6, [cyc("(1,2,3)", 6), cyc("(1,2,3)", 6), identity_perm(6), cyc("(3,4)(5,6)", 6)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_GROUPS))
+def test_enumeration_matches_plain_bfs_row_for_row(name):
+    G = ENUMERATION_GROUPS[name]()
+    plain = _plain_enumeration(G.generators, G.degree)
+    assert G.element_array().tolist() == [list(e) for e in plain]
+    assert G.elements == plain
+    assert G.element_set == frozenset(plain)
+    assert G.order() == len(plain)
+    rng = random.Random(name)
+    outside = [tuple(rng.sample(range(G.degree), G.degree)) for _ in range(50)]
+    assert all(e in G for e in plain)
+    assert [x in G for x in outside] == [x in frozenset(plain) for x in outside]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_enumeration_without_generators_is_the_identity(n):
+    G = PermGroup(n, [])
+    assert G.elements == (tuple(range(n)),)
+    assert G.element_array().tolist() == [list(range(n))]
+    assert G.order() == 1
+    assert G.element_set == frozenset({tuple(range(n))})
+
+
+@pytest.mark.parametrize("name", ["S4", "PSL2(7)", "A6", "PSL2(11) on 55 points"])
+def test_enumeration_cap_is_the_largest_order_allowed(name):
+    G = ENUMERATION_GROUPS[name]()
+    order = G.order()
+    assert PermGroup(G.degree, G.generators, cap=order).order() == order
+    with pytest.raises(CapExceeded) as err:
+        PermGroup(G.degree, G.generators, cap=order - 1).element_array()
+    assert str(err.value) == f"group order exceeds enumeration cap {order - 1}"
 
 
 # groups whose classes of cyclic subgroups have many conjugates each
