@@ -124,6 +124,21 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
+def _prime_divisors(x: Rational) -> list[int]:
+    n = abs(x.numerator * x.denominator)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def valuation(x: Rational | int, p: int):
     """p-adic valuation of a rational; valuation of 0 is TOP_VALUE."""
     if not is_prime(p):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import TOP_VALUE, Rational, is_prime, legendre, valuation
+from .algebra import TOP_VALUE, Rational, _prime_divisors, is_prime, legendre, valuation
 
 
 class CurveError(ValueError):
@@ -258,18 +258,3 @@ class CurveLocalData:
 
     def bad_primes(self) -> list[int]:
         return [L.prime for L in self.local]
-
-
-def _prime_divisors(x: Rational) -> list[int]:
-    n = abs(x.numerator * x.denominator)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out

@@ -28,7 +28,7 @@ from .ellcurve import (
     CurveLocalData,
     local_root_number,
 )
-from .permgroup import GroupError, PermGroup, orbits
+from .permgroup import GroupError, check_decomposition_pair, orbits
 
 COMPUTED_UNRAMIFIED = "computed_unramified"
 DECLARED_PROFILE = "declared"
@@ -221,25 +221,7 @@ class DecompositionPair:
     tame: bool = True
 
     def __post_init__(self):
-        D = PermGroup(self.degree, self.decomposition_gens)
-        dset = D.element_set
-        iset = PermGroup(self.degree, self.inertia_gens).element_set
-        if not iset <= dset:
-            raise GroupError("inertia subgroup not contained in decomposition group")
-        from .permgroup import compose, inverse
-
-        for g in self.decomposition_gens:
-            gi = inverse(g)
-            for s in iset:
-                if compose(compose(g, s), gi) not in iset:
-                    raise GroupError("inertia subgroup is not normal in decomposition group")
-        if self.tame:
-            # D/I cyclic iff some x in D generates D together with I
-            if not any(
-                PermGroup(self.degree, list(self.inertia_gens) + [x]).element_set == dset
-                for x in D.elements
-            ):
-                raise GroupError("tame flag set but D/I is not cyclic")
+        check_decomposition_pair(self.degree, self.decomposition_gens, self.inertia_gens, self.tame)
 
 
 def profile_from_decomposition(pair: DecompositionPair) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ from .algebra import PolyQ, poly_from_descending_string, unproven_prime_reason
 from .ellcurve import CurveError, CurveLocalData, EllipticCurveData, LocalReductionData
 from .extension import DecompositionPair
 from .mestre import BranchPoint, MestreError, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
-from .permgroup import GroupError, perm_from_cycles
+from .permgroup import CapExceeded, GroupError, perm_from_cycles
 
 
 class ParseError(ValueError):
@@ -175,7 +175,7 @@ def _parse_branch(lineno: int, value: str) -> BranchPoint:
         ig = _parse_perm_list(lineno, attrs.get("i", ""), degree)
         try:
             pair = DecompositionPair(degree, dg, ig)
-        except GroupError as exc:
+        except (GroupError, CapExceeded) as exc:
             raise ParseError(lineno, str(exc)) from None
     try:
         return BranchPoint(

@@ -2,21 +2,24 @@
 arrays, orbits, signs, centralizers and normalizers, PSL2(p) and coset actions,
 and the odd-orbit certificate search over metacyclic subgroups.
 
-Permutations are tuples of 0-based images; point labels are printed 1-based.
-Groups here are small enough (<= ~10^5 elements) that full enumeration, with
-elements numbered by their images on a base (`_BaseIndex`), beats
-stabilizer-chain machinery.
+A permutation is a row of 0-based images; point labels are printed 1-based.
+Groups here are small enough (<= ~10^5 elements) that full enumeration beats
+stabilizer-chain machinery. The kernels take and return row indices of
+`PermGroup.element_array()`, finding a product's row from its images on a base
+(`_BaseIndex`, at most 2^22 codes, which S_9 outgrows, so the decomposition-pair
+check compares row bytes instead). Callers get tuples, built from the rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import is_prime
+from .algebra import _prime_divisors, is_prime
 
 Perm = tuple[int, ...]
 
@@ -42,35 +45,15 @@ def compose(a: Perm, b: Perm) -> Perm:
 
 
 def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
 def cycle_type(a: Perm) -> tuple[int, ...]:
-    seen = [False] * len(a)
-    lengths = []
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            ln += 1
-        lengths.append(ln)
-    return tuple(sorted(lengths))
+    return tuple(sorted(map(len, orbits([a], len(a)))))
 
 
 def perm_order(a: Perm) -> int:
-    from math import lcm
-
-    o = 1
-    for ln in cycle_type(a):
-        o = lcm(o, ln)
-    return o
+    return lcm(*cycle_type(a))
 
 
 def sign(a: Perm) -> int:
@@ -153,6 +136,12 @@ def orbit_count(gens, n: int) -> int:
 # ---------------------------------------------------------------- PermGroup
 
 
+def _row_keys(arr: np.ndarray) -> Iterator[bytes]:
+    """The bytes of each row, lazily: rows of one dtype are equal iff their keys are."""
+    raw, width = arr.tobytes(), arr.shape[1] * arr.itemsize
+    return (raw[i * width : (i + 1) * width] for i in range(len(arr)))
+
+
 class _BaseIndex:
     """The elements of a group (rows of `arr`) numbered by their images on a base.
 
@@ -233,10 +222,8 @@ class PermGroup:
             while len(frontier):
                 # row j * len(gens) + i is g_i after the j-th frontier element
                 products = gens[:, frontier].swapaxes(0, 1).reshape(-1, n)
-                raw, width = products.tobytes(), n * products.itemsize
                 fresh = []
-                for r in range(len(products)):
-                    key = raw[r * width : (r + 1) * width]
+                for r, key in enumerate(_row_keys(products)):
                     if key not in seen:
                         seen.add(key)
                         fresh.append(r)
@@ -252,10 +239,8 @@ class PermGroup:
         """The rows of `element_array` as tuples, converted a block of rows at a
         time so that only one block's lists are alive at once."""
         arr = self.element_array()
-        out: list[Perm] = []
-        for start in range(0, len(arr), 4096):
-            out.extend(map(tuple, arr[start : start + 4096].tolist()))
-        return tuple(out)
+        blocks = (arr[start : start + 4096] for start in range(0, len(arr), 4096))
+        return tuple(e for block in blocks for e in map(tuple, block.tolist()))
 
     @cached_property
     def element_set(self) -> frozenset[Perm]:
@@ -312,26 +297,35 @@ def psl2_natural(p: int) -> PermGroup:
     """
     if not is_prime(p) or p < 3:
         raise GroupError(f"psl2_natural needs an odd prime, got {p}")
-    n = p + 1
     t = tuple([(x + 1) % p for x in range(p)] + [p])
-    s = [0] * n
-    s[p] = 0
-    s[0] = p
-    for x in range(1, p):
-        s[x] = (-pow(x, -1, p)) % p
-    return PermGroup(n, [t, tuple(s)], name=f"PSL2({p})")
+    s = tuple([p] + [(-pow(x, -1, p)) % p for x in range(1, p)] + [0])
+    return PermGroup(p + 1, [t, s], name=f"PSL2({p})")
 
 
 # ---------------------------------------------------------------- subgroup scans
 
 
-def is_subgroup(elements, G: PermGroup) -> bool:
-    els = set(tuple(e) for e in elements)
-    if identity_perm(G.degree) not in els:
-        return False
-    if not els <= G.element_set:
-        return False
-    return all(compose(a, b) in els for a in els for b in els)
+def _subgroup_rows(G: PermGroup, elements, error: str) -> np.ndarray:
+    """The rows of the given permutations in G; raises GroupError(error) unless
+    they form a subgroup of G: they hold the identity (row 0) and each product
+    a h, whose row a(h(base)) finds."""
+    n = G.degree
+    perms = [tuple(e) for e in elements]
+    if not perms or any(len(e) != n for e in perms):
+        raise GroupError(error)
+    perms = np.array(perms)
+    index = G.base_index
+    # % n: a permutation outside G finds no row holding it, in range or not
+    rows = index.find(perms[:, index.base] % n)
+    if (rows < 0).any() or not np.array_equal(index.arr[rows], perms):
+        raise GroupError(error)
+    in_sub = np.zeros(len(index.arr), dtype=bool)
+    in_sub[rows] = True
+    rows = np.flatnonzero(in_sub)
+    sub = index.arr[rows]
+    if not in_sub[0] or not all(in_sub[index.find(sub[:, h])].all() for h in sub[:, index.base]):
+        raise GroupError(error)
+    return rows
 
 
 def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
@@ -347,50 +341,82 @@ def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
     i = moved[0] if len(moved) else 0
     rows = np.flatnonzero(arr[:, xa[i]] == xa[arr[:, i]])
     survivors = arr[rows]
-    rows = rows[(survivors[:, xa] == xa[survivors]).all(axis=1)]
-    return [G.elements[r] for r in rows.tolist()]
+    return list(map(tuple, survivors[(survivors[:, xa] == xa[survivors]).all(axis=1)].tolist()))
 
 
 def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:
-    """Exact normalizer of the given subgroup of G; raises GroupError on a set
-    that is not one."""
-    sub = frozenset(tuple(e) for e in subgroup_elements)
-    if not is_subgroup(sub, G):
-        raise GroupError("normalizer_scan: given set is not a subgroup of G")
-    return _normalizer(G, sub)
+    """Exact normalizer of the given subgroup of G, in G's element order; raises
+    GroupError on a set that is not one."""
+    rows = _subgroup_rows(G, subgroup_elements, "normalizer_scan: given set is not a subgroup of G")
+    return list(map(tuple, G.element_array()[_normalizer(G, rows)].tolist()))
 
 
-def _normalizer(G: PermGroup, sub) -> list[Perm]:
-    """normalizer_scan without the subgroup check, for callers whose set is a
-    subgroup by construction. Each g s g^-1 lies in G, so its base images find
-    its row, which a mask over G's rows tests for membership in the subgroup."""
+def _normalizer(G: PermGroup, rows: np.ndarray) -> np.ndarray:
+    """The rows of the normalizer of the subgroup on the given rows, ascending.
+    Each g s g^-1 lies in G, so its base images find its row, which a mask over
+    G's rows tests for membership in the subgroup."""
     index = G.base_index
     in_sub = np.zeros(len(index.arr), dtype=bool)
-    in_sub[index.find(np.array(list(sub))[:, index.base])] = True
+    in_sub[rows] = True
     keep = np.arange(len(index.arr))
-    for s in sub:
+    for s in index.arr[rows]:
         # g(s(g^-1(b))) for each base point b and each g still kept
-        conj = index.arr[keep[:, None], np.array(s)[index.inverse_base[keep]]]
+        conj = index.arr[keep[:, None], s[index.inverse_base[keep]]]
         keep = keep[in_sub[index.find(conj)]]
-    return [G.elements[i] for i in keep.tolist()]
+    return keep
 
 
 def coset_action(G: PermGroup, subgroup_elements) -> PermGroup:
     """Action of G on left cosets of H; degree [G:H]. Cosets are numbered in the
     order they first appear among G's elements."""
-    H = [tuple(e) for e in subgroup_elements]
-    if not is_subgroup(H, G):
-        raise GroupError("coset_action: H is not a subgroup of G")
+    rows = _subgroup_rows(G, subgroup_elements, "coset_action: H is not a subgroup of G")
     index = G.base_index
     # g H is keyed by its first element in G's order: the least row among the g h
-    keys = np.min([index.find(index.arr[:, np.array(h)[index.base]]) for h in H], axis=0)
+    keys = np.min([index.find(index.arr[:, h]) for h in index.arr[rows][:, index.base]], axis=0)
     reps, coset = np.unique(keys, return_inverse=True)
     m = len(reps)
-    if m * len(H) != len(keys):
+    if m * len(rows) != len(keys):
         raise GroupError("coset count times |H| does not equal |G|")
     reps_on_base = index.arr[reps][:, index.base]
     new_gens = [tuple(coset[index.find(np.array(a)[reps_on_base])].tolist()) for a in G.generators]
     return PermGroup(m, new_gens, cap=G.cap, name=f"{G.name or 'G'} on {m} cosets")
+
+
+def check_decomposition_pair(degree: int, decomposition_gens, inertia_gens, tame: bool) -> None:
+    """Raise GroupError unless I = <inertia_gens> is a normal subgroup of
+    D = <decomposition_gens>, with D/I cyclic when `tame`.
+
+    Membership is by the bytes of rows, not by the base index, which refuses
+    groups like S_9. I is normal when conjugating its rows by each generator of
+    D stays in I. D/I is cyclic iff some xI has order m = [D:I], that is, iff
+    x^(m/l) lies outside I for every prime l | m.
+    """
+    D = PermGroup(degree, decomposition_gens).element_array()
+    I = PermGroup(degree, inertia_gens).element_array()
+    if not all((D == g).all(axis=1).any() for g in inertia_gens):
+        raise GroupError("inertia subgroup not contained in decomposition group")
+    in_I = set(_row_keys(I))
+    for g in np.array(decomposition_gens, dtype=I.dtype).reshape(-1, degree):
+        if not in_I.issuperset(_row_keys(g[I[:, np.argsort(g)]])):  # g s g^-1
+            raise GroupError("inertia subgroup is not normal in decomposition group")
+    if tame:
+        m = len(D) // len(I)
+        xs = D
+        for ell in _prime_divisors(m):
+            xs = xs[[key not in in_I for key in _row_keys(_kth_powers(xs, m // ell))]]
+        if not len(xs):
+            raise GroupError("tame flag set but D/I is not cyclic")
+
+
+def _kth_powers(xs: np.ndarray, k: int) -> np.ndarray:
+    """Each row of xs, a permutation, raised to the k-th power by repeated squaring."""
+    out = np.broadcast_to(np.arange(xs.shape[1], dtype=xs.dtype), xs.shape)
+    while k:
+        if k & 1:
+            out = np.take_along_axis(xs, out, axis=1)
+        xs = np.take_along_axis(xs, xs, axis=1)
+        k >>= 1
+    return out
 
 
 # ---------------------------------------------------------------- cyclic subgroups
@@ -405,45 +431,51 @@ def cyclic_powers(c: Perm) -> tuple[Perm, ...]:
     return tuple(out)
 
 
+def _power_rows(index: _BaseIndex, c: list[int]) -> np.ndarray:
+    """The rows of c^0, c^1, ..., c^(m-1), found from their images on the base."""
+    start = tuple(index.base)
+    images = [start]
+    b = tuple(c[v] for v in start)
+    while b != start:
+        images.append(b)
+        b = tuple(c[v] for v in b)
+    return index.find(np.array(images, dtype=np.intp).reshape(len(images), len(start)))
+
+
 def cyclic_subgroup_representatives(
     G: PermGroup,
-) -> tuple[list[tuple[Perm, tuple[Perm, ...]]], np.ndarray]:
-    """One (canonical generator, its powers) per cyclic subgroup of G, including
-    the trivial one, ordered by (order, generator); the canonical generator is
-    the lexicographically least generator. Also returns, for each row of G's
-    elements, the position in that list of the subgroup the element generates.
+) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    """One (row of the canonical generator c, rows of c^0, c^1, ...) per cyclic
+    subgroup of G, including the trivial one, ordered by (order, c); the
+    canonical generator is the generator whose row is lexicographically least.
+    Also returns, for each row of G's elements, the position in that list of the
+    subgroup the element generates.
 
     Each subgroup <c> is built once, from the first of its generators in G's
-    order: c^k(b) = c(c^(k-1)(b)) gives the powers on the base, whose images
-    find their rows, and every c^j with gcd(j, |c|) = 1 is then marked done.
+    order, by one walk of its powers on the base; every c^j with
+    gcd(j, |c|) = 1 is then marked done.
     """
     index = G.base_index
-    elements = G.elements
-    start = tuple(index.base)
-    todo = [True] * len(elements)
+    arr = index.arr
+    todo = [True] * len(arr)
     found = []  # (canonical generator, rows of its powers, rows of its generators)
-    for i, c in enumerate(elements):
+    for i in range(len(arr)):
         if not todo[i]:
             continue
-        images = [start]
-        b = tuple(c[v] for v in start)
-        while b != start:
-            images.append(b)
-            b = tuple(c[v] for v in b)
-        m = len(images)
-        rows = index.find(np.array(images, dtype=np.intp).reshape(m, len(start)))
+        rows = _power_rows(index, arr[i].tolist())
+        m = len(rows)
         coprime = [j for j in range(m) if gcd(j, m) == 1]
         gen_rows = rows[coprime]
         for r in gen_rows.tolist():
             todo[r] = False
-        j0 = min(coprime, key=lambda j: elements[rows[j]])
-        found.append((elements[rows[j0]], rows[j0 * np.arange(m) % m], gen_rows))
-    found.sort(key=lambda t: (len(t[1]), t[0]))
-    generated_by = np.empty(len(elements), dtype=np.intp)
+        j0 = coprime[np.lexsort(arr[gen_rows].T[::-1])[0]]
+        found.append((int(rows[j0]), rows[j0 * np.arange(m) % m], gen_rows))
+    found.sort(key=lambda t: (len(t[1]), arr[t[0]].tolist()))
+    generated_by = np.empty(len(arr), dtype=np.intp)
     reps = []
-    for k, (gen, power_rows, gen_rows) in enumerate(found):
+    for k, (c, powers, gen_rows) in enumerate(found):
         generated_by[gen_rows] = k
-        reps.append((gen, tuple(elements[r] for r in power_rows.tolist())))
+        reps.append((c, powers))
     return reps, generated_by
 
 
@@ -489,46 +521,32 @@ def metacyclic_odd_orbit_search(
     n = G.degree
     reps, generated_by = cyclic_subgroup_representatives(G)
     index = G.base_index
-    every = np.arange(len(index.arr))[:, None]
+    arr = index.arr
+    every = np.arange(len(arr))[:, None]
     solved: dict[int, tuple[int, bool, list[tuple[Perm, int]]]] = {}
     out: list[MetacyclicCandidate] = []
-    for k, (c, powers) in enumerate(reps):
+    for k, (c_row, powers) in enumerate(reps):
+        c = arr[c_row].tolist()
         if k not in solved:
             orb_i = orbit_count([c], n)
             c_even = sign(c) == 1
-            odd = []
-            if c_even or not require_inertia_even:
-                for x in sorted(_normalizer(G, powers)):
-                    orb_h = orbit_count([c, x], n)
-                    if (n - orb_h) % 2 == 1:
-                        odd.append((x, orb_h))
-            xs = np.array([x for x, _ in odd], dtype=np.intp).reshape(len(odd), n)
-            orbs = np.array([orb_h for _, orb_h in odd], dtype=np.intp)
+            xs = arr[_normalizer(G, powers) if c_even or not require_inertia_even else []]
+            orbs = np.array([orbit_count([c, x], n) for x in xs.tolist()], dtype=np.intp)
+            is_odd = (n - orbs) % 2 == 1
+            xs, orbs = xs[is_odd], orbs[is_odd]
             # g c g^-1 on the base for every g, and the subgroup it generates
-            conj = generated_by[index.find(index.arr[every, np.array(c)[index.inverse_base]])]
+            conj = generated_by[index.find(arr[every, np.array(c)[index.inverse_base]])]
             subgroups, conjugators = np.unique(conj, return_index=True)
+            # <c> itself is first reached at the identity, row 0
             for s, g in zip(subgroups.tolist(), conjugators.tolist()):
-                if s == k:
-                    solved[s] = (orb_i, c_even, odd)
-                    continue
-                g = index.arr[g]
+                g = arr[g]
                 moved = g[xs[:, np.argsort(g)]]  # g x g^-1
                 order = np.lexsort(moved.T[::-1])
                 moved_odd = list(zip(map(tuple, moved[order].tolist()), orbs[order].tolist()))
                 solved[s] = (orb_i, c_even, moved_odd)
         orb_i, c_even, odd = solved.pop(k)
-        for x, orb_h in odd:
-            out.append(
-                MetacyclicCandidate(
-                    degree=n,
-                    c=c,
-                    x=x,
-                    inertia_order=len(powers),
-                    orbits_inertia=orb_i,
-                    orbits_full=orb_h,
-                    inertia_in_alternating=c_even,
-                )
-            )
+        c = tuple(c)
+        out += [MetacyclicCandidate(n, c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
     return out
 
 
@@ -536,11 +554,12 @@ def psl2_11_degree55() -> PermGroup:
     """PSL2(11) in its primitive degree-55 action: cosets of the normalizer of a
     cyclic subgroup of order 6 (a subgroup of order 12)."""
     G = psl2_natural(11)
-    c6 = next(c for c in G.elements if perm_order(c) == 6)
-    N = _normalizer(G, cyclic_powers(c6))
+    index = G.base_index
+    c6 = next(c for c in map(np.ndarray.tolist, index.arr) if perm_order(c) == 6)
+    N = _normalizer(G, _power_rows(index, c6))
     if len(N) != 12:
         raise GroupError(f"expected an order-12 normalizer, got {len(N)}")
-    return coset_action(G, N)
+    return coset_action(G, index.arr[N])
 
 
 # ---------------------------------------------------------------- small-group lattices
@@ -641,9 +660,7 @@ def _an_class_representatives(n: int) -> list[Perm]:
         reps.append(rep)
         if all(x % 2 == 1 for x in pt) and len(set(pt)) == len(pt):
             # class splits in A_n: add a conjugate by a transposition
-            t = list(range(n))
-            t[0], t[1] = t[1], t[0]
-            t = tuple(t)
+            t = (1, 0) + tuple(range(2, n))
             reps.append(compose(compose(t, rep), t))
     return reps
 
@@ -683,17 +700,16 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     if n > 7:
         raise GroupError("transitive typeset enumeration is desk-scale for n <= 7 only")
     A = alternating_group(n)
-    els = A.elements
     index = A.base_index
+    els = index.arr.tolist()
     table = index.table()
     inv_idx = index.find(index.inverse_base)
     limit = len(els) // n if n >= 5 else len(els) // 2
 
     def conjugates(s: frozenset[int]) -> set[frozenset[int]]:
         conj = np.sort(table[table[:, sorted(s)], inv_idx[:, None]], axis=1)
-        # equal sorted rows have equal bytes: one row per distinct conjugate
-        raw, width = conj.tobytes(), conj.shape[1] * conj.itemsize
-        distinct = {raw[i * width : (i + 1) * width]: i for i in range(len(conj))}
+        # one row per distinct conjugate
+        distinct = {key: i for i, key in enumerate(_row_keys(conj))}
         return {frozenset(row) for row in conj[list(distinct.values())].tolist()}
 
     reps = index.find(np.array(_an_class_representatives(n))[:, index.base]).tolist()

@@ -277,6 +277,20 @@ def test_specialize_branch_degree_other_than_pencil_degree_exits_4(capsys, tmp_p
     assert captured.out == ""
 
 
+def test_specialize_branch_past_the_enumeration_cap_exits_4(capsys, tmp_path):
+    # D = S_10 has 3628800 elements, past the default cap of 10^6
+    pencil = tmp_path / "s10.pencil"
+    pencil.write_text(
+        "form: general\ndegree: 10\ncoeff: k=0 num=1\ncoeff: k=10 num=1\n"
+        "branch: location=inf e=2 degree=10 D=(1,2,3,4,5,6,7,8,9,10);(1,2)\n"
+    )
+    code = main(["specialize", "--pencil", str(pencil), "--q", "19"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "parse error: line 5: group order exceeds enumeration cap 1000000\n"
+    assert captured.out == ""
+
+
 def test_root_number_undeclared_additive_prime_is_incomputable(capsys, tmp_path):
     # y^2 + xy = x^3 + x^2 + 5 has additive reduction at 5, found automatically
     curve = tmp_path / "curve.txt"

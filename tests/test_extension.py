@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,15 @@ from rootgain.extension import (
     split_count_from_profile,
     split_prime_count,
 )
-from rootgain.permgroup import perm_from_cycles
+from rootgain.inputfmt import ParseError, parse_pencil_file
+from rootgain.permgroup import (
+    GroupError,
+    PermGroup,
+    compose,
+    inverse,
+    perm_from_cycles,
+    symmetric_group,
+)
 
 
 def v4_pair(n=5):
@@ -136,6 +145,113 @@ def test_inertia_must_be_normal():
     x = perm_from_cycles("(1,2)", 4)
     with pytest.raises(Exception):
         DecompositionPair(4, (x, c), (x,))
+
+
+# ---------------------------------------------------------------- pair check oracle
+#
+# The check `DecompositionPair` made before it read element rows: element sets,
+# normality by compose loops, and D/I cyclic iff some x in D generates D
+# together with I, one closure per x.
+
+
+def _closure_verdict(degree, d_gens, i_gens):
+    D = PermGroup(degree, d_gens)
+    dset = D.element_set
+    iset = PermGroup(degree, i_gens).element_set
+    if not iset <= dset:
+        return "not a subgroup"
+    for g in d_gens:
+        gi = inverse(g)
+        if any(compose(compose(g, s), gi) not in iset for s in iset):
+            return "not normal"
+    if not any(PermGroup(degree, list(i_gens) + [x]).element_set == dset for x in D.elements):
+        return "not cyclic"
+    return "ok"
+
+
+VERDICTS = {
+    "inertia subgroup not contained in decomposition group": "not a subgroup",
+    "inertia subgroup is not normal in decomposition group": "not normal",
+    "tame flag set but D/I is not cyclic": "not cyclic",
+}
+
+
+def _row_verdict(degree, d_gens, i_gens):
+    try:
+        DecompositionPair(degree, tuple(d_gens), tuple(i_gens))
+    except GroupError as exc:
+        return VERDICTS[str(exc)]
+    return "ok"
+
+
+def _random_pair(rng):
+    """Generators of a D in S_4..S_6 moving a random set of points, and of an I
+    drawn from D's elements and powers, now and then from outside D."""
+    n = rng.randint(4, 6)
+
+    def perm_on(points):
+        images = list(range(n))
+        shuffled = rng.sample(points, len(points))
+        for a, b in zip(points, shuffled):
+            images[a] = b
+        return tuple(images)
+
+    d_gens = [perm_on(rng.sample(range(n), rng.randint(2, n))) for _ in range(rng.randint(1, 2))]
+    elements = PermGroup(n, d_gens).elements
+    i_gens = []
+    for _ in range(rng.randint(0, 2)):
+        pick = rng.random()
+        if pick < 0.1:
+            i_gens.append(perm_on(list(range(n))))
+        elif pick < 0.4:
+            g = rng.choice(d_gens)
+            i_gens.append(compose(g, g))
+        elif pick < 0.6 and len(d_gens) == 2:
+            a, b = d_gens
+            i_gens.append(compose(compose(a, b), compose(inverse(a), inverse(b))))
+        else:
+            i_gens.append(rng.choice(elements))
+    return n, d_gens, i_gens
+
+
+def test_pair_check_matches_closure_oracle_on_random_pairs():
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(600):
+        n, d_gens, i_gens = _random_pair(rng)
+        verdict = _closure_verdict(n, d_gens, i_gens)
+        assert _row_verdict(n, d_gens, i_gens) == verdict, (n, d_gens, i_gens)
+        seen.add(verdict)
+    assert seen == {"ok", "not a subgroup", "not normal", "not cyclic"}
+
+
+def _transposition(n, i):
+    return tuple(2 * i + 1 - j % 2 if j // 2 == i else j for j in range(n))
+
+
+def test_pair_check_accepts_groups_past_the_base_index():
+    # 12 disjoint transpositions on 24 points: a base of 12 points, so the
+    # dense index would need 24^12 codes; D/I is cyclic of order 2
+    d_gens = [_transposition(24, i) for i in range(12)]
+    with pytest.raises(GroupError):
+        PermGroup(24, d_gens).base_index
+    assert _row_verdict(24, d_gens, d_gens[:11]) == "ok"
+    assert _closure_verdict(24, d_gens, d_gens[:11]) == "ok"
+    # S_9 with I trivial: too large for the index, and S_9 is not cyclic
+    with pytest.raises(GroupError):
+        symmetric_group(9).base_index
+    assert _row_verdict(9, symmetric_group(9).generators, []) == "not cyclic"
+
+
+def test_s8_branch_record_is_rejected_at_its_line():
+    text = (
+        "form: general\ndegree: 8\ncoeff: k=0 num=1\ncoeff: k=8 num=1\n"
+        "branch: location=inf e=2 degree=8 D=(1,2,3,4,5,6,7,8);(1,2)\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_pencil_file(text)
+    assert info.value.lineno == 5
+    assert str(info.value) == "line 5: tame flag set but D/I is not cyclic"
 
 
 def test_split_count_monotone_and_bounded():

@@ -274,6 +274,20 @@ def test_centralizer_scan_matches_plain_loop(p):
         assert centralizer_scan(G, x) == _plain_centralizer(G, x)
 
 
+def test_kernels_leave_the_tuples_unbuilt():
+    G = psl2_natural(13)
+    metacyclic_odd_orbit_search(G)
+    x = next(g for g in map(tuple, G.element_array().tolist()) if perm_order(g) == 2)
+    C = centralizer_scan(G, x)
+    N = normalizer_scan(G, cyclic_powers(x))
+    assert coset_action(G, N).degree == G.order() // len(N)
+    assert "elements" not in vars(G) and "element_set" not in vars(G)
+    # the tuples a caller gets are the plain loop's, in G's element order
+    assert all(type(c) is tuple for c in C + N)
+    assert C == _plain_centralizer(G, x)
+    assert N == [g for g in G.elements if compose(compose(g, x), inverse(g)) in cyclic_powers(x)]
+
+
 def test_centralizer_of_transposition_in_s3():
     G = symmetric_group(3)
     C = centralizer_scan(G, cyc("(1,2)", 3))
@@ -551,7 +565,10 @@ def _search_rows(G, require_inertia_even=False):
 def _check_search_against_plain(G):
     reps, generated_by = cyclic_subgroup_representatives(G)
     plain = sorted(_plain_cyclic_subgroups(G).items(), key=lambda kv: (len(kv[0]), kv[1]))
-    assert reps == [(c, cyclic_powers(c)) for _, c in plain]
+    # the kernel returns rows; read them back as tuples
+    arr = G.element_array()
+    as_tuples = [(tuple(arr[c].tolist()), tuple(map(tuple, arr[p].tolist()))) for c, p in reps]
+    assert as_tuples == [(c, cyclic_powers(c)) for _, c in plain]
     position = {key: k for k, (key, _) in enumerate(plain)}
     assert generated_by.tolist() == [position[frozenset(cyclic_powers(g))] for g in G.elements]
     rows = _plain_metacyclic(G)
