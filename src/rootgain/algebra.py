@@ -454,12 +454,11 @@ def discriminant(f: PolyQ) -> Rational:
 
 
 def sturm_real_roots(f: PolyQ) -> int:
-    """Number of distinct real roots (the input is replaced by its squarefree part)."""
+    """Number of distinct real roots. The chain of f and f' ends in a multiple
+    of gcd(f, f'); dividing every term by it gives the Sturm chain of the
+    squarefree part and changes no sign pattern, so f need not be squarefree."""
     if f.is_zero():
         raise AlgebraError("Sturm count of the zero polynomial")
-    f = f.squarefree_part()
-    if f.degree == 0:
-        return 0
     chain = [f, f.derivative()]
     while not chain[-1].is_zero():
         chain.append(-(chain[-2] % chain[-1]))

@@ -197,6 +197,8 @@ def cmd_mestre(args) -> int:
 
 
 def cmd_specialize(args) -> int:
+    if args.limit < 1:
+        raise ParseError(0, f"--limit must be >= 1, got {args.limit}")
     with open(args.pencil, encoding="utf-8") as fh:
         pencil = parse_pencil_file(fh.read())
     curve = None

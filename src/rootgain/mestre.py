@@ -38,7 +38,7 @@ from .extension import (
     split_count_from_profile,
 )
 from .jacobian import CONDITIONAL_TOKEN
-from .permgroup import perm_order, transitive_typesets
+from .permgroup import perm_from_cycles, perm_order, transitive_typesets
 
 
 class MestreError(ValueError):
@@ -125,12 +125,10 @@ def psl2_11_degree12_pencil() -> Pencil:
             [-3 * s_num * s_num * C[i]]
         )
         coeffs.append((num, den2))
-    from .permgroup import centralizer_scan, perm_order, psl2_natural
-
-    G = psl2_natural(11)
-    c = next(g for g in G.elements if perm_order(g) == 2)
-    Ccent = centralizer_scan(G, c)
-    x = next(g for g in Ccent if perm_order(g) == 2 and g != c)
+    # the first involution of psl2_natural(11) and the first other involution
+    # of its centralizer, in element order
+    c = perm_from_cycles("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)
+    x = perm_from_cycles("(1,8)(2,10)(3,5)(4,12)(6,9)(7,11)", 12)
     pair = DecompositionPair(12, (c, x), (c,))
     bps = (
         BranchPoint("inf", 2, inertia_class="2A", pair=pair),
@@ -390,6 +388,27 @@ def _unramified_as_required(facts: PolyFacts, conditions) -> bool:
     return all(valuation(facts.disc, c.prime) == 0 for c in conditions if c.kind == UNRAMIFIED_AT)
 
 
+def _certified_fiber(
+    P: Pencil, t0: Fraction, declared: dict, conditions, primes: list[int] | None = None
+) -> ExtensionProfile | None:
+    """The fiber at t0 through specialize, the unramified_at conditions and
+    build_profile (profiles computed at `primes`); None on any failure, or
+    when its irreducibility is not certified."""
+    try:
+        facts = PolyFacts(specialize(P, t0))
+    except SpecializationError:
+        return None
+    if not _unramified_as_required(facts, conditions):
+        return None
+    try:
+        prof = build_profile(facts, declared=declared, primes=primes)
+    except ValueError:
+        return None
+    if not (prof.irreducibility and prof.irreducibility.certified):
+        return None
+    return prof
+
+
 def find_reference_specialization(
     P: Pencil,
     q: int,
@@ -409,23 +428,12 @@ def find_reference_specialization(
             c for c in constraints.conditions if not (c.prime == q and c.kind == VALUATION_EQUALS)
         ),
     )
+    conditions = base.conditions + (PrimeCondition(q, UNRAMIFIED_AT),)
     declared = dict(matched_profiles or {})
     for t0 in enumerate_t0(base, P.branch_locations()):
-        try:
-            facts = PolyFacts(specialize(P, t0))
-        except SpecializationError:
-            continue
-        if valuation(facts.disc, q) != 0:
-            continue
-        if not _unramified_as_required(facts, base.conditions):
-            continue
-        try:
-            prof = build_profile(facts, declared=declared, primes=[q])
-        except ValueError:
-            continue
-        if not (prof.irreducibility and prof.irreducibility.certified):
-            continue
-        return SpecializationRecord(t0, facts.poly, prof, "reference")
+        prof = _certified_fiber(P, t0, declared, conditions, primes=[q])
+        if prof is not None:
+            return SpecializationRecord(t0, prof.poly, prof, "reference")
     raise SpecializationError(
         f"no reference specialization unramified at {q} below height {base.height_bound}"
     )
@@ -443,25 +451,15 @@ def _evaluate_candidate(
 ) -> SpecializationRecord | None:
     """One t0, already through enumerate_t0's exact conditions, through the
     full pipeline; None when any check fails."""
-    try:
-        facts = PolyFacts(specialize(P, t0))
-    except SpecializationError:
+    prof = _certified_fiber(P, t0, declared, conditions)
+    if prof is None or prof.signature != reference.profile.signature:
         return None
-    if not _unramified_as_required(facts, conditions):
-        return None
-    try:
-        prof = build_profile(facts, declared=declared)
-    except ValueError:
-        return None
-    if prof.signature != reference.profile.signature:
-        return None
-    if not (prof.irreducibility and prof.irreducibility.certified):
-        return None
-    s_candidate = split_count_from_profile(declared[q], reduction)
-    s_reference = split_count_from_profile(reference.profile.profile_at(q), reduction)
-    ratio = (-1) ** (s_candidate + s_reference)
     full = None
-    if curve is not None:
+    if curve is None:
+        s_candidate = split_count_from_profile(declared[q], reduction)
+        s_reference = split_count_from_profile(reference.profile.profile_at(q), reduction)
+        ratio = (-1) ** (s_candidate + s_reference)
+    else:
         ratio = root_number_ratio(curve, prof, reference.profile, q)
         try:
             full = root_number_over_extension(curve, prof)
@@ -475,7 +473,7 @@ def _evaluate_candidate(
     )
     return SpecializationRecord(
         t0,
-        facts.poly,
+        prof.poly,
         prof,
         "candidate",
         ratio=ratio,

@@ -633,38 +633,6 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
 # ---------------------------------------------------------------- transitive type tables
 
 
-def _an_class_representatives(n: int) -> list[Perm]:
-    """One permutation per conjugacy class of A_n (split classes get two), by
-    cycle type in descending partition order: the identity comes last."""
-
-    def partitions(total, maxpart):
-        if total == 0:
-            yield []
-            return
-        for k in range(min(total, maxpart), 0, -1):
-            for rest in partitions(total - k, k):
-                yield [k] + rest
-
-    reps = []
-    for pt in partitions(n, n):
-        if (n - len(pt)) % 2 != 0:
-            continue
-        images = list(range(n))
-        pos = 0
-        for ln in pt:
-            pts = list(range(pos, pos + ln))
-            for i in range(ln):
-                images[pts[i]] = pts[(i + 1) % ln]
-            pos += ln
-        rep = tuple(images)
-        reps.append(rep)
-        if all(x % 2 == 1 for x in pt) and len(set(pt)) == len(pt):
-            # class splits in A_n: add a conjugate by a transposition
-            t = (1, 0) + tuple(range(2, n))
-            reps.append(compose(compose(t, rep), t))
-    return reps
-
-
 def group_typeset(elements) -> frozenset[tuple[int, ...]]:
     return frozenset(cycle_type(e) for e in elements)
 
@@ -712,10 +680,13 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
         distinct = {key: i for i, key in enumerate(_row_keys(conj))}
         return {frozenset(row) for row in conj[list(distinct.values())].tolist()}
 
-    reps = index.find(np.array(_an_class_representatives(n))[:, index.base]).tolist()
-    class_of = np.empty(len(els), dtype=np.intp)
-    for k, x in enumerate(reps):
-        class_of[table[table[:, x], inv_idx]] = k  # g x g^-1 for every g
+    # a class per unmarked row from the last back, so the identity (row 0) is last
+    reps: list[int] = []
+    class_of = np.full(len(els), -1, dtype=np.intp)
+    for x in range(len(els) - 1, -1, -1):
+        if class_of[x] < 0:
+            class_of[table[table[:, x], inv_idx]] = len(reps)  # g x g^-1 for every g
+            reps.append(x)
 
     found: dict[frozenset[int], list[int]] = {}
     for k, x in enumerate(reps):

@@ -176,6 +176,12 @@ def test_sturm_examples():
     # X(X^2-1)(X^2-4): roots 0, +-1, +-2
     f = PolyQ([0, 4, 0, -5, 0, 1])
     assert sturm_real_roots(f) == 5
+    # repeated roots count once: the chain need not start from a squarefree f
+    x2m2, xp1 = PolyQ([-2, 0, 1]), PolyQ([1, 1])
+    assert sturm_real_roots(x2m2 * x2m2 * xp1 * xp1 * xp1) == 3
+    assert sturm_real_roots(PolyQ([1, 0, 1]) * PolyQ([1, 0, 1])) == 0
+    assert sturm_real_roots(PolyQ([-1, 1]) ** 4 * PolyQ([1, 0, 1])) == 1
+    assert sturm_real_roots(PolyQ([5])) == 0
 
 
 def test_sturm_zero_poly_rejected():

@@ -412,6 +412,14 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
         ),
         (["orbit-search", "psl2", "11", "--cap", "0"], "--cap must be >= 1, got 0"),
         (["orbit-search", "psl2", "11", "--cap", "-3"], "--cap must be >= 1, got -3"),
+        (
+            ["specialize", "--pencil", "PENCIL", "--q", "19", "--limit", "0"],
+            "--limit must be >= 1, got 0",
+        ),
+        (
+            ["specialize", "--pencil", "PENCIL", "--q", "19", "--limit", "-1"],
+            "--limit must be >= 1, got -1",
+        ),
     ],
 )
 def test_invalid_option_values_exit_4(
@@ -771,6 +779,55 @@ def test_specialize_deterministic_same_seed(capsys, pencil_file):
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
+
+
+# y^2 = x(x+1)(x - 19): split multiplicative at 19, 2 and 3 declared
+SPLIT_AT_19_CURVE = (
+    "a1: 0\na2: -18\na3: 0\na4: -19\na6: 0\n"
+    "local: p=2 type=declared w=+1\nlocal: p=3 type=declared w=+1\n"
+)
+MESTRE_PENCIL = (
+    "form: mestre\nf: 1,0,-164,0,2304,0\ng: 1,0,-559076/12249,0,2975047936/16670889\n"
+    "branch: location=inf e=2 degree=5 D=(1,2)(3,4)\n"
+)
+PSL11_PLAIN_DIGEST = "8ab73973f5cf6ae5ded113610f92ba6d07f6a8b18fbb54debc72934e3c00dd22"
+
+
+@pytest.mark.parametrize(
+    "pencil_text, options, digest",
+    [
+        ("family: psl2-11-degree12\n", ["--height", "200"], PSL11_PLAIN_DIGEST),
+        # at a split multiplicative q the root-number ratio is the split-count one
+        (
+            "family: psl2-11-degree12\n",
+            ["--height", "200", "--curve", "CURVE"],
+            PSL11_PLAIN_DIGEST,
+        ),
+        (
+            "family: psl2-11-degree12\n",
+            ["--height", "200", "--congruent", "13:2:1"],
+            "b0f38ce4c043941506ae6e4577b2a25010eb14bb4708ef11525ab07803e96889",
+        ),
+        (
+            MESTRE_PENCIL,
+            ["--height", "100"],
+            "2a82782afc733302915946d73a345e3cd64fa41ebb6c782efc71999e4dd7feb2",
+        ),
+    ],
+    ids=["psl2-11", "psl2-11-curve", "psl2-11-congruent", "mestre"],
+)
+def test_specialize_reports_are_pinned(capsys, tmp_path, pencil_text, options, digest):
+    # reports are byte-identical across versions unless a change says otherwise
+    pencil = tmp_path / "p.pencil"
+    pencil.write_text(pencil_text)
+    curve = tmp_path / "curve.txt"
+    curve.write_text(SPLIT_AT_19_CURVE)
+    options = [str(curve) if o == "CURVE" else o for o in options]
+    argv = ["specialize", "--pencil", str(pencil), "--q", "19", "--limit", "2", *options]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from rootgain.mestre import (
     search_rank_gain,
     specialize,
 )
-from rootgain.permgroup import perm_from_cycles
+from rootgain.permgroup import centralizer_scan, perm_from_cycles, perm_order, psl2_natural
 
 F1 = PolyQ([0, 2304, 0, -164, 0, 1])  # X(X^4 - 164X^2 + 2304)
 G1 = PolyQ([F(2975047936, 16670889), 0, F(-559076, 12249), 0, 1])
@@ -140,6 +140,17 @@ def test_specialize_psl2_11_at_one():
     assert h.degree == 12
     # s(1) = 62208 / 12 = 5184 feeds the family; the cleared fiber is integral
     assert all(c.denominator == 1 for c in h.coeffs)
+
+
+def test_psl2_11_pencil_involutions_match_the_group():
+    # the pencil writes the pair as literals; derive it from PSL2(11): the first
+    # involution in element order and the first other involution commuting with it
+    G = psl2_natural(11)
+    c = next(g for g in G.elements if perm_order(g) == 2)
+    x = next(g for g in centralizer_scan(G, c) if perm_order(g) == 2 and g != c)
+    bp = psl2_11_degree12_pencil().branch_points[0]
+    assert bp.pair.decomposition_gens == (c, x)
+    assert bp.pair.inertia_gens == (c,)
 
 
 def test_specialize_rejects_branch_point_and_degree_drop():
