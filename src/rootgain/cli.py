@@ -17,7 +17,8 @@ from operator import attrgetter
 
 from .algebra import NotASquare, PolyFacts, poly_from_descending_string, rational_sqrt
 from .algebra import unproven_prime_reason
-from .extension import ExtensionError, Incomputable, build_profile, root_number_over_extension
+from .extension import ExtensionError, Incomputable, build_profile, certify_irreducible
+from .extension import root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
 from .inputfmt import parse_prime, parse_value
 from .jacobian import CONDITIONAL_TOKEN, JacobianError, hyperelliptic_rank_gain_report
@@ -137,14 +138,14 @@ def cmd_root_number(args) -> int:
     lines = [DISCLAIMER]
     try:
         prof = build_profile(facts, declared=declared, primes=computable)
+        cert = certify_irreducible(facts)
     except ValueError as exc:
         lines.append(f"W(E/F) = Incomputable: {exc}")
         _emit(lines, args.out)
         return EXIT_EMPTY
     r1, r2 = prof.signature
     lines.append(f"# extension degree {prof.degree}, signature ({r1},{r2})")
-    cert = prof.irreducibility
-    lines.append(f"# irreducibility: {cert.status}" if cert else "# irreducibility: n/a")
+    lines.append(f"# irreducibility: {cert.status}")
     for p in sorted(prof.prime_profiles):
         pairs = ",".join(f"{e}:{f}" for e, f in prof.prime_profiles[p])
         lines.append(f"# profile p={p} [{pairs}] ({prof.provenance[p]})")
@@ -339,10 +340,10 @@ def cmd_profile(args) -> int:
             skipped.append(p)
     try:
         prof = build_profile(facts, declared=declared, primes=computable)
+        cert = certify_irreducible(facts)
     except ExtensionError as exc:
         sys.stderr.write(f"Incomputable: {exc}\n")
         return EXIT_EMPTY
-    cert = prof.irreducibility
     lines = [
         f"# poly (leading first): {_descending(poly)}",
         f"signature: ({prof.signature[0]},{prof.signature[1]})",

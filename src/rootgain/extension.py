@@ -69,44 +69,71 @@ class IrreducibilityCertificate:
         return self.status in ("irreducible_mod_p", "pattern_incompatible")
 
 
-def _splittable(pattern: tuple[int, ...], part: int) -> bool:
-    """Can a sub-multiset of the factor degrees sum to `part`?"""
-    reachable = 1  # bitmask of achievable sums
+# good primes an irreducibility certificate reads before it gives up
+_CERTIFICATE_PRIMES = 50
+
+
+def _split_sizes(n: int) -> int:
+    """Bitmask of the split sizes a in [1, n/2] of a degree-n polynomial."""
+    return (1 << (n // 2 + 1)) - 2
+
+
+def _subset_sums(pattern: tuple[int, ...]) -> int:
+    """Bitmask of the sums of sub-multisets of the factor degrees."""
+    reachable = 1
     for d in pattern:
         reachable |= reachable << d
-    return bool(reachable >> part & 1)
+    return reachable
 
 
-def certify_irreducible(h: PolyQ | PolyFacts, max_primes: int = 50) -> IrreducibilityCertificate:
+def _check_certifiable(facts: PolyFacts) -> None:
+    if facts.poly.degree < 1:
+        raise ExtensionError("constant polynomial")
+    if facts.disc == 0:
+        raise ExtensionError("inseparable polynomial is reducible")
+
+
+def certify_irreducible(
+    h: PolyQ | PolyFacts, max_primes: int = _CERTIFICATE_PRIMES
+) -> IrreducibilityCertificate:
     """Certify irreducibility over Q from mod-p factor patterns.
 
     Either some good prime has h irreducible mod p, or the observed patterns
     admit no common split n = a + (n-a); otherwise status "unverified" (never
-    silently assumed irreducible).
+    silently assumed irreducible). Scans to the first irreducible reduction,
+    which it names as the witness, or to max_primes good primes.
     """
     facts = PolyFacts.of(h)
-    h = facts.poly
-    if h.degree < 1:
-        raise ExtensionError("constant polynomial")
-    if h.degree == 1:
+    _check_certifiable(facts)
+    n = facts.poly.degree
+    if n == 1:
         return IrreducibilityCertificate("irreducible_mod_p", None, ())
-    if facts.disc == 0:
-        raise ExtensionError("inseparable polynomial is reducible")
-    patterns: list[tuple[int, ...]] = []
-    for p, pattern in facts.frobenius(max_primes):
-        if pattern == (h.degree,):
-            return IrreducibilityCertificate(
-                "irreducible_mod_p", p, tuple(sorted(set(patterns)))
-            )
-        patterns.append(pattern)
-    uniq = tuple(sorted(set(patterns)))
     # h = h1*h2 with deg h1 = a forces every mod-p pattern to split as a + (n-a)
-    compatible_split_exists = any(
-        all(_splittable(pat, a) for pat in uniq) for a in range(1, h.degree // 2 + 1)
-    )
-    if uniq and not compatible_split_exists:
-        return IrreducibilityCertificate("pattern_incompatible", None, uniq)
-    return IrreducibilityCertificate("unverified", None, uniq)
+    splits = _split_sizes(n)
+    patterns: set[tuple[int, ...]] = set()
+    for p, pattern in facts.frobenius(max_primes):
+        if pattern == (n,):
+            return IrreducibilityCertificate("irreducible_mod_p", p, tuple(sorted(patterns)))
+        patterns.add(pattern)
+        splits &= _subset_sums(pattern)
+    status = "unverified" if splits else "pattern_incompatible"
+    return IrreducibilityCertificate(status, None, tuple(sorted(patterns)))
+
+
+def irreducibility_settled(h: PolyQ | PolyFacts) -> bool:
+    """certify_irreducible(h).certified, read only up to the first
+    good prime whose pattern leaves no split size: the full-degree pattern
+    (n,) allows none, and the set of allowed sizes only shrinks as patterns
+    are added."""
+    facts = PolyFacts.of(h)
+    _check_certifiable(facts)
+    splits = _split_sizes(facts.poly.degree)
+    if splits:
+        for _, pattern in facts.frobenius(_CERTIFICATE_PRIMES):
+            splits &= _subset_sums(pattern)
+            if not splits:
+                break
+    return not splits
 
 
 # ---------------------------------------------------------------- profiles
@@ -121,7 +148,6 @@ class ExtensionProfile:
     signature: tuple[int, int]  # (r1, r2)
     prime_profiles: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     provenance: dict[int, str] = field(default_factory=dict)
-    irreducibility: IrreducibilityCertificate | None = None
     facts: PolyFacts | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -190,13 +216,11 @@ def build_profile(
             continue
         profiles[p] = tuple(sorted(profile_at_unramified(facts, p)))
         provenance[p] = COMPUTED_UNRAMIFIED
-    cert = certify_irreducible(facts)
     return ExtensionProfile(
         poly=h,
         signature=(r1, r2),
         prime_profiles=profiles,
         provenance=provenance,
-        irreducibility=cert,
         facts=facts,
     )
 

@@ -32,6 +32,7 @@ from .extension import (
     ExtensionProfile,
     build_profile,
     certify_irreducible,
+    irreducibility_settled,
     profile_from_decomposition,
     root_number_over_extension,
     root_number_ratio,
@@ -141,8 +142,9 @@ def psl2_11_degree12_pencil() -> Pencil:
 
 def specialize(P: Pencil, t0: Rational) -> PolyQ:
     """F(t0, X) cleared to a primitive integral polynomial (positive leading
-    coefficient); rejects declared branch points, coefficient poles, degree
-    drops and inseparable fibers."""
+    coefficient); rejects declared branch points, coefficient poles and degree
+    drops. An inseparable fiber is returned: its discriminant is 0, which the
+    search reads off its PolyFacts."""
     t0 = Fraction(t0)
     if t0 in P.branch_locations():
         raise SpecializationError(f"t0 = {t0} is a declared branch point")
@@ -157,8 +159,6 @@ def specialize(P: Pencil, t0: Rational) -> PolyQ:
         raise SpecializationError(
             f"degree drop at t0 = {t0}: got {h.degree}, expected {P.degree_x}"
         )
-    if not h.is_separable():
-        raise SpecializationError(f"inseparable specialization at t0 = {t0}")
     return h.primitive_integral()
 
 
@@ -392,21 +392,20 @@ def _certified_fiber(
     P: Pencil, t0: Fraction, declared: dict, conditions, primes: list[int] | None = None
 ) -> ExtensionProfile | None:
     """The fiber at t0 through specialize, the unramified_at conditions and
-    build_profile (profiles computed at `primes`); None on any failure, or
-    when its irreducibility is not certified."""
+    build_profile (profiles computed at `primes`); None on any failure, when
+    the fiber is inseparable, or when its irreducibility is not certified.
+    Only the good primes up to the one that settles irreducibility are read."""
     try:
         facts = PolyFacts(specialize(P, t0))
     except SpecializationError:
         return None
-    if not _unramified_as_required(facts, conditions):
+    if facts.disc == 0 or not _unramified_as_required(facts, conditions):
         return None
     try:
         prof = build_profile(facts, declared=declared, primes=primes)
     except ValueError:
         return None
-    if not (prof.irreducibility and prof.irreducibility.certified):
-        return None
-    return prof
+    return prof if irreducibility_settled(facts) else None
 
 
 def find_reference_specialization(

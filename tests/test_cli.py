@@ -165,8 +165,15 @@ def test_root_number_worked_example(capsys, curve_file, extension_file):
         capsys, ["root-number", "--curve", curve_file, "--extension", extension_file]
     )
     assert code == 0
-    assert "W(E/F) = -1" in out
-    assert "conditional-on-parity-conjecture" in out
+    assert out == (
+        "# every rank-gain verdict below is conditional-on-parity-conjecture; "
+        "root numbers are unconditional\n"
+        "# extension degree 5, signature (5,0)\n"
+        "# irreducibility: irreducible_mod_p\n"
+        "# profile p=2 [1:1,1:1,1:1,1:1,1:1] (declared)\n"
+        "# profile p=5 [1:1,2:2] (declared)\n"
+        "W(E/F) = -1\n"
+    )
 
 
 def test_root_number_trivial_extension(capsys, curve_file, tmp_path):
@@ -830,6 +837,34 @@ def test_specialize_reports_are_pinned(capsys, tmp_path, pencil_text, options, d
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_specialize_skips_an_inseparable_fiber(capsys, tmp_path):
+    # X^4 + 2X^2 - t is (X^2 + 1)^2 at t0 = -1, which --valuation 0 lets through
+    # to the candidate side, past the declared profile and the signature
+    pencil = tmp_path / "p.pencil"
+    pencil.write_text(
+        "form: general\ndegree: 4\ncoeff: k=0 num=-1,0\ncoeff: k=1 num=0\n"
+        "coeff: k=2 num=2\ncoeff: k=3 num=0\ncoeff: k=4 num=1\n"
+        "branch: location=inf e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)\n"
+    )
+    argv = [
+        "specialize", "--pencil", str(pencil), "--q", "19", "--valuation", "0",
+        "--height", "30", "--limit", "2", "--exclude", "2,3",
+    ]
+    code, out = run(capsys, argv)
+    assert code == 0
+    flag = "conditional-on-parity-conjecture"
+    assert out == (
+        f"# every rank-gain verdict below is {flag}; root numbers are unconditional\n"
+        "# pencil general, designated prime 19, height bound 30, seed 0\n"
+        "role\tt0\tpolynomial\tprofiles\tratio\tflag\tfingerprint\tan_parity\n"
+        "reference\t1\t1,0,2,0,-1\tp=19[1:4]\t\treference\t-\tnonsquare-disc\n"
+        f"candidate\t10/9\t9,0,18,0,-10\tp=19[2:1,2:1]\t-1\topposite-root-numbers {flag}"
+        "\tdistinct\tnonsquare-disc\n"
+        f"candidate\t9/10\t10,0,20,0,-9\tp=19[2:1,2:1]\t-1\topposite-root-numbers {flag}"
+        "\tdistinct\tnonsquare-disc\n"
+    )
+
+
 @pytest.mark.parametrize(
     "pencil_text, options",
     [
@@ -866,6 +901,34 @@ def test_profile_report(capsys, extension_file):
     assert "profile p=5 [1:1,2:2] (declared)" in out
     assert "profile p=7" in out and "computed_unramified" in out
     assert "p=3 requires-declared-profile" in out
+
+
+def test_reports_print_the_full_irreducibility_certificate(capsys, tmp_path, curve_file):
+    # X^5 - 5X + 6: the patterns at 3, 7 and 11 already leave no split, but the
+    # printed certificate names the first irreducible reduction, at 23
+    ext = tmp_path / "quintic.txt"
+    ext.write_text("poly: 1,0,0,0,-5,6\n")
+    code, out = run(capsys, ["profile", "--extension", str(ext), "--primes", "3,5,7,11,13"])
+    assert code == 0
+    assert out == (
+        "# poly (leading first): 1,0,0,0,-5,6\n"
+        "signature: (1,2)\n"
+        "irreducibility: irreducible_mod_p witness p=23\n"
+        "profile p=3 [1:1,1:2,1:2] (computed_unramified)\n"
+        "profile p=7 [1:1,1:4] (computed_unramified)\n"
+        "profile p=11 [1:2,1:3] (computed_unramified)\n"
+        "profile p=5 requires-declared-profile (divides disc or leading coefficient)\n"
+        "profile p=13 requires-declared-profile (divides disc or leading coefficient)\n"
+    )
+    code, out = run(capsys, ["root-number", "--curve", curve_file, "--extension", str(ext)])
+    assert code == 3
+    assert out == (
+        "# every rank-gain verdict below is conditional-on-parity-conjecture; "
+        "root numbers are unconditional\n"
+        "# extension degree 5, signature (1,2)\n"
+        "# irreducibility: irreducible_mod_p\n"
+        "W(E/F) = Incomputable: incomputable at p=2: declared prime with no profile for F\n"
+    )
 
 
 # ---------------------------------------------------------------- output files

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rootgain.algebra import PolyQ, discriminant, valuation
+from rootgain.algebra import PolyFacts, PolyQ, discriminant, valuation
 from rootgain.ellcurve import CurveLocalData, EllipticCurveData, LocalReductionData
 from rootgain.extension import (
     DecompositionPair,
@@ -15,6 +17,7 @@ from rootgain.extension import (
     build_profile,
     certify_irreducible,
     check_declared_profile,
+    irreducibility_settled,
     klein_four_local,
     profile_at_unramified,
     profile_from_decomposition,
@@ -25,6 +28,7 @@ from rootgain.extension import (
     split_prime_count,
 )
 from rootgain.inputfmt import ParseError, parse_pencil_file
+from rootgain.mestre import psl2_11_degree12_pencil, specialize
 from rootgain.permgroup import (
     GroupError,
     PermGroup,
@@ -402,6 +406,45 @@ def test_certify_reducible_stays_unverified():
     cert = certify_irreducible(h)
     assert not cert.certified
     assert cert.status == "unverified"
+
+
+@st.composite
+def monic_products(draw):
+    """A monic integer polynomial of degree 1..12, or the product of two."""
+    degree = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    h = PolyQ(coeffs + [1])
+    if degree < 12 and draw(st.booleans()):
+        other = draw(st.integers(1, 12 - degree))
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=other, max_size=other))
+        h = h * PolyQ(coeffs + [1])
+    return h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(monic_products())
+# PSL2(11) fibers have no irreducible reduction: certified by incompatible patterns
+@example(specialize(psl2_11_degree12_pencil(), F(-1)))
+@example(specialize(psl2_11_degree12_pencil(), F(-18, 19)))
+@example(PolyQ([6, -5, 0, 0, 0, 1]))
+def test_irreducibility_settled_is_the_certified_bit(h):
+    if discriminant(h) == 0:
+        for check in (certify_irreducible, irreducibility_settled):
+            with pytest.raises(ExtensionError):
+                check(h)
+        return
+    assert irreducibility_settled(h) == certify_irreducible(h).certified
+
+
+def test_irreducibility_settles_before_the_witness_prime():
+    # X^5 - 5X + 6: the patterns (1,2,2) at 3, (1,4) at 7 and (2,3) at 11 leave
+    # no split size, while the first irreducible reduction is at 23
+    facts = PolyFacts(PolyQ([6, -5, 0, 0, 0, 1]))
+    assert irreducibility_settled(facts)
+    assert sorted(facts._patterns) == [3, 7, 11]
+    cert = certify_irreducible(facts)
+    assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 23)
+    assert cert.patterns == ((1, 1, 3), (1, 2, 2), (1, 4), (2, 3))
 
 
 # ---------------------------------------------------------------- cross-module

@@ -1,14 +1,22 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import factorial
 
 import pytest
 
 from rootgain.algebra import NotASquare, PolyQ, discriminant, rational_sqrt, valuation
 from rootgain.ellcurve import CurveLocalData, EllipticCurveData, LocalReductionData
-from rootgain.extension import DecompositionPair, certify_irreducible, root_number_over_extension
+from rootgain.extension import (
+    DecompositionPair,
+    certify_irreducible,
+    profile_from_decomposition,
+    root_number_over_extension,
+)
 from rootgain.mestre import (
     CONDITIONAL_TOKEN,
+    UNRAMIFIED_AT,
+    VALUATION_EQUALS,
     BranchPoint,
     MestreError,
     PrimeCondition,
@@ -25,6 +33,7 @@ from rootgain.mestre import (
     search_rank_gain,
     specialize,
 )
+from rootgain.mestre import _certified_fiber
 from rootgain.permgroup import centralizer_scan, perm_from_cycles, perm_order, psl2_natural
 
 F1 = PolyQ([0, 2304, 0, -164, 0, 1])  # X(X^4 - 164X^2 + 2304)
@@ -450,6 +459,25 @@ def test_search_enforces_unramified_conditions():
     reference = find_reference_specialization(pencil, 19, cons)
     assert valuation(reference.t0 - 2, 13) >= 1
     assert valuation(discriminant(reference.poly), 23) == 0
+
+
+def test_search_fibers_read_primes_only_until_irreducibility_settles():
+    # PSL2(11) on 12 points has no 12-cycle, so no fiber is irreducible mod p
+    # and the full certificate reads 50 good primes; the search stops at the
+    # first prime whose pattern leaves no split size
+    pencil = psl2_11_degree12_pencil()
+    q = 19
+    reference = _certified_fiber(
+        pencil, F(-1), {}, (PrimeCondition(q, UNRAMIFIED_AT),), primes=[q]
+    )
+    fibers = [reference]
+    cons = SearchConstraints((PrimeCondition(q, VALUATION_EQUALS, -1),), 40, (2, 3, 5, 7, 11))
+    declared = {q: profile_from_decomposition(pencil.branch_points[0].pair)}
+    for t0 in islice(enumerate_t0(cons, pencil.branch_locations()), 6):
+        fibers.append(_certified_fiber(pencil, t0, declared, cons.conditions))
+    for prof in fibers:
+        assert len(prof.facts._patterns) <= 16
+        assert certify_irreducible(prof.facts).status == "pattern_incompatible"
 
 
 def test_reference_error_names_the_height_searched():
