@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
@@ -361,7 +362,10 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing keeps no
+    state in it, since each call fills a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="rootgain",
         description="Root numbers of elliptic curves and semistable Jacobians "

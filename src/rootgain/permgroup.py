@@ -479,6 +479,20 @@ def cyclic_subgroup_representatives(
     return reps, generated_by
 
 
+def _cycle_counts(xs: np.ndarray) -> np.ndarray:
+    """The number of cycles of each row of xs, a permutation, counted as the
+    points that are the least of their cycle. With least[i] the least of x^j(i)
+    over j < w and jump = x^w, one doubling step makes w twice as large; once w
+    reaches the degree, least[i] is the least point of the cycle of i."""
+    points = np.arange(xs.shape[1], dtype=xs.dtype)
+    least, jump, w = np.broadcast_to(points, xs.shape), xs, 1
+    while w < xs.shape[1]:
+        least = np.minimum(least, np.take_along_axis(least, jump, axis=1))
+        jump = np.take_along_axis(jump, jump, axis=1)
+        w *= 2
+    return (least == points).sum(axis=1)
+
+
 # ---------------------------------------------------------------- metacyclic search
 
 
@@ -531,7 +545,10 @@ def metacyclic_odd_orbit_search(
             orb_i = orbit_count([c], n)
             c_even = sign(c) == 1
             xs = arr[_normalizer(G, powers) if c_even or not require_inertia_even else []]
-            orbs = np.array([orbit_count([c, x], n) for x in xs.tolist()], dtype=np.intp)
+            if len(powers) == 1:  # <1, x> = <x>, whose orbits are the cycles of x
+                orbs = _cycle_counts(xs)
+            else:
+                orbs = np.array([orbit_count([c, x], n) for x in xs.tolist()], dtype=np.intp)
             is_odd = (n - orbs) % 2 == 1
             xs, orbs = xs[is_odd], orbs[is_odd]
             # g c g^-1 on the base for every g, and the subgroup it generates
@@ -601,13 +618,83 @@ def _coset_extensions(s: frozenset[int], gens: list[int], table: np.ndarray, lim
             yield gens + [g], _proper_closure(gens + [g], table, limit)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of a bitmask, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _least(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _right_cosets(members: list[int], bit_rows: list[list[int]]) -> list[int]:
+    """For each element x, the bitmask of the right coset s x of the subgroup s
+    on `members`, where bit_rows[a][x] is the bitmask of the one element a x:
+    the sum over a in s of bit_rows[a][x], whose bits are distinct."""
+    return list(map(sum, zip(*[bit_rows[a] for a in members])))
+
+
+def _double_coset_reps(
+    s: int, members: list[int], cosets: list[int], rows: list[list[int]], whole: int
+) -> Iterator[int]:
+    """The least element g of each double coset s g s other than s, ascending.
+    s g s is the union of the right cosets s (g b) over b in s; a walk over g in
+    ascending order meets each double coset first at its least element."""
+    uncovered = whole & ~s
+    while uncovered:
+        g = _least(uncovered)
+        yield g
+        row = rows[g]
+        for b in members:
+            uncovered &= ~cosets[row[b]]
+
+
+def _join(
+    s: int, order: int, gens: list[int], cosets: list[int], rows: list[list[int]], half: int
+) -> int | None:
+    """The bitmask of the subgroup generated by `gens`, which contains s (of the
+    given order) as a union of right cosets, or None once it passes `half`
+    elements.
+
+    Dimino's coset-by-coset closure: K is a union of right cosets s r, starting
+    with s, which any of its elements represents. Whenever r a leaves K, for a
+    representative r and a generator a, the whole coset s (r a) joins K. K ends
+    closed under right multiplication by every generator, so it is the subgroup
+    they generate."""
+    joined, reps = s, [_least(s)]
+    for r in reps:
+        row = rows[r]
+        for a in gens:
+            x = row[a]
+            if not joined >> x & 1:
+                joined |= cosets[x]
+                reps.append(x)
+                if len(reps) * order > half:
+                    return None
+    return joined
+
+
 def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     """Every subgroup of a small group, as (index set, generating indices).
 
     Cyclic subgroups first, then single-element extensions to a fixpoint; this
     reaches every subgroup since any chain <g1> <= <g1,g2> <= ... realizes it.
-    Upward, one g per double coset s g s is tried (`_coset_extensions`). Raises
-    GroupError when the elements are not closed under composition.
+    Subgroups are Python-int bitmasks over the element indices until the end.
+    For each queued subgroup s, the masks of its right cosets s x are summed
+    from the product table's rows of one-element masks (`_right_cosets`); one
+    g per double coset s g s is tried (`_double_coset_reps`), and <s, g> is
+    joined a whole right coset at a time (`_join`). A closure that passes half
+    the order is the whole group.
+
+    Three exact prunings skip only joins whose result is already found, so
+    every subgroup keeps the generator list of its first producer:
+    - s = <e> is not extended: each <e, g> = <g> came from the cyclic pass.
+    - s with 2|s| > |G|/2 is not extended: by Lagrange every proper overgroup
+      of s has order at least 2|s|, so every join is the whole group, which is
+      recorded from the least g outside s if it is new.
+    - g is skipped when <g> was already joined to s: <s, g> = <s, <g>>.
+    Raises GroupError when the elements are not closed under composition.
     """
     arr = np.array([tuple(e) for e in elements], dtype=np.int32)
     table = _BaseIndex(arr).table()
@@ -615,19 +702,41 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     # products, [a, b, i] = a(b(i))
     if not np.array_equal(arr[:, arr], arr[table]):
         raise GroupError("all_subgroups: the elements are not closed under composition")
-    whole = frozenset(range(len(arr)))
+    rows = table.tolist()
+    bit_rows = [[1 << x for x in row] for row in rows]
+    whole = (1 << len(arr)) - 1
     half = len(arr) // 2
-    found: dict[frozenset[int], list[int]] = {}
-    for g in range(len(arr)):
-        found.setdefault(_proper_closure([g], table, half) or whole, [g])
-    queue = sorted(found, key=sorted)
+    cyclic = []  # the mask of <g>, from the powers g, g^2, ..., g^m = e
+    found: dict[int, list[int]] = {}
+    for g, row in enumerate(rows):
+        mask, x = 0, g
+        while not mask >> x & 1:
+            mask |= 1 << x
+            x = row[x]
+        cyclic.append(mask)
+        found.setdefault(mask, [g])
+    queue = sorted(found, key=_bits)
     for s in queue:
-        for gens, t in _coset_extensions(s, found[s], table, half):
-            t = t or whole
+        members, gens = _bits(s), found[s]
+        if len(members) == 1:
+            continue
+        if 2 * len(members) > half:
+            if whole not in found:
+                found[whole] = gens + [_least(whole & ~s)]
+                queue.append(whole)
+            continue
+        cosets = _right_cosets(members, bit_rows)
+        joined = set()
+        for g in _double_coset_reps(s, members, cosets, rows, whole):
+            if cyclic[g] in joined:
+                continue
+            joined.add(cyclic[g])
+            t = _join(s, len(members), gens + [g], cosets, rows, half) or whole
             if t not in found:
-                found[t] = gens
+                found[t] = gens + [g]
                 queue.append(t)
-    return [(s, found[s]) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+    subgroups = sorted((t.bit_count(), _bits(t), gens) for t, gens in found.items())
+    return [(frozenset(bits), gens) for _, bits, gens in subgroups]
 
 
 # ---------------------------------------------------------------- transitive type tables

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootgain
 from rootgain.algebra import PolyQ
 from rootgain.cli import main
 from rootgain.mestre import an_certificate, mestre_form_pencil, specialize
@@ -948,3 +953,37 @@ def test_out_flag_writes_file(tmp_path, pencil_file, capsys):
     capsys.readouterr()
     assert code == 0
     assert dest.read_text().startswith("# group: A5")
+
+
+def _main_alone(argv):
+    """Exit code, stdout and stderr of `main(argv)` in a fresh interpreter."""
+    src = str(Path(rootgain.__file__).resolve().parents[1])
+    script = "import sys; from rootgain.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_one_process_match_calls_alone(capsys, tmp_path, pencil_file):
+    # the parser is built once per process: a request must not see an earlier
+    # one's options (an appended --congruent) or its usage error
+    base = ["specialize", "--pencil", pencil_file, "--q", "19", "--height", "200", "--limit", "1"]
+    requests = [
+        base + ["--congruent", "13:2:1"],
+        ["specialize", "--q", "19"],  # no --pencil: a usage error
+        base,
+    ]
+    for i, argv in enumerate(requests):
+        dest = tmp_path / f"report{i}.tsv"
+        argv = argv + ["--out", str(dest)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        together = (code, captured.out, captured.err, dest.read_bytes() if dest.exists() else None)
+        dest.unlink(missing_ok=True)
+        alone = (*_main_alone(argv), dest.read_bytes() if dest.exists() else None)
+        assert together == alone
+        assert code == (4 if i == 1 else 0)

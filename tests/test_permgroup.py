@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import factorial
 
@@ -35,7 +36,14 @@ from rootgain.permgroup import (
     symmetric_group,
     transitive_typesets,
 )
-from rootgain.permgroup import _coset_extensions, _proper_closure
+from rootgain.permgroup import (
+    _coset_extensions,
+    _cycle_counts,
+    _double_coset_reps,
+    _join,
+    _proper_closure,
+    _right_cosets,
+)
 
 
 def cyc(text, degree):
@@ -577,6 +585,18 @@ def _check_search_against_plain(G):
     assert _search_rows(G, require_inertia_even=True) == [row for row in rows if row[-1]]
 
 
+@pytest.mark.parametrize("name", ["S1", "S5", "PSL2(11)", "PSL2(11) on 55 points"])
+def test_cycle_counts_are_orbit_counts(name):
+    G = {
+        "S1": lambda: symmetric_group(1),
+        "S5": lambda: symmetric_group(5),
+        "PSL2(11)": lambda: psl2_natural(11),
+        "PSL2(11) on 55 points": psl2_11_degree55,
+    }[name]()
+    counts = _cycle_counts(G.element_array())
+    assert counts.tolist() == [orbit_count([x], G.degree) for x in G.elements]
+
+
 def _dihedral(n):
     return PermGroup(n, [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))])
 
@@ -783,10 +803,14 @@ def _right_coset_subgroups(elements):
     return [(s, found[s]) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def _involution_centralizers(p, count=None):
+def _involutions(p):
     G = psl2_natural(p)
     ident = identity_perm(p + 1)
-    involutions = [g for g in G.elements if g != ident and compose(g, g) == ident]
+    return G, [g for g in G.elements if g != ident and compose(g, g) == ident]
+
+
+def _involution_centralizers(p, count=None):
+    G, involutions = _involutions(p)
     if count is not None:
         involutions = involutions[:: len(involutions) // count][:count]
     return [centralizer_scan(G, x) for x in involutions]
@@ -832,6 +856,105 @@ def test_coset_extensions_take_one_g_per_double_coset(name):
         assert frozenset().union(members, *doubles) == frozenset(elements)
         # each g is the first of its double coset in the group's order
         assert tried == [min(index[e] for e in d) for d in doubles]
+
+
+# small groups where the Lagrange skip (2|s| > |G|/2) records the whole group,
+# and the trivial group, where <e> is never extended
+PRUNING_GROUPS = {
+    "trivial": lambda: PermGroup(1, []),
+    "C2": lambda: PermGroup(2, [(1, 0)]),
+    "C7": lambda: PermGroup(7, [tuple((i + 1) % 7 for i in range(7))]),
+    "V4": lambda: PermGroup(4, [cyc("(1,2)(3,4)", 4), cyc("(1,3)(2,4)", 4)]),
+    "C2^3": lambda: PermGroup(6, [cyc("(1,2)", 6), cyc("(3,4)", 6), cyc("(5,6)", 6)]),
+    # left multiplication by i and j on 1, -1, i, -i, j, -j, k, -k
+    "Q8": lambda: PermGroup(8, [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]),
+    "D4": lambda: _dihedral(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_GROUPS))
+def test_all_subgroups_match_right_coset_traversal_on_small_groups(name):
+    G = PRUNING_GROUPS[name]()
+    elements = list(G.elements)
+    if name == "Q8":  # one involution, so not D4
+        assert len(elements) == 8 and sum(perm_order(e) == 2 for e in elements) == 1
+    assert all_subgroups(elements) == _right_coset_subgroups(elements)
+
+
+@pytest.mark.parametrize("name", ["C7", "C2^3", "Q8", "D4", "S4"])
+def test_all_subgroups_match_right_coset_traversal_with_identity_not_first(name):
+    elements = list({**PRUNING_GROUPS, **ORACLE_GROUPS}[name]().elements)
+    assert elements[0] == identity_perm(len(elements[0]))
+    rest = elements[1:]
+    shuffled = random.Random(name).sample(rest, len(rest))
+    for order in (rest + elements[:1], shuffled[:1] + elements[:1] + shuffled[1:]):
+        assert all_subgroups(order) == _right_coset_subgroups(order)
+
+
+LATTICE_DIGESTS = {
+    19: "8e18a14db58b1d38ff75648e30191259a3ec5bfad1b3be3ceb6ac8ec18033e5d",
+    43: "4c1a5c8b5c266615b80cce7e2f5f336026bb9f5480f39c9dc94ca2ac6db3aa9f",
+}
+
+
+@pytest.mark.parametrize("p, count", [(19, None), (43, 60)])
+def test_benchmark_scale_lattices_are_pinned(p, count):
+    # sha256 of the lattices of every PSL2(19) involution centralizer and of 60
+    # seeded PSL2(43) ones, taken from the traversal with one whole closure per
+    # double coset: the same sets, generator lists and order
+    G, involutions = _involutions(p)
+    if count is not None:
+        involutions = random.Random(f"lattices/{p}").sample(involutions, count)
+    lattices = [
+        [(sorted(s), gens) for s, gens in all_subgroups(centralizer_scan(G, x))]
+        for x in involutions
+    ]
+    assert hashlib.sha256(repr(lattices).encode()).hexdigest() == LATTICE_DIGESTS[p]
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "D8"])
+def test_double_coset_reps_take_one_g_per_double_coset(name):
+    elements = ORACLE_GROUPS[name]().elements
+    rows = _compose_table(elements)
+    bit_rows = [[1 << x for x in row] for row in rows]
+    index = {e: i for i, e in enumerate(elements)}
+    whole = _mask(range(len(elements)))
+    for s, _ in all_subgroups(elements):
+        members = sorted(s)
+        cosets = _right_cosets(members, bit_rows)
+        assert cosets == [_mask(rows[a][x] for a in s) for x in range(len(elements))]
+        members_perms = frozenset(elements[i] for i in s)
+        tried = list(_double_coset_reps(_mask(s), members, cosets, rows, whole))
+        assert tried == sorted(tried)
+        doubles = [_double_coset(members_perms, g, elements) for g in tried]
+        assert len(set(doubles)) == len(doubles)
+        assert not any(members_perms & d for d in doubles)
+        assert frozenset().union(members_perms, *doubles) == frozenset(elements)
+        # each g is the first of its double coset in the group's order
+        assert tried == [min(index[e] for e in d) for d in doubles]
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL2(7)", "D8"])
+def test_join_is_none_exactly_past_its_limit(name):
+    G = {"A5": alternating_group(5), "PSL2(7)": psl2_natural(7), "D8": _dihedral(8)}[name]
+    elements = G.elements
+    rows = _compose_table(elements)
+    bit_rows = [[1 << x for x in row] for row in rows]
+    index = {e: i for i, e in enumerate(elements)}
+    rng = random.Random(f"join/{name}")
+    for s, gens in all_subgroups(elements):
+        cosets = _right_cosets(sorted(s), bit_rows)
+        outside = [g for g in range(len(elements)) if g not in s]
+        for g in rng.sample(outside, min(3, len(outside))):
+            t = _plain_closure([elements[i] for i in gens + [g]], G.degree)
+            t = _mask(index[e] for e in t)
+            for limit in (t.bit_count() - 1, t.bit_count(), len(elements) // 2):
+                expected = None if t.bit_count() > limit else t
+                assert _join(_mask(s), len(s), gens + [g], cosets, rows, limit) == expected
 
 
 @pytest.mark.parametrize("name", ["A5", "A6", "PSL2(7)"])
