@@ -171,6 +171,8 @@ def _parse_branch(lineno: int, value: str) -> BranchPoint:
         if "degree" not in attrs:
             raise ParseError(lineno, "branch with D=/I= needs degree=")
         degree = parse_value(lineno, int, attrs["degree"])
+        if degree < 1:
+            raise ParseError(lineno, "branch degree must be >= 1")
         dg = _parse_perm_list(lineno, attrs.get("d", ""), degree)
         ig = _parse_perm_list(lineno, attrs.get("i", ""), degree)
         try:

@@ -242,15 +242,11 @@ class PermGroup:
         blocks = (arr[start : start + 4096] for start in range(0, len(arr), 4096))
         return tuple(e for block in blocks for e in map(tuple, block.tolist()))
 
-    @cached_property
-    def element_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
-
     def order(self) -> int:
         return len(self.element_array())
 
     def __contains__(self, p: Perm) -> bool:
-        return tuple(p) in self.element_set
+        return len(p) == self.degree and bool((self.element_array() == p).all(axis=1).any())
 
     @cached_property
     def base_index(self) -> _BaseIndex:
@@ -579,43 +575,7 @@ def psl2_11_degree55() -> PermGroup:
     return coset_action(G, index.arr[N])
 
 
-# ---------------------------------------------------------------- small-group lattices
-
-
-def _proper_closure(gen_idxs, table: np.ndarray, limit: int) -> frozenset[int] | None:
-    """Index set of the subgroup generated inside the group of `table`, or None
-    once it has passed `limit` elements, a bound the caller knows no proper
-    subgroup exceeds (half the group's order, by Lagrange). In a finite group
-    every element is a product of the generators, so the search starts from
-    them."""
-    rows = [table[g].tolist() for g in gen_idxs]
-    seen = set(gen_idxs)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for w in frontier:
-            for row in rows:
-                x = row[w]
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        if len(seen) > limit:
-            return None
-        frontier = new
-    return frozenset(seen)
-
-
-def _coset_extensions(s: frozenset[int], gens: list[int], table: np.ndarray, limit: int):
-    """(gens + [g], its `_proper_closure` under `limit`) for the least g of each
-    double coset s g s other than s: <s, a g b> = <s, g> for a, b in s. A walk
-    over g in ascending order meets each double coset first at its least
-    element, so every later g would only rebuild a subgroup already found."""
-    members = sorted(s)
-    left = table[:, members].min(axis=1)  # least element of each left coset x s
-    least = left[table[members]].min(axis=0)  # least element of each s x s
-    for g in np.flatnonzero(least == np.arange(len(table))).tolist():
-        if g not in s:
-            yield gens + [g], _proper_closure(gens + [g], table, limit)
+# ---------------------------------------------------------------- subgroup closures
 
 
 def _bits(mask: int) -> list[int]:
@@ -628,49 +588,50 @@ def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _right_cosets(members: list[int], bit_rows: list[list[int]]) -> list[int]:
-    """For each element x, the bitmask of the right coset s x of the subgroup s
-    on `members`, where bit_rows[a][x] is the bitmask of the one element a x:
-    the sum over a in s of bit_rows[a][x], whose bits are distinct."""
-    return list(map(sum, zip(*[bit_rows[a] for a in members])))
+def _right_cosets(bit_rows: list[list[int]]) -> list[int]:
+    """For each element x, the bitmask of the right coset s x of a subgroup s,
+    given one row per member a of s whose entry x is the bitmask of the one
+    element a x: the sum of the rows, whose bits at each x are distinct."""
+    return list(map(sum, zip(*bit_rows)))
 
 
 def _double_coset_reps(
-    s: int, members: list[int], cosets: list[int], rows: list[list[int]], whole: int
+    s: int, cols: list[list[int]], cosets: list[int], whole: int
 ) -> Iterator[int]:
-    """The least element g of each double coset s g s other than s, ascending.
-    s g s is the union of the right cosets s (g b) over b in s; a walk over g in
-    ascending order meets each double coset first at its least element."""
+    """The least element g of each double coset s g s other than s, ascending,
+    where `cols` holds, for each member b of s, its right-multiplication map
+    col[g] = g b. s g s is the union of the right cosets s (g b) over b in s; a
+    walk over g in ascending order meets each double coset first at its least
+    element."""
     uncovered = whole & ~s
     while uncovered:
         g = _least(uncovered)
         yield g
-        row = rows[g]
-        for b in members:
-            uncovered &= ~cosets[row[b]]
+        for col in cols:
+            uncovered &= ~cosets[col[g]]
 
 
-def _join(
-    s: int, order: int, gens: list[int], cosets: list[int], rows: list[list[int]], half: int
-) -> int | None:
-    """The bitmask of the subgroup generated by `gens`, which contains s (of the
-    given order) as a union of right cosets, or None once it passes `half`
-    elements.
+def _join(s: int, order: int, maps: list[list[int]], cosets: list[int], limit: int) -> int | None:
+    """The bitmask of the subgroup generated by the elements a whose
+    right-multiplication maps m[r] = r a are `maps`, which contains s (of the
+    given order, at most `limit`) as a union of right cosets, or None once it
+    passes `limit` elements, a bound the caller knows no subgroup it wants
+    exceeds.
 
     Dimino's coset-by-coset closure: K is a union of right cosets s r, starting
     with s, which any of its elements represents. Whenever r a leaves K, for a
     representative r and a generator a, the whole coset s (r a) joins K. K ends
     closed under right multiplication by every generator, so it is the subgroup
-    they generate."""
+    they generate. `all_subgroups` joins each subgroup s with one g at a time;
+    `transitive_typesets` joins <x> with y."""
     joined, reps = s, [_least(s)]
     for r in reps:
-        row = rows[r]
-        for a in gens:
-            x = row[a]
+        for m in maps:
+            x = m[r]
             if not joined >> x & 1:
                 joined |= cosets[x]
                 reps.append(x)
-                if len(reps) * order > half:
+                if len(reps) * order > limit:
                     return None
     return joined
 
@@ -684,8 +645,9 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     For each queued subgroup s, the masks of its right cosets s x are summed
     from the product table's rows of one-element masks (`_right_cosets`); one
     g per double coset s g s is tried (`_double_coset_reps`), and <s, g> is
-    joined a whole right coset at a time (`_join`). A closure that passes half
-    the order is the whole group.
+    joined a whole right coset at a time (`_join`, the kernel that
+    `transitive_typesets` shares). A join that passes half the order is the
+    whole group.
 
     Three exact prunings skip only joins whose result is already found, so
     every subgroup keeps the generator list of its first producer:
@@ -702,17 +664,18 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     # products, [a, b, i] = a(b(i))
     if not np.array_equal(arr[:, arr], arr[table]):
         raise GroupError("all_subgroups: the elements are not closed under composition")
-    rows = table.tolist()
-    bit_rows = [[1 << x for x in row] for row in rows]
+    cols = table.T.tolist()  # cols[a][r] = r a
+    one = [1 << x for x in range(len(arr))]
+    bit_rows = [list(map(one.__getitem__, row)) for row in table.tolist()]
     whole = (1 << len(arr)) - 1
-    half = len(arr) // 2
+    limit = len(arr) // 2
     cyclic = []  # the mask of <g>, from the powers g, g^2, ..., g^m = e
     found: dict[int, list[int]] = {}
-    for g, row in enumerate(rows):
+    for g, col in enumerate(cols):
         mask, x = 0, g
         while not mask >> x & 1:
-            mask |= 1 << x
-            x = row[x]
+            mask |= one[x]
+            x = col[x]
         cyclic.append(mask)
         found.setdefault(mask, [g])
     queue = sorted(found, key=_bits)
@@ -720,18 +683,19 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
         members, gens = _bits(s), found[s]
         if len(members) == 1:
             continue
-        if 2 * len(members) > half:
+        if 2 * len(members) > limit:
             if whole not in found:
                 found[whole] = gens + [_least(whole & ~s)]
                 queue.append(whole)
             continue
-        cosets = _right_cosets(members, bit_rows)
+        cosets = _right_cosets([bit_rows[a] for a in members])
+        maps = [cols[a] for a in gens]
         joined = set()
-        for g in _double_coset_reps(s, members, cosets, rows, whole):
+        for g in _double_coset_reps(s, [cols[b] for b in members], cosets, whole):
             if cyclic[g] in joined:
                 continue
             joined.add(cyclic[g])
-            t = _join(s, len(members), gens + [g], cosets, rows, half) or whole
+            t = _join(s, len(members), maps + [cols[g]], cosets, limit) or whole
             if t not in found:
                 found[t] = gens + [g]
                 queue.append(t)
@@ -749,10 +713,11 @@ def group_typeset(elements) -> frozenset[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Cycle-type sets of all proper transitive subgroups of A_n, by exhaustive
-    enumeration: pairs <x, y> with x a class representative, then upward closure
-    up to conjugacy (complete for n <= 7, where minimal transitive groups are
-    2-generated).
+    enumeration of the pairs <x, y> with x a class representative. This is
+    complete for n <= 7: every transitive subgroup of A_n there is 2-generated
+    (Butler-McKay, The transitive groups of degree up to eleven, 1983).
 
+    Each <x, y> is joined from <x> (`_join`, the kernel of `all_subgroups`).
     Every pruning is exact:
     - <x, y> has the orbits of {x, y}, so a pair whose two generators are not
       transitive together is dropped before its closure is computed.
@@ -767,10 +732,8 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
       (x_k, y) with y in class k or later. The identity class is the last, so
       the identity pairs only with itself.
     - Within those classes, y runs over one element per orbit of C(x) acting by
-      conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, and the result
-      depends only on conjugacy classes of subgroups (`seen_all` holds every
-      conjugate of each subgroup found).
-    - Upward, one g per double coset s g s is tried (`_coset_extensions`).
+      conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, which has the
+      same cycle types.
     """
     if n < 4:
         return ()
@@ -782,12 +745,7 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     table = index.table()
     inv_idx = index.find(index.inverse_base)
     limit = len(els) // n if n >= 5 else len(els) // 2
-
-    def conjugates(s: frozenset[int]) -> set[frozenset[int]]:
-        conj = np.sort(table[table[:, sorted(s)], inv_idx[:, None]], axis=1)
-        # one row per distinct conjugate
-        distinct = {key: i for i, key in enumerate(_row_keys(conj))}
-        return {frozenset(row) for row in conj[list(distinct.values())].tolist()}
+    one = [1 << i for i in range(len(els))]
 
     # a class per unmarked row from the last back, so the identity (row 0) is last
     reps: list[int] = []
@@ -797,30 +755,22 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
             class_of[table[table[:, x], inv_idx]] = len(reps)  # g x g^-1 for every g
             reps.append(x)
 
-    found: dict[frozenset[int], list[int]] = {}
+    found: set[int] = set()
     for k, x in enumerate(reps):
         cent = np.flatnonzero(table[:, x] == table[x])
         ys = np.flatnonzero(class_of >= k)
         # column j holds the C(x)-orbit of ys[j]; keep ys[j] when it is the orbit's least
         orbit_min = table[table[np.ix_(cent, ys)], inv_idx[cent, None]].min(axis=0)
+        powers = [x]  # <x> = {x, x^2, ..., x^m = e}
+        while (r := int(table[powers[-1], x])) != x:
+            powers.append(r)
+        s = sum(map(one.__getitem__, powers))
+        cosets = _right_cosets([list(map(one.__getitem__, row)) for row in table[powers].tolist()])
         for y in ys[orbit_min == ys].tolist():
             if orbit_count([els[x], els[y]], n) != 1:
                 continue
-            s = _proper_closure([x, y], table, limit)
-            if s is not None and s not in found:
-                found[s] = [x, y]
-
-    seen_all: set[frozenset[int]] = set()
-    queue: list[frozenset[int]] = []
-    for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-        if s not in seen_all:
-            seen_all |= conjugates(s)
-            queue.append(s)
-    for s in queue:
-        for gens, t in _coset_extensions(s, found[s], table, limit):
-            if t is not None and t not in seen_all:
-                found[t] = gens
-                seen_all |= conjugates(t)
-                queue.append(t)
-    sets = {group_typeset([els[i] for i in s]) for s in queue}
+            t = _join(s, len(powers), table[:, [x, y]].T.tolist(), cosets, limit)
+            if t is not None:
+                found.add(t)
+    sets = {group_typeset([els[i] for i in _bits(t)]) for t in found}
     return tuple(sorted(sets, key=lambda fs: sorted(fs)))

@@ -256,6 +256,13 @@ def test_malformed_numbers_exit_4_with_line(
             "form: mestre\nf: 1,0,-5,0,4,0\ng: 1,0,0,0,-1\n",
             "f and g must be coprime: gcd(f, g) divides every fiber",
         ),
+        # a bad record is reported at its own line, a bad model at line 0
+        (
+            None,
+            "form: general\ndegree: 1\ncoeff: k=0 num=1\ncoeff: k=1 num=1\n"
+            "branch: location=0 e=2 degree=0 d= i=\n",
+            "line 5: branch degree must be >= 1",
+        ),
     ],
 )
 def test_bad_curve_and_pencil_models_exit_4(
@@ -272,7 +279,8 @@ def test_bad_curve_and_pencil_models_exit_4(
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 4
-    assert captured.err == f"parse error: line 0: {message}\n"
+    where = "" if message.startswith("line ") else "line 0: "
+    assert captured.err == f"parse error: {where}{message}\n"
     assert captured.out == ""
 
 

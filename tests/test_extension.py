@@ -160,15 +160,17 @@ def test_inertia_must_be_normal():
 
 def _closure_verdict(degree, d_gens, i_gens):
     D = PermGroup(degree, d_gens)
-    dset = D.element_set
-    iset = PermGroup(degree, i_gens).element_set
+    dset = frozenset(D.elements)
+    iset = frozenset(PermGroup(degree, i_gens).elements)
     if not iset <= dset:
         return "not a subgroup"
     for g in d_gens:
         gi = inverse(g)
         if any(compose(compose(g, s), gi) not in iset for s in iset):
             return "not normal"
-    if not any(PermGroup(degree, list(i_gens) + [x]).element_set == dset for x in D.elements):
+    if not any(
+        frozenset(PermGroup(degree, list(i_gens) + [x]).elements) == dset for x in D.elements
+    ):
         return "not cyclic"
     return "ok"
 

@@ -2,7 +2,6 @@ import hashlib
 import random
 from math import factorial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,11 +36,9 @@ from rootgain.permgroup import (
     transitive_typesets,
 )
 from rootgain.permgroup import (
-    _coset_extensions,
     _cycle_counts,
     _double_coset_reps,
     _join,
-    _proper_closure,
     _right_cosets,
 )
 
@@ -68,7 +65,7 @@ def test_enumerate_order_divides_factorial_and_generator_order_stable():
     G1 = PermGroup(6, gens)
     G2 = PermGroup(6, gens[::-1])
     assert factorial(6) % G1.order() == 0
-    assert G1.element_set == G2.element_set
+    assert frozenset(G1.elements) == frozenset(G2.elements)
 
 
 def test_enumerate_cap_exceeded():
@@ -289,7 +286,7 @@ def test_kernels_leave_the_tuples_unbuilt():
     C = centralizer_scan(G, x)
     N = normalizer_scan(G, cyclic_powers(x))
     assert coset_action(G, N).degree == G.order() // len(N)
-    assert "elements" not in vars(G) and "element_set" not in vars(G)
+    assert "elements" not in vars(G)
     # the tuples a caller gets are the plain loop's, in G's element order
     assert all(type(c) is tuple for c in C + N)
     assert C == _plain_centralizer(G, x)
@@ -651,12 +648,13 @@ def test_enumeration_matches_plain_bfs_row_for_row(name):
     plain = _plain_enumeration(G.generators, G.degree)
     assert G.element_array().tolist() == [list(e) for e in plain]
     assert G.elements == plain
-    assert G.element_set == frozenset(plain)
+    assert frozenset(G.elements) == frozenset(plain)
     assert G.order() == len(plain)
     rng = random.Random(name)
     outside = [tuple(rng.sample(range(G.degree), G.degree)) for _ in range(50)]
     assert all(e in G for e in plain)
     assert [x in G for x in outside] == [x in frozenset(plain) for x in outside]
+    assert plain[0] + (G.degree,) not in G and plain[0][:-1] not in G
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -665,7 +663,7 @@ def test_enumeration_without_generators_is_the_identity(n):
     assert G.elements == (tuple(range(n)),)
     assert G.element_array().tolist() == [list(range(n))]
     assert G.order() == 1
-    assert G.element_set == frozenset({tuple(range(n))})
+    assert frozenset(G.elements) == frozenset({tuple(range(n))})
 
 
 @pytest.mark.parametrize("name", ["S4", "PSL2(7)", "A6", "PSL2(11) on 55 points"])
@@ -843,19 +841,29 @@ def _double_coset(s, g, elements):
 
 @pytest.mark.parametrize("name", ["S4", "A5", "D8"])
 def test_coset_extensions_take_one_g_per_double_coset(name):
+    # the extension step of `all_subgroups`: s joined with the least g of each
+    # double coset s g s reaches every <s, g> for g outside s, since
+    # <s, a g b> = <s, g> for a, b in s
     elements = ORACLE_GROUPS[name]().elements
-    table = np.array(_compose_table(elements))
+    rows = _compose_table(elements)
+    cols = [list(col) for col in zip(*rows)]  # cols[a][r] = r a
+    bit_rows = [[1 << x for x in row] for row in rows]
     index = {e: i for i, e in enumerate(elements)}
+    whole = _mask(range(len(elements)))
     for s, gens in all_subgroups(elements):
-        members = frozenset(elements[i] for i in s)
-        tried = [new[-1] for new, _ in _coset_extensions(s, gens, table, len(table) // 2)]
-        assert tried == sorted(tried)
-        doubles = [_double_coset(members, g, elements) for g in tried]
-        assert len(set(doubles)) == len(doubles)
-        assert not any(members & d for d in doubles)
-        assert frozenset().union(members, *doubles) == frozenset(elements)
-        # each g is the first of its double coset in the group's order
-        assert tried == [min(index[e] for e in d) for d in doubles]
+        members = sorted(s)
+        cosets = _right_cosets([bit_rows[a] for a in members])
+        maps = [cols[a] for a in gens]
+
+        def extend(g):
+            return _join(_mask(s), len(s), maps + [cols[g]], cosets, len(elements))
+
+        tried = list(_double_coset_reps(_mask(s), [cols[b] for b in members], cosets, whole))
+        extensions = [extend(g) for g in tried]
+        closures = [_plain_closure([elements[i] for i in gens + [g]], len(elements[0])) for g in tried]
+        assert extensions == [_mask(index[e] for e in t) for t in closures]
+        outside = [g for g in range(len(elements)) if g not in s]
+        assert set(extensions) == {extend(g) for g in outside}
 
 
 # small groups where the Lagrange skip (2|s| > |G|/2) records the whole group,
@@ -920,15 +928,16 @@ def _mask(indices):
 def test_double_coset_reps_take_one_g_per_double_coset(name):
     elements = ORACLE_GROUPS[name]().elements
     rows = _compose_table(elements)
+    cols = [list(col) for col in zip(*rows)]  # cols[b][g] = g b
     bit_rows = [[1 << x for x in row] for row in rows]
     index = {e: i for i, e in enumerate(elements)}
     whole = _mask(range(len(elements)))
     for s, _ in all_subgroups(elements):
         members = sorted(s)
-        cosets = _right_cosets(members, bit_rows)
+        cosets = _right_cosets([bit_rows[a] for a in members])
         assert cosets == [_mask(rows[a][x] for a in s) for x in range(len(elements))]
         members_perms = frozenset(elements[i] for i in s)
-        tried = list(_double_coset_reps(_mask(s), members, cosets, rows, whole))
+        tried = list(_double_coset_reps(_mask(s), [cols[b] for b in members], cosets, whole))
         assert tried == sorted(tried)
         doubles = [_double_coset(members_perms, g, elements) for g in tried]
         assert len(set(doubles)) == len(doubles)
@@ -938,35 +947,64 @@ def test_double_coset_reps_take_one_g_per_double_coset(name):
         assert tried == [min(index[e] for e in d) for d in doubles]
 
 
-@pytest.mark.parametrize("name", ["A5", "PSL2(7)", "D8"])
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL2(7)", "D8"])
 def test_join_is_none_exactly_past_its_limit(name):
-    G = {"A5": alternating_group(5), "PSL2(7)": psl2_natural(7), "D8": _dihedral(8)}[name]
+    G = {
+        "A5": alternating_group(5),
+        "A6": alternating_group(6),
+        "PSL2(7)": psl2_natural(7),
+        "D8": _dihedral(8),
+    }[name]
     elements = G.elements
     rows = _compose_table(elements)
+    cols = [list(col) for col in zip(*rows)]  # cols[a][r] = r a
     bit_rows = [[1 << x for x in row] for row in rows]
     index = {e: i for i, e in enumerate(elements)}
+
+    def indices(gens):
+        return sorted(index[e] for e in _plain_closure([elements[g] for g in gens], G.degree))
+
     rng = random.Random(f"join/{name}")
     for s, gens in all_subgroups(elements):
-        cosets = _right_cosets(sorted(s), bit_rows)
+        members = sorted(s)
+        cosets = _right_cosets([bit_rows[a] for a in members])
         outside = [g for g in range(len(elements)) if g not in s]
+        # s with its generators and one g outside it, as `all_subgroups` joins them
         for g in rng.sample(outside, min(3, len(outside))):
-            t = _plain_closure([elements[i] for i in gens + [g]], G.degree)
-            t = _mask(index[e] for e in t)
-            for limit in (t.bit_count() - 1, t.bit_count(), len(elements) // 2):
+            t = _mask(indices(gens + [g]))
+            limits = (t.bit_count() - 1, t.bit_count(), len(elements) // 2)
+            # s itself is within the limit: `all_subgroups` joins no larger s
+            for limit in (limit for limit in limits if limit >= len(s)):
                 expected = None if t.bit_count() > limit else t
-                assert _join(_mask(s), len(s), gens + [g], cosets, rows, limit) == expected
+                got = _join(_mask(s), len(s), [cols[a] for a in gens + [g]], cosets, limit)
+                assert got == expected
 
 
 @pytest.mark.parametrize("name", ["A5", "A6", "PSL2(7)"])
 def test_proper_closure_is_none_exactly_past_its_limit(name):
+    # closures of 1-3 random generators, joined from <e> and, as
+    # `transitive_typesets` joins them, from <first generator>
     G = {"A5": alternating_group(5), "A6": alternating_group(6), "PSL2(7)": psl2_natural(7)}[name]
     elements = G.elements
-    table = np.array(_compose_table(elements))
+    rows = _compose_table(elements)
+    cols = [list(col) for col in zip(*rows)]  # cols[a][r] = r a
+    bit_rows = [[1 << x for x in row] for row in rows]
     index = {e: i for i, e in enumerate(elements)}
+
+    def indices(gens):
+        return sorted(index[e] for e in _plain_closure([elements[g] for g in gens], G.degree))
+
     rng = random.Random(f"proper-closure/{name}")
+    identity = index[tuple(range(G.degree))]
     for _ in range(40):
         gens = rng.sample(range(len(elements)), rng.randint(1, 3))
-        H = frozenset(index[e] for e in _plain_closure([elements[g] for g in gens], G.degree))
-        for limit in (len(H) - 1, len(H), len(elements) // G.degree, rng.randint(1, len(elements))):
-            expected = None if len(H) > limit else H
-            assert _proper_closure(gens, table, limit) == expected
+        H = _mask(indices(gens))
+        limits = (H.bit_count() - 1, H.bit_count(), len(elements) // G.degree)
+        limits += (rng.randint(1, len(elements)),)
+        for members in ([identity], indices(gens[:1])):
+            cosets = _right_cosets([bit_rows[a] for a in members])
+            # s itself is within the limit: both callers take no larger s
+            for limit in (limit for limit in limits if limit >= len(members)):
+                expected = None if H.bit_count() > limit else H
+                got = _join(_mask(members), len(members), [cols[a] for a in gens], cosets, limit)
+                assert got == expected
