@@ -322,9 +322,8 @@ class PolyQ:
         return not self.is_zero() and self.gcd(self.derivative()).degree == 0
 
     def integer_model(self) -> tuple[list[int], int]:
-        """(primitive integer coefficient list ascending, clearing denominator d):
-        d*self has the returned integer coefficients times their content... the
-        returned list is d*self's coefficients with positive gcd preserved."""
+        """(d*self's integer coefficients, ascending, d) with d the lcm of the
+        denominators."""
         d = 1
         for c in self.coeffs:
             d = lcm(d, c.denominator)

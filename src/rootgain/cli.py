@@ -121,6 +121,33 @@ def cmd_orbit_search(args) -> int:
     return EXIT_OK if cands else EXIT_EMPTY
 
 
+# ---------------------------------------------------------------- extensions
+
+
+def _extension_profile(poly, declared, primes):
+    """(profile, irreducibility certificate, skipped primes) of the extension
+    file's poly: the declared profiles, and computed ones at the requested
+    primes that are not declared and divide neither disc nor the leading
+    coefficient; the others are skipped. Errors propagate to the caller."""
+    facts = PolyFacts(poly)
+    computable = []
+    skipped = []
+    for p in primes:
+        if p not in declared:
+            (computable if facts.is_good(p) else skipped).append(p)
+    prof = build_profile(facts, declared=declared, primes=computable)
+    return prof, certify_irreducible(facts), skipped
+
+
+def _profile_lines(prof, prefix: str = "") -> list[str]:
+    """One `profile p=... [e:f,...] (provenance)` line per prime, ascending."""
+    lines = []
+    for p, pairs in sorted(prof.prime_profiles.items()):
+        text = ",".join(f"{e}:{f}" for e, f in pairs)
+        lines.append(f"{prefix}profile p={p} [{text}] ({prof.provenance[p]})")
+    return lines
+
+
 # ---------------------------------------------------------------- root-number
 
 
@@ -129,17 +156,9 @@ def cmd_root_number(args) -> int:
         bundle = parse_curve_file(fh.read())
     with open(args.extension, encoding="utf-8") as fh:
         poly, declared = parse_extension_file(fh.read())
-    facts = PolyFacts(poly)
-    computable = []
-    for p in bundle.bad_primes():
-        if p in declared:
-            continue
-        if facts.is_good(p):
-            computable.append(p)
     lines = [DISCLAIMER]
     try:
-        prof = build_profile(facts, declared=declared, primes=computable)
-        cert = certify_irreducible(facts)
+        prof, cert, _ = _extension_profile(poly, declared, bundle.bad_primes())
     except ValueError as exc:
         lines.append(f"W(E/F) = Incomputable: {exc}")
         _emit(lines, args.out)
@@ -147,9 +166,7 @@ def cmd_root_number(args) -> int:
     r1, r2 = prof.signature
     lines.append(f"# extension degree {prof.degree}, signature ({r1},{r2})")
     lines.append(f"# irreducibility: {cert.status}")
-    for p in sorted(prof.prime_profiles):
-        pairs = ",".join(f"{e}:{f}" for e, f in prof.prime_profiles[p])
-        lines.append(f"# profile p={p} [{pairs}] ({prof.provenance[p]})")
+    lines.extend(_profile_lines(prof, "# "))
     try:
         w = root_number_over_extension(bundle, prof)
     except Incomputable as exc:
@@ -329,19 +346,8 @@ def cmd_profile(args) -> int:
     with open(args.extension, encoding="utf-8") as fh:
         poly, declared = parse_extension_file(fh.read())
     primes = [parse_prime(0, p) for p in args.primes.split(",") if p] if args.primes else []
-    facts = PolyFacts(poly)
-    computable = []
-    skipped = []
-    for p in primes:
-        if p in declared:
-            continue
-        if facts.is_good(p):
-            computable.append(p)
-        else:
-            skipped.append(p)
     try:
-        prof = build_profile(facts, declared=declared, primes=computable)
-        cert = certify_irreducible(facts)
+        prof, cert, skipped = _extension_profile(poly, declared, primes)
     except ExtensionError as exc:
         sys.stderr.write(f"Incomputable: {exc}\n")
         return EXIT_EMPTY
@@ -350,9 +356,7 @@ def cmd_profile(args) -> int:
         f"signature: ({prof.signature[0]},{prof.signature[1]})",
         f"irreducibility: {cert.status}" + (f" witness p={cert.witness_prime}" if cert.witness_prime else ""),
     ]
-    for p in sorted(prof.prime_profiles):
-        pairs = ",".join(f"{e}:{f}" for e, f in prof.prime_profiles[p])
-        lines.append(f"profile p={p} [{pairs}] ({prof.provenance[p]})")
+    lines.extend(_profile_lines(prof))
     for p in sorted(skipped):
         lines.append(f"profile p={p} requires-declared-profile (divides disc or leading coefficient)")
     _emit(lines, args.out)

@@ -223,9 +223,11 @@ def global_root_semistable(
 class CurveLocalData:
     """A curve bundled with per-prime reduction data: declarations as given,
     every other bad prime >= 5 of the model classified automatically, and
-    undeclared bad 2/3 kept as explicit unknowns (they fail loudly if used)."""
+    undeclared bad 2/3 kept as explicit unknowns (they fail loudly if used).
+    curve is None for local data given without a model: the rank-gain search
+    without a curve reads only an assumed multiplicative type at q."""
 
-    curve: EllipticCurveData
+    curve: EllipticCurveData | None
     local: tuple[LocalReductionData, ...]
 
     @classmethod

@@ -237,15 +237,16 @@ def archimedean_place_count(profile: ExtensionProfile) -> int:
 @dataclass(frozen=True)
 class DecompositionPair:
     """Generators of a decomposition group D and its inertia subgroup I <| D
-    inside S_n; tame means D/I cyclic (checked on construction when set)."""
+    inside S_n. D/I is the Galois group of the residue-field extension, so it
+    is cyclic for every pair, tame or wild. Construction checks that I lies in
+    D, that I is normal in D and that D/I is cyclic."""
 
     degree: int
     decomposition_gens: tuple[tuple[int, ...], ...]
     inertia_gens: tuple[tuple[int, ...], ...]
-    tame: bool = True
 
     def __post_init__(self):
-        check_decomposition_pair(self.degree, self.decomposition_gens, self.inertia_gens, self.tame)
+        check_decomposition_pair(self.degree, self.decomposition_gens, self.inertia_gens)
 
 
 def profile_from_decomposition(pair: DecompositionPair) -> list[tuple[int, int]]:

@@ -1,8 +1,10 @@
 """The key: value record format used by every CLI input file.
 
 Lines are `key: value`; blank lines and #-comments are ignored. Repeated keys
-(`local:`, `profile:`, `branch:`, `coeff:`) accumulate. Coefficient lists are
-written leading-coefficient-first, entries are exact rationals.
+(`local:`, `profile:`, `branch:`, `coeff:`) accumulate; every other key may
+appear once, and a pencil file may hold only the keys its family or form
+reads. Coefficient lists are written leading-coefficient-first, entries are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ def _attrs(lineno: int, value: str) -> dict[str, str]:
     return out
 
 
+def _duplicate(lineno: int, key: str) -> ParseError:
+    return ParseError(lineno, f"duplicate key {key!r}")
+
+
 def parse_value(lineno: int, parse, text: str):
     """parse(text); a malformed number is a ParseError at lineno (0: an option)."""
     try:
@@ -67,6 +73,8 @@ def parse_curve_file(text: str) -> CurveLocalData:
     declared: dict[int, LocalReductionData] = {}
     for lineno, key, value in read_records(text):
         if key in ("a1", "a2", "a3", "a4", "a6"):
+            if key in coeffs:
+                raise _duplicate(lineno, key)
             coeffs[key] = parse_value(lineno, Fraction, value)
         elif key == "local":
             attrs = _attrs(lineno, value)
@@ -121,6 +129,8 @@ def parse_extension_file(text: str) -> tuple[PolyQ, dict[int, list[tuple[int, in
     profile_lines: dict[int, int] = {}
     for lineno, key, value in read_records(text):
         if key == "poly":
+            if poly is not None:
+                raise _duplicate(lineno, key)
             poly = parse_value(lineno, poly_from_descending_string, value)
             if poly.degree < 1:
                 raise ParseError(lineno, "poly: must have degree >= 1")
@@ -199,14 +209,26 @@ def _branch_points(branches, degree: int) -> tuple[BranchPoint, ...]:
     return tuple(bp for _, bp in branches)
 
 
+# the keys each kind of pencil file reads
+_PENCIL_KEYS = {
+    "family": {"family"},
+    "mestre": {"form", "f", "g", "branch"},
+    "general": {"form", "degree", "coeff", "branch"},
+}
+
+
 def parse_pencil_file(text: str) -> Pencil:
     form = None
     family = None
     fpoly = gpoly = None
-    coeff_rows: dict[int, tuple[PolyQ, PolyQ]] = {}
+    coeff_rows: dict[int, tuple[int, tuple[PolyQ, PolyQ]]] = {}  # k -> (lineno, (num, den))
     degree = None
     branches = []
+    first_line: dict[str, int] = {}
     for lineno, key, value in read_records(text):
+        if key in first_line and key not in ("coeff", "branch"):
+            raise _duplicate(lineno, key)
+        first_line.setdefault(key, lineno)
         if key == "family":
             family = value
         elif key == "form":
@@ -222,18 +244,29 @@ def parse_pencil_file(text: str) -> Pencil:
             if "k" not in attrs or "num" not in attrs:
                 raise ParseError(lineno, "coeff record needs k= and num=")
             k = parse_value(lineno, int, attrs["k"])
+            if k in coeff_rows:
+                raise ParseError(lineno, f"duplicate coeff k={k}")
             num = parse_value(lineno, poly_from_descending_string, attrs["num"])
             den = parse_value(lineno, poly_from_descending_string, attrs.get("den", "1"))
-            coeff_rows[k] = (num, den)
+            if den.is_zero():
+                raise ParseError(lineno, "coeff den= must be nonzero")
+            coeff_rows[k] = (lineno, (num, den))
         elif key == "branch":
             branches.append((lineno, _parse_branch(lineno, value)))
         else:
             raise ParseError(lineno, f"unknown pencil key {key!r}")
-    if family is not None:
+    kind = "family" if family is not None else form
+    if kind not in _PENCIL_KEYS:
+        raise ParseError(0, "pencil file needs family: or form: mestre|general")
+    unread = [(n, key) for key, n in first_line.items() if key not in _PENCIL_KEYS[kind]]
+    if unread:
+        lineno, key = min(unread)
+        raise ParseError(lineno, f"key {key!r} is not read by a {kind} pencil")
+    if kind == "family":
         if family == "psl2-11-degree12":
             return psl2_11_degree12_pencil()
         raise ParseError(0, f"unknown pencil family {family!r}")
-    if form == "mestre":
+    if kind == "mestre":
         if fpoly is None or gpoly is None:
             raise ParseError(0, "mestre form needs f: and g:")
         points = _branch_points(branches, fpoly.degree)
@@ -241,14 +274,15 @@ def parse_pencil_file(text: str) -> Pencil:
             return mestre_form_pencil(fpoly, gpoly, branch_points=points)
         except MestreError as exc:
             raise ParseError(0, str(exc)) from None
-    if form == "general":
-        if degree is None:
-            raise ParseError(0, "general form needs degree:")
-        points = _branch_points(branches, degree)
-        coeffs = []
-        for k in range(degree + 1):
-            if k not in coeff_rows:
-                raise ParseError(0, f"general form missing coeff k={k}")
-            coeffs.append(coeff_rows[k])
-        return Pencil(tuple(coeffs), points, name="general")
-    raise ParseError(0, "pencil file needs family: or form: mestre|general")
+    if degree is None:
+        raise ParseError(0, "general form needs degree:")
+    for k, (lineno, _) in sorted(coeff_rows.items()):
+        if not 0 <= k <= degree:
+            raise ParseError(lineno, f"coeff k={k} lies outside 0..{degree}")
+    points = _branch_points(branches, degree)
+    coeffs = []
+    for k in range(degree + 1):
+        if k not in coeff_rows:
+            raise ParseError(0, f"general form missing coeff k={k}")
+        coeffs.append(coeff_rows[k][1])
+    return Pencil(tuple(coeffs), points, name="general")

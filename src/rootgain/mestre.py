@@ -26,7 +26,7 @@ from .algebra import (
     unproven_prime_reason,
     valuation,
 )
-from .ellcurve import SPLIT_MULT, CurveLocalData
+from .ellcurve import NONSPLIT_MULT, SPLIT_MULT, CurveLocalData, LocalReductionData
 from .extension import (
     DecompositionPair,
     ExtensionProfile,
@@ -34,9 +34,7 @@ from .extension import (
     certify_irreducible,
     irreducibility_settled,
     profile_from_decomposition,
-    root_number_over_extension,
     root_number_ratio,
-    split_count_from_profile,
 )
 from .jacobian import CONDITIONAL_TOKEN
 from .permgroup import perm_from_cycles, perm_order, transitive_typesets
@@ -380,7 +378,6 @@ class SpecializationRecord:
     ratio: int | None = None
     rank_gain_flag: str | None = None
     fingerprint: str | None = None
-    full_root_number: int | None = None
 
 
 def _unramified_as_required(facts: PolyFacts, conditions) -> bool:
@@ -444,8 +441,7 @@ def _evaluate_candidate(
     q: int,
     declared: dict[int, list[tuple[int, int]]],
     reference: SpecializationRecord,
-    curve: CurveLocalData | None,
-    reduction: str,
+    local: CurveLocalData,
     conditions: tuple[PrimeCondition, ...],
 ) -> SpecializationRecord | None:
     """One t0, already through enumerate_t0's exact conditions, through the
@@ -453,17 +449,7 @@ def _evaluate_candidate(
     prof = _certified_fiber(P, t0, declared, conditions)
     if prof is None or prof.signature != reference.profile.signature:
         return None
-    full = None
-    if curve is None:
-        s_candidate = split_count_from_profile(declared[q], reduction)
-        s_reference = split_count_from_profile(reference.profile.profile_at(q), reduction)
-        ratio = (-1) ** (s_candidate + s_reference)
-    else:
-        ratio = root_number_ratio(curve, prof, reference.profile, q)
-        try:
-            full = root_number_over_extension(curve, prof)
-        except ValueError:
-            pass
+    ratio = root_number_ratio(local, prof, reference.profile, q)
     fp = distinctness_fingerprint(prof.facts, reference.profile.facts or reference.poly)
     flag = (
         f"opposite-root-numbers {CONDITIONAL_TOKEN}"
@@ -478,7 +464,6 @@ def _evaluate_candidate(
         ratio=ratio,
         rank_gain_flag=flag,
         fingerprint=fp,
-        full_root_number=full,
     )
 
 
@@ -500,19 +485,20 @@ def search_rank_gain(
     The profile at the designated prime on the candidate side is declared from
     the target decomposition pair and consistency-checked (tame bound, exact
     valuation recheck); the reference side is computed from factorization.
+    Every ratio is root_number_ratio over the curve's local data or, without
+    a curve, over q alone with the assumed reduction type.
     """
     q = designated_prime
     if q in constraints.excluded_primes:
         raise MestreError(f"designated prime {q} lies in the excluded set")
-    if curve is not None:
-        L = curve.reduction_at(q)
-        if L is None or not L.is_multiplicative:
-            raise MestreError(
-                f"designated prime {q} is not multiplicative for the curve"
-            )
-        reduction = "split" if L.type == SPLIT_MULT else "nonsplit"
-    else:
-        reduction = assumed_reduction
+    if curve is None:  # q alone, multiplicative of the assumed type
+        types = {"split": SPLIT_MULT, "nonsplit": NONSPLIT_MULT}
+        if assumed_reduction not in types:
+            raise MestreError("assumed reduction must be 'split' or 'nonsplit'")
+        curve = CurveLocalData(None, (LocalReductionData(q, types[assumed_reduction]),))
+    L = curve.reduction_at(q)
+    if L is None or not L.is_multiplicative:
+        raise MestreError(f"designated prime {q} is not multiplicative for the curve")
     declared = dict(matched_profiles or {})
     declared[q] = profile_from_decomposition(target)
     if reference is None:
@@ -523,9 +509,7 @@ def search_rank_gain(
     for t0 in enumerate_t0(constraints, P.branch_locations()):
         if len(out) > limit:
             break
-        rec = _evaluate_candidate(
-            P, t0, q, declared, reference, curve, reduction, constraints.conditions
-        )
+        rec = _evaluate_candidate(P, t0, q, declared, reference, curve, constraints.conditions)
         if rec is not None:
             out.append(rec)
     return out

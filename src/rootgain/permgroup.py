@@ -378,9 +378,10 @@ def coset_action(G: PermGroup, subgroup_elements) -> PermGroup:
     return PermGroup(m, new_gens, cap=G.cap, name=f"{G.name or 'G'} on {m} cosets")
 
 
-def check_decomposition_pair(degree: int, decomposition_gens, inertia_gens, tame: bool) -> None:
+def check_decomposition_pair(degree: int, decomposition_gens, inertia_gens) -> None:
     """Raise GroupError unless I = <inertia_gens> is a normal subgroup of
-    D = <decomposition_gens>, with D/I cyclic when `tame`.
+    D = <decomposition_gens> with D/I cyclic, as the quotient of a
+    decomposition group by its inertia group always is.
 
     Membership is by the bytes of rows, not by the base index, which refuses
     groups like S_9. I is normal when conjugating its rows by each generator of
@@ -395,13 +396,12 @@ def check_decomposition_pair(degree: int, decomposition_gens, inertia_gens, tame
     for g in np.array(decomposition_gens, dtype=I.dtype).reshape(-1, degree):
         if not in_I.issuperset(_row_keys(g[I[:, np.argsort(g)]])):  # g s g^-1
             raise GroupError("inertia subgroup is not normal in decomposition group")
-    if tame:
-        m = len(D) // len(I)
-        xs = D
-        for ell in _prime_divisors(m):
-            xs = xs[[key not in in_I for key in _row_keys(_kth_powers(xs, m // ell))]]
-        if not len(xs):
-            raise GroupError("tame flag set but D/I is not cyclic")
+    m = len(D) // len(I)
+    xs = D
+    for ell in _prime_divisors(m):
+        xs = xs[[key not in in_I for key in _row_keys(_kth_powers(xs, m // ell))]]
+    if not len(xs):
+        raise GroupError("D/I is not cyclic")
 
 
 def _kth_powers(xs: np.ndarray, k: int) -> np.ndarray:

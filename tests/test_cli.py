@@ -217,6 +217,7 @@ def test_root_number_parse_error_line_number(capsys, tmp_path, extension_file):
         ("local: p=2 type=declared w=+1\nlocal: p=2 type=declared w=-1", None, 8),
         ("local: p=3317044064679887385961981 type=declared w=+1", None, 7),
         (None, "poly: 1,0,-2\nprofile: p=3317044064679887385961981 pairs=1:2\n", 2),
+        (None, "poly: 1,0,-2\npoly: 1,0,-3\n", 2),
     ],
 )
 def test_malformed_numbers_exit_4_with_line(
@@ -262,6 +263,62 @@ def test_malformed_numbers_exit_4_with_line(
             "form: general\ndegree: 1\ncoeff: k=0 num=1\ncoeff: k=1 num=1\n"
             "branch: location=0 e=2 degree=0 d= i=\n",
             "line 5: branch degree must be >= 1",
+        ),
+        # a repeated key, a coefficient row the degree does not read and a key
+        # the pencil's family or form does not read are errors at their line
+        ("a1: 0\na1: 1\na2: 0\na3: 0\na4: 0\na6: 1\n", None, "line 2: duplicate key 'a1'"),
+        (
+            None,
+            "family: psl2-11-degree12\nfamily: psl2-11-degree12\n",
+            "line 2: duplicate key 'family'",
+        ),
+        (None, "form: mestre\nf: 1,0,-3\nf: 1,0,-5\ng: 1\n", "line 3: duplicate key 'f'"),
+        (
+            None,
+            "form: general\ndegree: 1\ndegree: 2\ncoeff: k=0 num=1,0\ncoeff: k=1 num=1\n",
+            "line 3: duplicate key 'degree'",
+        ),
+        (
+            None,
+            "form: general\ndegree: 1\ncoeff: k=0 num=1,0\ncoeff: k=1 num=1\ncoeff: k=0 num=2,0\n",
+            "line 5: duplicate coeff k=0",
+        ),
+        (
+            None,
+            "form: general\ndegree: 2\ncoeff: k=0 num=1,0\ncoeff: k=1 num=0\ncoeff: k=2 num=1\n"
+            "coeff: k=3 num=7\n",
+            "line 6: coeff k=3 lies outside 0..2",
+        ),
+        (
+            None,
+            "form: general\ndegree: 1\ncoeff: k=-1 num=7\ncoeff: k=0 num=1,0\ncoeff: k=1 num=1\n",
+            "line 3: coeff k=-1 lies outside 0..1",
+        ),
+        # every t0 would be a pole
+        (
+            None,
+            "form: general\ndegree: 1\ncoeff: k=0 num=1,0 den=0\ncoeff: k=1 num=1\n",
+            "line 3: coeff den= must be nonzero",
+        ),
+        (
+            None,
+            "family: psl2-11-degree12\nbranch: location=0 e=2\n",
+            "line 2: key 'branch' is not read by a family pencil",
+        ),
+        (
+            None,
+            "family: psl2-11-degree12\nform: mestre\n",
+            "line 2: key 'form' is not read by a family pencil",
+        ),
+        (
+            None,
+            "form: mestre\nf: 1,0,-3\ng: 1\ncoeff: k=0 num=1\n",
+            "line 4: key 'coeff' is not read by a mestre pencil",
+        ),
+        (
+            None,
+            "form: general\nf: 1,0,-3\ng: 1\ndegree: 1\ncoeff: k=0 num=1,0\ncoeff: k=1 num=1\n",
+            "line 2: key 'f' is not read by a general pencil",
         ),
     ],
 )
@@ -810,40 +867,76 @@ MESTRE_PENCIL = (
     "form: mestre\nf: 1,0,-164,0,2304,0\ng: 1,0,-559076/12249,0,2975047936/16670889\n"
     "branch: location=inf e=2 degree=5 D=(1,2)(3,4)\n"
 )
+# y^2 = x(x+2)(x - 38): nonsplit multiplicative at 5 and 19, 2 declared
+NONSPLIT_AT_19_CURVE = "a1: 0\na2: -36\na3: 0\na4: -76\na6: 0\nlocal: p=2 type=declared w=+1\n"
+# X^2 + t, ramified at 13 when v_13(t0) = -1: one prime above 13 with f = 1, so
+# the ratio is -1 when 13 is split multiplicative and +1 when nonsplit
+X2_PLUS_T_PENCIL = (
+    "form: general\ndegree: 2\ncoeff: k=0 num=1,0\ncoeff: k=1 num=0\ncoeff: k=2 num=1\n"
+    "branch: location=inf e=2 degree=2 D=(1,2) I=(1,2)\n"
+)
 PSL11_PLAIN_DIGEST = "8ab73973f5cf6ae5ded113610f92ba6d07f6a8b18fbb54debc72934e3c00dd22"
+MESTRE_DIGEST = "2a82782afc733302915946d73a345e3cd64fa41ebb6c782efc71999e4dd7feb2"
+Q19_PSL11 = ["--q", "19", "--height", "200"]
+Q19_MESTRE = ["--q", "19", "--height", "100"]
+Q13_X2_PLUS_T = ["--q", "13", "--height", "30"]
 
 
 @pytest.mark.parametrize(
     "pencil_text, options, digest",
     [
-        ("family: psl2-11-degree12\n", ["--height", "200"], PSL11_PLAIN_DIGEST),
+        ("family: psl2-11-degree12\n", Q19_PSL11, PSL11_PLAIN_DIGEST),
         # at a split multiplicative q the root-number ratio is the split-count one
+        ("family: psl2-11-degree12\n", [*Q19_PSL11, "--curve", "SPLIT"], PSL11_PLAIN_DIGEST),
         (
             "family: psl2-11-degree12\n",
-            ["--height", "200", "--curve", "CURVE"],
-            PSL11_PLAIN_DIGEST,
-        ),
-        (
-            "family: psl2-11-degree12\n",
-            ["--height", "200", "--congruent", "13:2:1"],
+            [*Q19_PSL11, "--congruent", "13:2:1"],
             "b0f38ce4c043941506ae6e4577b2a25010eb14bb4708ef11525ab07803e96889",
         ),
+        (MESTRE_PENCIL, Q19_MESTRE, MESTRE_DIGEST),
+        # every profile at 19 below has an even number of parts with odd f, so
+        # split and nonsplit give one ratio
         (
-            MESTRE_PENCIL,
-            ["--height", "100"],
-            "2a82782afc733302915946d73a345e3cd64fa41ebb6c782efc71999e4dd7feb2",
+            "family: psl2-11-degree12\n",
+            [*Q19_PSL11, "--assume-reduction", "nonsplit"],
+            PSL11_PLAIN_DIGEST,
+        ),
+        ("family: psl2-11-degree12\n", [*Q19_PSL11, "--curve", "NONSPLIT"], PSL11_PLAIN_DIGEST),
+        (MESTRE_PENCIL, [*Q19_MESTRE, "--assume-reduction", "nonsplit"], MESTRE_DIGEST),
+        (MESTRE_PENCIL, [*Q19_MESTRE, "--curve", "NONSPLIT"], MESTRE_DIGEST),
+        (
+            X2_PLUS_T_PENCIL,
+            Q13_X2_PLUS_T,
+            "13054e2a5bab18fdf8a0e65a5c3b40633ae4409f8fb2bb76fd82c6b6823d94c0",
+        ),
+        (
+            X2_PLUS_T_PENCIL,
+            [*Q13_X2_PLUS_T, "--assume-reduction", "nonsplit"],
+            "7804ea184212393954ab5f7e61cbc75b730fb024f47d0d75653ad0c85455f8b8",
         ),
     ],
-    ids=["psl2-11", "psl2-11-curve", "psl2-11-congruent", "mestre"],
+    ids=[
+        "psl2-11",
+        "psl2-11-curve",
+        "psl2-11-congruent",
+        "mestre",
+        "psl2-11-nonsplit",
+        "psl2-11-nonsplit-curve",
+        "mestre-nonsplit",
+        "mestre-nonsplit-curve",
+        "x2-plus-t-split",
+        "x2-plus-t-nonsplit",
+    ],
 )
 def test_specialize_reports_are_pinned(capsys, tmp_path, pencil_text, options, digest):
     # reports are byte-identical across versions unless a change says otherwise
     pencil = tmp_path / "p.pencil"
     pencil.write_text(pencil_text)
-    curve = tmp_path / "curve.txt"
-    curve.write_text(SPLIT_AT_19_CURVE)
-    options = [str(curve) if o == "CURVE" else o for o in options]
-    argv = ["specialize", "--pencil", str(pencil), "--q", "19", "--limit", "2", *options]
+    curves = {"SPLIT": SPLIT_AT_19_CURVE, "NONSPLIT": NONSPLIT_AT_19_CURVE}
+    for name, text in curves.items():
+        (tmp_path / name).write_text(text)
+    options = [str(tmp_path / o) if o in curves else o for o in options]
+    argv = ["specialize", "--pencil", str(pencil), "--limit", "2", *options]
     code, out = run(capsys, argv)
     assert code == 0
     assert len(out.splitlines()) == 6

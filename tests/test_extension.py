@@ -178,7 +178,7 @@ def _closure_verdict(degree, d_gens, i_gens):
 VERDICTS = {
     "inertia subgroup not contained in decomposition group": "not a subgroup",
     "inertia subgroup is not normal in decomposition group": "not normal",
-    "tame flag set but D/I is not cyclic": "not cyclic",
+    "D/I is not cyclic": "not cyclic",
 }
 
 
@@ -257,7 +257,7 @@ def test_s8_branch_record_is_rejected_at_its_line():
     with pytest.raises(ParseError) as info:
         parse_pencil_file(text)
     assert info.value.lineno == 5
-    assert str(info.value) == "line 5: tame flag set but D/I is not cyclic"
+    assert str(info.value) == "line 5: D/I is not cyclic"
 
 
 def test_split_count_monotone_and_bounded():

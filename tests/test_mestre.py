@@ -393,7 +393,8 @@ def test_search_quintic_pipeline_flip():
     assert candidates
     cand = candidates[0]
     assert cand.ratio == -1
-    assert cand.full_root_number == -1  # W(E/K1) = -1: rank gain side
+    # W(E/K1) = -1: rank gain side
+    assert root_number_over_extension(bundle, cand.profile) == -1
     assert CONDITIONAL_TOKEN in cand.rank_gain_flag
     assert cand.fingerprint == "distinct"
 
@@ -497,3 +498,16 @@ def test_search_rejects_excluded_designated_prime():
     )
     with pytest.raises(MestreError):
         search_rank_gain(pencil, None, cons, pencil.branch_points[0].pair, 11)
+
+
+def test_search_rejects_unknown_assumed_reduction():
+    pencil = psl2_11_degree12_pencil()
+    cons = SearchConstraints(
+        conditions=(PrimeCondition(19, "valuation_of_t0_equals", -1),),
+        height_bound=20,
+        excluded_primes=(2, 3, 5, 7, 11),
+    )
+    with pytest.raises(MestreError, match="assumed reduction must be 'split' or 'nonsplit'"):
+        search_rank_gain(
+            pencil, None, cons, pencil.branch_points[0].pair, 19, assumed_reduction="additive"
+        )
