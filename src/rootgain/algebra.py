@@ -124,16 +124,34 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
+# _prime_divisors trial-divides below this bound only
+TRIAL_DIVISION_BOUND = 10**6
+
+
+class FactoringIncomplete(AlgebraError):
+    """A cofactor left by trial division is neither split nor proven prime."""
+
+
 def _prime_divisors(x: Rational) -> list[int]:
+    """The primes dividing the numerator or the denominator of x, ascending.
+
+    Trial division runs below TRIAL_DIVISION_BOUND. The cofactor it leaves has
+    no prime factor below the bound, so it is prime when it is below the bound
+    squared; past that it is taken only as is_prime proves it (below psi_13).
+    Raises FactoringIncomplete, naming the cofactor, otherwise."""
     n = abs(x.numerator * x.denominator)
     out = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < TRIAL_DIVISION_BOUND:
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
         p += 1 if p == 2 else 2
+    if n >= TRIAL_DIVISION_BOUND**2 and (reason := unproven_prime_reason(n)):
+        raise FactoringIncomplete(
+            f"trial division below {TRIAL_DIVISION_BOUND} leaves a cofactor not proven prime: {reason}"
+        )
     if n > 1:
         out.append(n)
     return out

@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .algebra import NotASquare, PolyFacts, poly_from_descending_string, rational_sqrt
-from .algebra import unproven_prime_reason
+from .algebra import FactoringIncomplete, unproven_prime_reason
 from .extension import ExtensionError, Incomputable, build_profile, certify_irreducible
 from .extension import root_number_over_extension
 from .inputfmt import ParseError, parse_curve_file, parse_extension_file, parse_pencil_file
@@ -455,6 +455,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL
+    except FactoringIncomplete as exc:  # a curve discriminant trial division cannot split
+        sys.stderr.write(f"Incomputable: {exc}\n")
+        return EXIT_EMPTY
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL

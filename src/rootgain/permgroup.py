@@ -183,7 +183,8 @@ class _BaseIndex:
         return self.lookup[images @ self.weights]
 
     def table(self) -> np.ndarray:
-        """N x N array of the row of a*b (a after b), found from a(b(base))."""
+        """N x N array of the row of a*b (a after b), found from a(b(base)).
+        `all_subgroups` is its only caller."""
         arr = self.arr.astype(np.intp)  # native-width index arrays gather fastest
         on_base = arr[:, self.base]
         table = np.empty((len(arr), len(arr)), dtype=self.lookup.dtype)
@@ -710,6 +711,25 @@ def group_typeset(elements) -> frozenset[tuple[int, ...]]:
     return frozenset(cycle_type(e) for e in elements)
 
 
+def _conjugacy_classes(index: _BaseIndex) -> tuple[list[int], list[np.ndarray], np.ndarray]:
+    """The conjugacy classes of the group on the rows of `index`: a
+    representative x per class, one per unmarked row from the last back, so
+    the identity (row 0) is last; for each x, the row of g x g^-1 for every g,
+    found from g(x(g^-1(base))); and the class of every row."""
+    arr = index.arr
+    every = np.arange(len(arr))[:, None]
+    reps: list[int] = []
+    conjugates: list[np.ndarray] = []
+    class_of = np.full(len(arr), -1, dtype=np.intp)
+    for x in range(len(arr) - 1, -1, -1):
+        if class_of[x] < 0:
+            conj = index.find(arr[every, arr[x][index.inverse_base]])
+            class_of[conj] = len(reps)
+            reps.append(x)
+            conjugates.append(conj)
+    return reps, conjugates, class_of
+
+
 @lru_cache(maxsize=None)
 def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Cycle-type sets of all proper transitive subgroups of A_n, by exhaustive
@@ -717,7 +737,13 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     complete for n <= 7: every transitive subgroup of A_n there is 2-generated
     (Butler-McKay, The transitive groups of degree up to eleven, 1983).
 
-    Each <x, y> is joined from <x> (`_join`, the kernel of `all_subgroups`).
+    No N x N product table is built. Every map read here is one gather of
+    images on A_n's base, whose row `_BaseIndex.find` looks up, as `_normalizer`
+    does: the right-multiplication map r -> r a from r(a(base)), the class
+    marking g -> g x g^-1 from g(x(g^-1(base))), the conjugates g y g^-1 that
+    pick the orbit minima, and the rows a r of the right cosets of <x>. Each
+    <x, y> is joined from <x> (`_join`, the kernel of `all_subgroups`).
+
     Every pruning is exact:
     - <x, y> has the orbits of {x, y}, so a pair whose two generators are not
       transitive together is dropped before its closure is computed.
@@ -731,45 +757,49 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
       generates, so every pair, in one of its two orders, is conjugate to some
       (x_k, y) with y in class k or later. The identity class is the last, so
       the identity pairs only with itself.
-    - Within those classes, y runs over one element per orbit of C(x) acting by
-      conjugation: for c in C(x), <x, c y c^-1> = c <x, y> c^-1, which has the
-      same cycle types.
+    - Within those classes, y runs over one element per orbit of N(<x>) acting
+      by conjugation. For g in N(<x>), g x g^-1 = x^j generates <x>, so
+      g <x, y> g^-1 = <x^j, g y g^-1> = <x, g y g^-1>: the two pairs generate
+      conjugate subgroups, with the same orbits, order and cycle types. g y g^-1
+      lies in the class of y, so the class pruning above is untouched.
     """
     if n < 4:
         return ()
     if n > 7:
         raise GroupError("transitive typeset enumeration is desk-scale for n <= 7 only")
-    A = alternating_group(n)
-    index = A.base_index
-    els = index.arr.tolist()
-    table = index.table()
-    inv_idx = index.find(index.inverse_base)
+    index = alternating_group(n).base_index
+    arr = index.arr
+    els = arr.tolist()
+    on_base = arr[:, index.base]
     limit = len(els) // n if n >= 5 else len(els) // 2
     one = [1 << i for i in range(len(els))]
+    reps, conjugates, class_of = _conjugacy_classes(index)
 
-    # a class per unmarked row from the last back, so the identity (row 0) is last
-    reps: list[int] = []
-    class_of = np.full(len(els), -1, dtype=np.intp)
-    for x in range(len(els) - 1, -1, -1):
-        if class_of[x] < 0:
-            class_of[table[table[:, x], inv_idx]] = len(reps)  # g x g^-1 for every g
-            reps.append(x)
+    def right_map(a: int) -> list[int]:
+        """r -> r a for every row r, from r(a(base))."""
+        return index.find(arr[:, arr[a, index.base]]).tolist()
 
     found: set[int] = set()
-    for k, x in enumerate(reps):
-        cent = np.flatnonzero(table[:, x] == table[x])
-        ys = np.flatnonzero(class_of >= k)
-        # column j holds the C(x)-orbit of ys[j]; keep ys[j] when it is the orbit's least
-        orbit_min = table[table[np.ix_(cent, ys)], inv_idx[cent, None]].min(axis=0)
-        powers = [x]  # <x> = {x, x^2, ..., x^m = e}
-        while (r := int(table[powers[-1], x])) != x:
+    for k, (x, conj) in enumerate(zip(reps, conjugates)):
+        x_map = right_map(x)
+        powers = [0]  # <x> = {e, x, x^2, ...}
+        while (r := x_map[powers[-1]]) != 0:
             powers.append(r)
+        ys = np.flatnonzero(class_of >= k)
+        # keep ys[j] when it is the least of its N(<x>)-orbit: g y g^-1 on the
+        # base, for each g with g x g^-1 in <x>
+        least, on_ys = ys, arr[ys]
+        for g in np.flatnonzero(np.isin(conj, powers)).tolist():
+            least = np.minimum(least, index.find(arr[g][on_ys[:, index.inverse_base[g]]]))
         s = sum(map(one.__getitem__, powers))
-        cosets = _right_cosets([list(map(one.__getitem__, row)) for row in table[powers].tolist()])
-        for y in ys[orbit_min == ys].tolist():
+        # row a holds a r at each r: a(r(base))
+        cosets = _right_cosets(
+            [list(map(one.__getitem__, index.find(arr[a][on_base]).tolist())) for a in powers]
+        )
+        for y in ys[least == ys].tolist():
             if orbit_count([els[x], els[y]], n) != 1:
                 continue
-            t = _join(s, len(powers), table[:, [x, y]].T.tolist(), cosets, limit)
+            t = _join(s, len(powers), [x_map, right_map(y)], cosets, limit)
             if t is not None:
                 found.add(t)
     sets = {group_typeset([els[i] for i in _bits(t)]) for t in found}

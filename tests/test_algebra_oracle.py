@@ -5,7 +5,8 @@ factorization over Q, on derandomized polynomials of degree <= 8 with rational
 coefficients, including products with repeated and shared factors. is_prime
 is checked against sympy's isprime at the strong pseudoprimes psi_12 and
 psi_13 and on seeded products of two 12-digit primes, iter_primes against
-primerange, and F_p division and gcd against sympy's galoistools."""
+primerange, _prime_divisors against factorint on seeded products of primes
+with 6 to 14 digits, and F_p division and gcd against sympy's galoistools."""
 
 import random
 from fractions import Fraction as F
@@ -16,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootgain.algebra import (
+    TRIAL_DIVISION_BOUND,
+    FactoringIncomplete,
     PolyFp,
     PolyQ,
+    _prime_divisors,
     discriminant,
     is_prime,
     iter_primes,
@@ -113,6 +117,63 @@ def test_is_prime_matches_isprime_at_the_pseudoprimes_and_on_semiprimes():
     for n in [PSI_12, PSI_13 - 2, *semiprimes, *twelve_digit, *nearby]:
         assert is_prime(n) == sympy.isprime(n), n
     assert not is_prime(PSI_12)
+
+
+def _expected_prime_divisors(n: int) -> list[int] | None:
+    """factorint's primes of n, or None where _prime_divisors must refuse: the
+    part of n with no prime below the bound is at least the bound squared, and
+    it is composite or not below psi_13."""
+    factors = sympy.factorint(n)
+    cofactor = 1
+    for p, e in factors.items():
+        if p >= TRIAL_DIVISION_BOUND:
+            cofactor *= p**e
+    proven = cofactor < TRIAL_DIVISION_BOUND**2 or (sympy.isprime(cofactor) and cofactor < PSI_13)
+    return sorted(factors) if proven else None
+
+
+def _check_prime_divisors(x: F) -> None:
+    expected = _expected_prime_divisors(abs(x.numerator * x.denominator))
+    if expected is None:
+        with pytest.raises(FactoringIncomplete, match="not proven prime"):
+            _prime_divisors(x)
+    else:
+        assert _prime_divisors(x) == expected, x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        F(1),
+        F(-12, 35),
+        F(999983**2 * 7),  # the largest prime below the bound, found by trial division
+        F(10**12 + 39),  # a prime cofactor just past the bound squared
+        F(2 * (2**61 - 1), 3 * 999983),  # a prime cofactor in the denominator
+        F((10**6 + 3) ** 2),  # a composite cofactor with no factor below the bound
+        F(PSI_12 * 5),  # composite, and no base up to 37 tells
+        F(PSI_13),  # composite, and is_prime takes it
+        F(int(sympy.nextprime(PSI_13))),  # prime, but past the proven range
+        F(int(sympy.prevprime(PSI_13)), 11),
+    ],
+)
+def test_prime_divisors_match_factorint_at_fixed_cases(x):
+    _check_prime_divisors(x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    digits=st.lists(st.integers(6, 14), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32),
+    small=st.integers(1, 10**4),
+    square=st.booleans(),
+)
+def test_prime_divisors_match_factorint_on_products(digits, seed, small, square):
+    rng = random.Random(seed)
+    primes = [int(sympy.nextprime(rng.randrange(10 ** (d - 1), 10**d))) for d in digits]
+    n = small * primes[0] ** (1 + square)
+    for p in primes[1:]:
+        n *= p
+    _check_prime_divisors(F(n))
 
 
 def test_iter_primes_matches_primerange():

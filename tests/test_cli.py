@@ -1056,8 +1056,9 @@ def test_out_flag_writes_file(tmp_path, pencil_file, capsys):
     assert dest.read_text().startswith("# group: A5")
 
 
-def _main_alone(argv):
-    """Exit code, stdout and stderr of `main(argv)` in a fresh interpreter."""
+def _main_alone(argv, timeout=None):
+    """Exit code, stdout and stderr of `main(argv)` in a fresh interpreter,
+    which is killed (subprocess.TimeoutExpired) after `timeout` seconds."""
     src = str(Path(rootgain.__file__).resolve().parents[1])
     script = "import sys; from rootgain.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
@@ -1065,6 +1066,7 @@ def _main_alone(argv):
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -1088,3 +1090,23 @@ def test_main_calls_in_one_process_match_calls_alone(capsys, tmp_path, pencil_fi
         alone = (*_main_alone(argv), dest.read_bytes() if dest.exists() else None)
         assert together == alone
         assert code == (4 if i == 1 else 0)
+
+
+def test_curve_discriminant_beyond_trial_division_exits_3(tmp_path, pencil_file):
+    # a4 = 1000000007 * 10000000019, so the discriminant -64 a4^3 leaves a
+    # composite cofactor with no prime factor below the trial-division bound
+    a4 = 1000000007 * 10000000019
+    curve = tmp_path / "curve.txt"
+    curve.write_text(f"a1: 0\na2: 0\na3: 0\na4: {a4}\na6: 0\nlocal: p=2 type=declared w=+1\n")
+    ext = tmp_path / "ext.txt"
+    ext.write_text("poly: 1,0,-5\n")
+    for argv in (
+        ["root-number", "--curve", str(curve), "--extension", str(ext)],
+        ["specialize", "--pencil", pencil_file, "--q", "19", "--curve", str(curve)],
+    ):
+        code, out, err = _main_alone(argv, timeout=30)
+        assert (code, out) == (3, ""), argv[0]
+        assert err == (
+            "Incomputable: trial division below 1000000 leaves a cofactor not proven"
+            f" prime: {a4**3} is not prime\n"
+        )

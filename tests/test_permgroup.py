@@ -2,6 +2,7 @@ import hashlib
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,8 @@ from rootgain.permgroup import (
     transitive_typesets,
 )
 from rootgain.permgroup import (
+    _BaseIndex,
+    _conjugacy_classes,
     _cycle_counts,
     _double_coset_reps,
     _join,
@@ -396,13 +399,16 @@ def test_all_subgroups_of_dihedral_12():
 # ---------------------------------------------------------------- typesets
 
 
+A4_TYPESETS = (frozenset({(1, 1, 1, 1), (2, 2)}),)  # the regular Klein four-group
+A5_TYPESETS = {
+    frozenset({(1, 1, 1, 1, 1), (5,)}),  # C5
+    frozenset({(1, 1, 1, 1, 1), (5,), (1, 2, 2)}),  # D5
+}
+
+
 def test_transitive_typesets_a4_a5():
-    t4 = transitive_typesets(4)
-    assert t4 == (frozenset({(1, 1, 1, 1), (2, 2)}),)  # the regular Klein four-group
-    t5 = transitive_typesets(5)
-    c5 = frozenset({(1, 1, 1, 1, 1), (5,)})
-    d5 = frozenset({(1, 1, 1, 1, 1), (5,), (1, 2, 2)})
-    assert set(t5) == {c5, d5}
+    assert transitive_typesets(4) == A4_TYPESETS
+    assert set(transitive_typesets(5)) == A5_TYPESETS
 
 
 def _all_pairs_typesets(n):
@@ -440,7 +446,9 @@ def test_transitive_typesets_match_all_pairs_closure(n):
     assert transitive_typesets(n) == _all_pairs_typesets(n)
 
 
-def test_transitive_typesets_a7():
+def _a7_typesets():
+    """The typesets of C7, 7:3 and PSL(3,2), the proper transitive subgroups
+    of A_7 up to conjugacy."""
     c7 = "(1,2,3,4,5,6,7)"
     groups = [
         PermGroup(7, [cyc(c7, 7)]),
@@ -448,8 +456,42 @@ def test_transitive_typesets_a7():
         PermGroup(7, [cyc(c7, 7), cyc("(1,2)(3,6)", 7)]),
     ]
     assert [G.order() for G in groups] == [7, 21, 168]
-    expected = sorted((group_typeset(G.elements) for G in groups), key=sorted)
-    assert transitive_typesets(7) == tuple(expected)
+    return tuple(sorted((group_typeset(G.elements) for G in groups), key=sorted))
+
+
+def test_transitive_typesets_a7():
+    assert transitive_typesets(7) == _a7_typesets()
+
+
+def test_transitive_typesets_build_no_product_table(monkeypatch):
+    """Every map comes from a base-index gather: with the N x N table refused,
+    the uncached function still gives the expected typesets."""
+
+    def refuse(self):
+        raise AssertionError("transitive_typesets built the product table")
+
+    monkeypatch.setattr(_BaseIndex, "table", refuse)
+    build = transitive_typesets.__wrapped__
+    assert build(4) == A4_TYPESETS
+    assert set(build(5)) == A5_TYPESETS
+    assert build(6) == _all_pairs_typesets(6)
+    assert build(7) == _a7_typesets()
+
+
+@pytest.mark.parametrize("n, count", [(4, 4), (5, 5), (6, 7), (7, 9)])
+def test_conjugacy_classes_of_an(n, count):
+    """The marking finds A_n's class number of classes; each class is a whole
+    orbit under conjugation, with the identity's class last."""
+    G = alternating_group(n)
+    reps, conjugates, class_of = _conjugacy_classes(G.base_index)
+    assert len(reps) == count
+    assert reps[-1] == 0 and np.array_equal(conjugates[-1], np.zeros(G.order()))
+    els = G.elements
+    row = {e: i for i, e in enumerate(els)}
+    for k, (x, conj) in enumerate(zip(reps, conjugates)):
+        plain = [row[compose(compose(g, els[x]), inverse(g))] for g in els]
+        assert conj.tolist() == plain
+        assert np.flatnonzero(class_of == k).tolist() == sorted(set(plain))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
