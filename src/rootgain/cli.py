@@ -61,12 +61,12 @@ def _descending(poly) -> str:
 
 
 def _emit(lines, out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write each line of any iterable, newline-terminated, as it comes."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------- orbit-search
@@ -104,20 +104,21 @@ def cmd_orbit_search(args) -> int:
     if args.cap is not None:
         G = PermGroup(G.degree, G.generators, cap=args.cap, name=G.name)
     cands = metacyclic_odd_orbit_search(G, require_inertia_even=args.require_even_inertia)
-    lines = [
-        f"# group: {G.name or args.group} degree={G.degree} order={G.order()}",
-        f"# candidates with degree - |orb(<I,x>)| odd: {len(cands)}",
-        "inertia_generator\tx\t|I|\torb(I)\torb(H)\tI_in_An",
-    ]
-    # candidates come grouped by c: format each c once
-    for c, group in groupby(cands, key=attrgetter("c")):
-        c_text = format_cycles(c)
-        for m in group:
-            lines.append(
-                f"{c_text}\t{format_cycles(m.x)}\t{m.inertia_order}\t"
-                f"{m.orbits_inertia}\t{m.orbits_full}\t{str(m.inertia_in_alternating).lower()}"
-            )
-    _emit(lines, args.out)
+
+    def report():
+        yield f"# group: {G.name or args.group} degree={G.degree} order={G.order()}"
+        yield f"# candidates with degree - |orb(<I,x>)| odd: {len(cands)}"
+        yield "inertia_generator\tx\t|I|\torb(I)\torb(H)\tI_in_An"
+        # candidates come grouped by c: format each c once
+        for c, group in groupby(cands, key=attrgetter("c")):
+            c_text = format_cycles(c)
+            for m in group:
+                yield (
+                    f"{c_text}\t{format_cycles(m.x)}\t{m.inertia_order}\t"
+                    f"{m.orbits_inertia}\t{m.orbits_full}\t{str(m.inertia_in_alternating).lower()}"
+                )
+
+    _emit(report(), args.out)
     return EXIT_OK if cands else EXIT_EMPTY
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import PolyFp, PolyQ, discriminant, legendre, primes_up_to, valuation
+from .algebra import PolyFp, PolyQ, legendre, primes_up_to, valuation
 
 CONDITIONAL_TOKEN = "conditional-on-parity-conjecture"
 
@@ -51,7 +51,6 @@ class NodePrimeRecord:
     prime: int
     node: int  # the double root a in F_p
     cofactor: PolyFp
-    disc_valuation_one: bool
 
     def __post_init__(self):
         if self.cofactor(self.node) == 0:
@@ -63,10 +62,9 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
     mod p keeps its degree and acquires exactly one double root (X-a)^2 with a
     separable cofactor not vanishing at a.
 
-    A prime with v_p(disc f) = 1 always has this shape; the flag records that
-    fast pre-filter, but every prime is tested directly: for odd p, gcd(f, f')
-    = X - a says exactly this (a root of multiplicity m leaves (X-a)^(m-1) in
-    the gcd, or (X-a)^m when p | m).
+    A prime with v_p(disc f) = 1 always has this shape, but every prime is
+    tested directly: for odd p, gcd(f, f') = X - a says exactly this (a root
+    of multiplicity m leaves (X-a)^(m-1) in the gcd, or (X-a)^m when p | m).
     """
     if f.degree < 5:
         raise JacobianError("hyperelliptic input needs degree >= 5")
@@ -74,7 +72,6 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
         raise JacobianError("integral coefficients required")
     if not f.is_separable():
         raise JacobianError("f must be separable")
-    disc = discriminant(f)
     out = []
     for p in primes_up_to(bound):
         if p == 2 or valuation(f.leading(), p) != 0:
@@ -85,14 +82,7 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
             continue
         # monic linear gcd: the double root a = -constant term
         a = (-g[0]) % p
-        out.append(
-            NodePrimeRecord(
-                prime=p,
-                node=a,
-                cofactor=fp // (g * g),
-                disc_valuation_one=(valuation(disc, p) == 1),
-            )
-        )
+        out.append(NodePrimeRecord(prime=p, node=a, cofactor=fp // (g * g)))
     return out
 
 

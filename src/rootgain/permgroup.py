@@ -348,18 +348,24 @@ def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:
     return list(map(tuple, G.element_array()[_normalizer(G, rows)].tolist()))
 
 
+def _conjugates(index: _BaseIndex, s: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The row of g s g^-1 for each row g (of `rows`, or of the whole group),
+    found from its images g(s(g^-1(b))) on the base points b."""
+    rows = np.arange(len(index.arr)) if rows is None else rows
+    return index.find(index.arr[rows[:, None], s[index.inverse_base[rows]]])
+
+
 def _normalizer(G: PermGroup, rows: np.ndarray) -> np.ndarray:
-    """The rows of the normalizer of the subgroup on the given rows, ascending.
-    Each g s g^-1 lies in G, so its base images find its row, which a mask over
-    G's rows tests for membership in the subgroup."""
+    """The rows of the normalizer of the subgroup on the given rows, ascending:
+    the g with every g s g^-1 in it, which a mask over G's rows tests. Only
+    `normalizer_scan` needs this: for a cyclic <c>, g <c> g^-1 = <g c g^-1>,
+    so the metacyclic search tests one conjugate per g."""
     index = G.base_index
     in_sub = np.zeros(len(index.arr), dtype=bool)
     in_sub[rows] = True
     keep = np.arange(len(index.arr))
     for s in index.arr[rows]:
-        # g(s(g^-1(b))) for each base point b and each g still kept
-        conj = index.arr[keep[:, None], s[index.inverse_base[keep]]]
-        keep = keep[in_sub[index.find(conj)]]
+        keep = keep[in_sub[_conjugates(index, s, keep)]]
     return keep
 
 
@@ -480,7 +486,9 @@ def _cycle_counts(xs: np.ndarray) -> np.ndarray:
     """The number of cycles of each row of xs, a permutation, counted as the
     points that are the least of their cycle. With least[i] the least of x^j(i)
     over j < w and jump = x^w, one doubling step makes w twice as large; once w
-    reaches the degree, least[i] is the least point of the cycle of i."""
+    reaches the degree, least[i] is the least point of the cycle of i. An x
+    normalizing <c> permutes the orbits of <c>, and the cycles of that
+    permutation, which the metacyclic search passes, are the orbits of <c, x>."""
     points = np.arange(xs.shape[1], dtype=xs.dtype)
     least, jump, w = np.broadcast_to(points, xs.shape), xs, 1
     while w < xs.shape[1]:
@@ -521,36 +529,37 @@ def metacyclic_odd_orbit_search(
     (|I|, c) and then by x.
 
     The search is solved once per conjugacy class of cyclic subgroups, on the
-    first subgroup R = <c> of the class in that order: one normalizer and one
-    orbit count per x in N(R). A conjugate g R g^-1 takes the odd x as g x g^-1,
-    with the same orbit count. This is exact: N(g R g^-1) = g N(R) g^-1, and
-    <g R g^-1, g x g^-1> = g <R, x> g^-1 has as many orbits as <R, x>. orb(I)
-    and the sign of a generator are class functions (a generator of g R g^-1 is
-    g c^j g^-1 with gcd(j, |c|) = 1, and j is odd when |c| is even, while c of
-    odd order is even), so `require_inertia_even` drops whole classes.
+    first subgroup R = <c> of the class in that order, from one `_conjugates`
+    gather of g c g^-1 over every g. As g R g^-1 = <g c g^-1>, N(R) is the g
+    whose conjugate lies in R, and the subgroups the gather generates are the
+    class. Each x in N(R) permutes the orbits of R, one cycle per orbit of
+    <R, x> (for R trivial, the points and the cycles of x); c has one cycle per
+    orbit of R, so its sign is (-1)^(n - orb(I)). A conjugate g R g^-1 takes
+    the odd x as g x g^-1, with the same orbit count: N(g R g^-1) = g N(R) g^-1,
+    and <g R g^-1, g x g^-1> = g <R, x> g^-1. orb(I) and the sign of a
+    generator are class functions (a generator of g R g^-1 is g c^j g^-1 with
+    gcd(j, |c|) = 1, and j is odd when |c| is even, while c of odd order is
+    even), so `require_inertia_even` drops whole classes.
     """
     n = G.degree
     reps, generated_by = cyclic_subgroup_representatives(G)
     index = G.base_index
     arr = index.arr
-    every = np.arange(len(arr))[:, None]
     solved: dict[int, tuple[int, bool, list[tuple[Perm, int]]]] = {}
     out: list[MetacyclicCandidate] = []
     for k, (c_row, powers) in enumerate(reps):
-        c = arr[c_row].tolist()
         if k not in solved:
-            orb_i = orbit_count([c], n)
-            c_even = sign(c) == 1
-            xs = arr[_normalizer(G, powers) if c_even or not require_inertia_even else []]
-            if len(powers) == 1:  # <1, x> = <x>, whose orbits are the cycles of x
-                orbs = _cycle_counts(xs)
-            else:
-                orbs = np.array([orbit_count([c, x], n) for x in xs.tolist()], dtype=np.intp)
+            conj = _conjugates(index, arr[c_row])
+            # each point's <c>-orbit, numbered in the order of the least points
+            orbit_reps, label = np.unique(arr[powers].min(axis=0), return_inverse=True)
+            label = label.astype(arr.dtype)
+            orb_i = len(orbit_reps)
+            c_even = (n - orb_i) % 2 == 0
+            xs = arr[np.isin(conj, powers) if c_even or not require_inertia_even else []]
+            orbs = _cycle_counts(label[xs[:, orbit_reps]])
             is_odd = (n - orbs) % 2 == 1
             xs, orbs = xs[is_odd], orbs[is_odd]
-            # g c g^-1 on the base for every g, and the subgroup it generates
-            conj = generated_by[index.find(arr[every, np.array(c)[index.inverse_base]])]
-            subgroups, conjugators = np.unique(conj, return_index=True)
+            subgroups, conjugators = np.unique(generated_by[conj], return_index=True)
             # <c> itself is first reached at the identity, row 0
             for s, g in zip(subgroups.tolist(), conjugators.tolist()):
                 g = arr[g]
@@ -559,21 +568,21 @@ def metacyclic_odd_orbit_search(
                 moved_odd = list(zip(map(tuple, moved[order].tolist()), orbs[order].tolist()))
                 solved[s] = (orb_i, c_even, moved_odd)
         orb_i, c_even, odd = solved.pop(k)
-        c = tuple(c)
+        c = tuple(arr[c_row].tolist())
         out += [MetacyclicCandidate(n, c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
     return out
 
 
 def psl2_11_degree55() -> PermGroup:
     """PSL2(11) in its primitive degree-55 action: cosets of the normalizer of a
-    cyclic subgroup of order 6 (a subgroup of order 12)."""
+    cyclic subgroup <c> of order 6, the 12 g with g c g^-1 in <c>."""
     G = psl2_natural(11)
     index = G.base_index
-    c6 = next(c for c in map(np.ndarray.tolist, index.arr) if perm_order(c) == 6)
-    N = _normalizer(G, _power_rows(index, c6))
+    c6 = next(c for c in index.arr if perm_order(c.tolist()) == 6)
+    N = index.arr[np.isin(_conjugates(index, c6), _power_rows(index, c6.tolist()))]
     if len(N) != 12:
         raise GroupError(f"expected an order-12 normalizer, got {len(N)}")
-    return coset_action(G, index.arr[N])
+    return coset_action(G, N)
 
 
 # ---------------------------------------------------------------- subgroup closures
@@ -714,16 +723,14 @@ def group_typeset(elements) -> frozenset[tuple[int, ...]]:
 def _conjugacy_classes(index: _BaseIndex) -> tuple[list[int], list[np.ndarray], np.ndarray]:
     """The conjugacy classes of the group on the rows of `index`: a
     representative x per class, one per unmarked row from the last back, so
-    the identity (row 0) is last; for each x, the row of g x g^-1 for every g,
-    found from g(x(g^-1(base))); and the class of every row."""
-    arr = index.arr
-    every = np.arange(len(arr))[:, None]
+    the identity (row 0) is last; for each x, its `_conjugates` over every g;
+    and the class of every row."""
     reps: list[int] = []
     conjugates: list[np.ndarray] = []
-    class_of = np.full(len(arr), -1, dtype=np.intp)
-    for x in range(len(arr) - 1, -1, -1):
+    class_of = np.full(len(index.arr), -1, dtype=np.intp)
+    for x in range(len(index.arr) - 1, -1, -1):
         if class_of[x] < 0:
-            conj = index.find(arr[every, arr[x][index.inverse_base]])
+            conj = _conjugates(index, index.arr[x])
             class_of[conj] = len(reps)
             reps.append(x)
             conjugates.append(conj)
@@ -738,7 +745,7 @@ def transitive_typesets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     (Butler-McKay, The transitive groups of degree up to eleven, 1983).
 
     No N x N product table is built. Every map read here is one gather of
-    images on A_n's base, whose row `_BaseIndex.find` looks up, as `_normalizer`
+    images on A_n's base, whose row `_BaseIndex.find` looks up, as `_conjugates`
     does: the right-multiplication map r -> r a from r(a(base)), the class
     marking g -> g x g^-1 from g(x(g^-1(base))), the conjugates g y g^-1 that
     pick the orbit minima, and the rows a r of the right cosets of <x>. Each

@@ -140,8 +140,29 @@ def test_orbit_search_psl2_pair_counts(capsys, p):
             1227,
             "4d54db929880a4bb00dc027600d0d3766a69f8f67ae8b1ba8b0b0f7891a2f256",
         ),
+        # x permutes <c>-orbits of several sizes
+        (
+            ["gens", "--degree", "7", "--generators", "(1,2,3)(4,5);(1,2)(6,7)"],
+            51,
+            "366b7fbfed26ea28516226bf7742d3f69dbc952833b46f81954a74684bd68bb5",
+        ),
+        (
+            ["gens", "--degree", "8", "--generators", "(1,2,3,4)(5,6);(1,3)(7,8);(5,7)(6,8)"],
+            195,
+            "56a51ac7aff4303a7ab0500dc3bd7c2d8b1c7b8ebabcb9eadda3246fa9142f9e",
+        ),
+        (
+            ["sn", "6", "--require-even-inertia"],
+            1443,
+            "5f6e5fe397afc1653d6ba6d8d0f9990dcd83f21163ef3c44071e65102b0a272c",
+        ),
+        (
+            ["psl2", "13", "--require-even-inertia"],
+            1095,
+            "a23b92da648b75da4cd15effa51b0c044186cfd90aa1b4e61f355e70782fbea9",
+        ),
     ],
-    ids=["an-7", "psl2-17"],
+    ids=["an-7", "psl2-17", "gens-7", "gens-8", "sn-6-even", "psl2-13-even"],
 )
 def test_orbit_search_reports_are_pinned(capsys, argv, lines, digest):
     # reports are byte-identical across versions unless a change says otherwise

@@ -5,7 +5,6 @@ import pytest
 from rootgain.algebra import (
     PolyFp,
     PolyQ,
-    discriminant,
     factor_mod_p,
     legendre,
     primes_up_to,
@@ -77,9 +76,7 @@ def test_find_node_primes_simple_disc_root():
     # f = X^5 + X + 1: disc = 3381 = 3 * 7^2 * 23, so 3 and 23 are simple
     f = PolyQ([1, 1, 0, 0, 0, 1])
     recs = find_node_primes(f, 200)
-    assert any(r.disc_valuation_one for r in recs)
     assert {r.prime for r in recs} == {3, 7, 23}
-    assert {r.prime for r in recs if r.disc_valuation_one} == {3, 23}
     for r in recs:
         assert r.cofactor.degree == f.degree - 2
 
@@ -96,7 +93,6 @@ def test_triple_root_prime_excluded():
 def node_primes_full_check(f, bound):
     """find_node_primes with every check spelled out: divide by X - a twice,
     then require a cofactor that is nonzero at a and separable."""
-    disc = discriminant(f)
     out = []
     for p in primes_up_to(bound):
         if p == 2 or valuation(f.leading(), p) != 0:
@@ -109,7 +105,7 @@ def node_primes_full_check(f, bound):
         q1, r1 = fp.divmod(lin)
         q2, r2 = q1.divmod(lin)
         if r1.is_zero() and r2.is_zero() and q2(a) and q2.gcd(q2.derivative()).degree == 0:
-            out.append((p, a, q2, valuation(disc, p) == 1))
+            out.append((p, a, q2))
     return out
 
 
@@ -129,7 +125,7 @@ def test_find_node_primes_matches_the_full_check():
             polys.append(f)
     nodes = 0
     for f in polys:
-        got = [(r.prime, r.node, r.cofactor, r.disc_valuation_one) for r in find_node_primes(f, 60)]
+        got = [(r.prime, r.node, r.cofactor) for r in find_node_primes(f, 60)]
         assert got == node_primes_full_check(f, 60), f
         nodes += len(got)
     assert nodes > 500
@@ -144,10 +140,10 @@ def test_inseparable_rejected():
 
 
 def test_tau_examples():
-    rec = NodePrimeRecord(7, 0, PolyFp(7, [1, 0, 0, 1]), False)
+    rec = NodePrimeRecord(7, 0, PolyFp(7, [1, 0, 0, 1]))
     assert rec.cofactor(0) == 1
     assert tau_sign(rec) == 1
-    rec2 = NodePrimeRecord(7, 0, PolyFp(7, [3, 0, 0, 1]), False)
+    rec2 = NodePrimeRecord(7, 0, PolyFp(7, [3, 0, 0, 1]))
     assert tau_sign(rec2) == -1  # 3 is a non-residue mod 7
 
 
@@ -162,7 +158,7 @@ def test_tau_against_quadratic_splitting_oracle():
         if cof(a) == 0:
             continue
         count += 1
-        rec = NodePrimeRecord(p, a, cof, False)
+        rec = NodePrimeRecord(p, a, cof)
         # oracle: Y^2 - cof(a) splits into linears iff cof(a) is a square
         quad = PolyFp(p, [(-cof(a)) % p, 0, 1])
         split = all(g.degree == 1 for g, _ in factor_mod_p(quad))

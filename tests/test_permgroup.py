@@ -724,6 +724,10 @@ CLASS_GROUPS = {
     "PSL2(13)": lambda: psl2_natural(13),
     "PSL2(11) on 55 points": psl2_11_degree55,
     "A6": lambda: alternating_group(6),
+    # intransitive, with <c>-orbits of different sizes
+    "gens-8": lambda: PermGroup(
+        8, [cyc("(1,2,3,4)(5,6)", 8), cyc("(1,3)(7,8)", 8), cyc("(5,7)(6,8)", 8)]
+    ),
 }
 
 
