@@ -213,11 +213,14 @@ class PermGroup:
         """The elements, one row of images each, in breadth-first order from the
         identity: each level lists g after w for every w of the previous level and
         then every generator g, keeping the products not met before.
-        Deterministic under a fixed generator order."""
+        Deterministic under a fixed generator order. The rows are of the
+        narrowest signed integer type holding the points below the degree: int8
+        up to degree 128, int16 up to 32767."""
         if self._array is None:
             n = self.degree
-            gens = np.array(self.generators, dtype=np.int32).reshape(len(self.generators), n)
-            frontier = np.arange(n, dtype=np.int32)[None, :]
+            dtype = np.min_scalar_type(-n)
+            gens = np.array(self.generators, dtype=dtype).reshape(len(self.generators), n)
+            frontier = np.arange(n, dtype=dtype)[None, :]
             seen = {frontier.tobytes()}
             levels = [frontier]
             while len(frontier):
@@ -235,10 +238,11 @@ class PermGroup:
             self._array = np.concatenate(levels)
         return self._array
 
-    @cached_property
+    @property
     def elements(self) -> tuple[Perm, ...]:
-        """The rows of `element_array` as tuples, converted a block of rows at a
-        time so that only one block's lists are alive at once."""
+        """The rows of `element_array` as tuples, built on each access and not
+        kept: a caller that reads them twice keeps its own copy. Rows are
+        converted a block at a time, so only one block's lists are alive at once."""
         arr = self.element_array()
         blocks = (arr[start : start + 4096] for start in range(0, len(arr), 4096))
         return tuple(e for block in blocks for e in map(tuple, block.tolist()))
@@ -501,7 +505,7 @@ def _cycle_counts(xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- metacyclic search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetacyclicCandidate:
     """A pair (I = <c>, H = <c, x>) with x normalizing <c>: the shape of a tame
     decomposition group, recorded with its orbit parities."""
@@ -668,7 +672,8 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     - g is skipped when <g> was already joined to s: <s, g> = <s, <g>>.
     Raises GroupError when the elements are not closed under composition.
     """
-    arr = np.array([tuple(e) for e in elements], dtype=np.int32)
+    perms = [tuple(e) for e in elements]
+    arr = np.array(perms, dtype=np.min_scalar_type(-len(perms[0])))
     table = _BaseIndex(arr).table()
     # base images identify a product only if it is a member: compare whole
     # products, [a, b, i] = a(b(i))

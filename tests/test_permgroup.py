@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -282,14 +283,15 @@ def test_centralizer_scan_matches_plain_loop(p):
         assert centralizer_scan(G, x) == _plain_centralizer(G, x)
 
 
-def test_kernels_leave_the_tuples_unbuilt():
+def test_kernels_leave_the_tuples_unbuilt(monkeypatch):
     G = psl2_natural(13)
-    metacyclic_odd_orbit_search(G)
-    x = next(g for g in map(tuple, G.element_array().tolist()) if perm_order(g) == 2)
-    C = centralizer_scan(G, x)
-    N = normalizer_scan(G, cyclic_powers(x))
-    assert coset_action(G, N).degree == G.order() // len(N)
-    assert "elements" not in vars(G)
+    with monkeypatch.context() as m:
+        m.setattr(PermGroup, "elements", property(lambda _: pytest.fail("a kernel built them")))
+        metacyclic_odd_orbit_search(G)
+        x = next(g for g in map(tuple, G.element_array().tolist()) if perm_order(g) == 2)
+        C = centralizer_scan(G, x)
+        N = normalizer_scan(G, cyclic_powers(x))
+        assert coset_action(G, N).degree == G.order() // len(N)
     # the tuples a caller gets are the plain loop's, in G's element order
     assert all(type(c) is tuple for c in C + N)
     assert C == _plain_centralizer(G, x)
@@ -590,11 +592,12 @@ def _plain_cyclic_subgroups(G):
 
 def _plain_metacyclic(G):
     n = G.degree
-    inverses = {g: inverse(g) for g in G.elements}
+    elements = G.elements
+    inverses = {g: inverse(g) for g in elements}
     out = []
     for key, c in sorted(_plain_cyclic_subgroups(G).items(), key=lambda kv: (len(kv[0]), kv[1])):
         # g normalizes <c> exactly when g c g^-1 lies in <c>
-        normalizer = [g for g in G.elements if compose(compose(g, c), inverses[g]) in key]
+        normalizer = [g for g in elements if compose(compose(g, c), inverses[g]) in key]
         for x in sorted(normalizer):
             orb = orbit_count([c, x], n)
             if (n - orb) % 2 == 1:
@@ -718,6 +721,33 @@ def test_enumeration_cap_is_the_largest_order_allowed(name):
     assert str(err.value) == f"group order exceeds enumeration cap {order - 1}"
 
 
+@pytest.mark.parametrize("degree, dtype, divisors", [(128, np.int8, 8), (129, np.int16, 4)])
+def test_element_rows_take_the_narrowest_signed_type(degree, dtype, divisors):
+    c = tuple(range(1, degree)) + (0,)
+    G = PermGroup(degree, [c])
+    assert G.element_array().dtype == dtype
+    # the largest point, degree - 1, reads back as itself in every kernel
+    elements = list(G.elements)
+    assert elements[1] == c and G.element_array().max() == degree - 1
+    assert centralizer_scan(G, c) == elements
+    assert len(cyclic_subgroup_representatives(G)[0]) == divisors
+    assert normalizer_scan(G, cyclic_powers(c)) == elements
+
+
+def test_enumeration_keeps_one_narrow_copy_of_the_elements():
+    # tracemalloc sees numpy's buffers: PSL2(43) holds its 39,732 rows of 44
+    # int8 points (1.7 MB), and a pass over the tuples leaves none behind
+    tracemalloc.start()
+    try:
+        G = psl2_natural(43)
+        G.element_array()
+        assert sum(1 for _ in G.elements) == G.order() == 39732
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * 10**6
+
+
 # groups whose classes of cyclic subgroups have many conjugates each
 CLASS_GROUPS = {
     "PSL2(11)": lambda: psl2_natural(11),
@@ -735,6 +765,31 @@ CLASS_GROUPS = {
 def test_class_wise_metacyclic_search_matches_plain_loop(name):
     G = CLASS_GROUPS[name]()
     _check_search_against_plain(G)
+
+
+def _kernel_results(G):
+    arr = G.element_array()
+    xs = [tuple(x) for x in arr[:: len(arr) // 12].tolist()]
+    reps, generated_by = cyclic_subgroup_representatives(G)
+    normalizers = [normalizer_scan(G, cyclic_powers(x)) for x in xs]
+    return (
+        [centralizer_scan(G, x) for x in xs],
+        normalizers,
+        coset_action(G, normalizers[1]).generators,
+        [(c, powers.tolist()) for c, powers in reps],
+        generated_by.tolist(),
+        _cycle_counts(arr).tolist(),
+        metacyclic_odd_orbit_search(G),
+        metacyclic_odd_orbit_search(G, require_inertia_even=True),
+    )
+
+
+@pytest.mark.parametrize("name", ["PSL2(13)", "gens-8"])
+def test_kernels_agree_on_narrow_and_int32_rows(name):
+    narrow, wide = CLASS_GROUPS[name](), CLASS_GROUPS[name]()
+    wide._array = wide.element_array().astype(np.int32)  # before the base index reads it
+    assert narrow.element_array().dtype == np.int8
+    assert _kernel_results(narrow) == _kernel_results(wide)
 
 
 def test_psl2_7_normalizers_and_metacyclic_match_plain_loops():
