@@ -260,7 +260,7 @@ def an_certificate(h: PolyQ | PolyFacts, pattern_primes: int = 100) -> AnCertifi
             f"(status: {cert.status})"
         )
     square = rational_sqrt(facts.disc) is not None
-    uniq = tuple(sorted({pattern for _, pattern in facts.frobenius(pattern_primes)}))
+    uniq = tuple(sorted({pattern for _, pattern in facts.frobenius_block(pattern_primes)}))
     n = facts.poly.degree
     if not square:
         return AnCertificate(False, uniq, "patterns-insufficient", 0)

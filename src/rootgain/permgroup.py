@@ -175,8 +175,11 @@ class _BaseIndex:
         self.weights = n ** np.arange(len(self.base) - 1, -1, -1, dtype=np.int64)
         self.lookup = np.full(n ** len(self.base), -1, dtype=np.min_scalar_type(-N))
         self.lookup[codes] = np.arange(N)
-        # g^-1 on the base, one row per element: the point each base point comes from
-        self.inverse_base = np.argmax(arr[:, :, None] == self.base, axis=1)
+        # g^-1 on the base, one row per element: the point each base point
+        # comes from, found one base point at a time (an N x n mask each)
+        self.inverse_base = np.empty((N, len(self.base)), dtype=np.intp)
+        for j, point in enumerate(self.base):
+            self.inverse_base[:, j] = np.argmax(arr == point, axis=1)
 
     def find(self, images: np.ndarray) -> np.ndarray:
         """Rows of the elements with the given base images (along the last axis)."""

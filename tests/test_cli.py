@@ -1030,6 +1030,28 @@ def test_profile_report(capsys, extension_file):
     assert "p=3 requires-declared-profile" in out
 
 
+def test_a_prime_dividing_a_denominator_is_not_good(capsys, tmp_path):
+    # -5X^3 + 36X^2 - 37X + 26/3 (disc 132016, prime to 3) and three times it
+    # define one field: 3 divides a denominator of the one and the leading
+    # coefficient of the other, so both report it alike
+    curve = tmp_path / "11a3.txt"
+    curve.write_text("a1: 0\na2: -1\na3: 1\na4: 0\na6: 0\n")
+    reports = []
+    for poly in ("-5,36,-37,26/3", "-15,108,-111,26"):
+        ext = tmp_path / "field.txt"
+        ext.write_text(f"poly: {poly}\n")
+        code, out = run(capsys, ["profile", "--extension", str(ext), "--primes", "2,3,5,7,37"])
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header == f"# poly (leading first): {poly}"
+        argv = ["root-number", "--curve", str(curve), "--extension", str(ext)]
+        reports.append((lines, run(capsys, argv)))
+    assert reports[0] == reports[1]
+    lines, (code, out) = reports[0]
+    assert "profile p=3 requires-declared-profile (divides disc or leading coefficient)" in lines
+    assert code == 0 and out.endswith("W(E/F) = +1\n")
+
+
 def test_reports_print_the_full_irreducibility_certificate(capsys, tmp_path, curve_file):
     # X^5 - 5X + 6: the patterns at 3, 7 and 11 already leave no split, but the
     # printed certificate names the first irreducible reduction, at 23

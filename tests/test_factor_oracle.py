@@ -4,20 +4,27 @@ is_irreducible_mod_p and factor_mod_p all agree with the factor degrees of
 sympy's Poly(..., modulus=p).factor_list(). The packed distinct-degree kernel
 is compared block by block with sympy's gf_ddf_zassenhaus, and factor_mod_p
 factor by factor with gf_factor_sqf, at primes up to 2^89 - 1, whose packed
-slots are wider than 64 bits."""
+slots are wider than 64 bits. The batched Frobenius-trace kernel behind
+PolyFacts.frobenius_block is compared with the per-prime path and with sympy,
+on both sides of its int64 bound n * p^2 < 2^63."""
 
 import random
 from fractions import Fraction as F
 from functools import reduce
+from math import isqrt
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootgain.algebra import (
+    AlgebraError,
     PolyFacts,
     PolyFp,
     PolyQ,
     _distinct_degree,
+    _frobenius_patterns,
     factor_degrees,
     factor_mod_p,
     is_irreducible_mod_p,
@@ -185,3 +192,90 @@ def test_factor_mod_p_and_irreducibility_at_large_primes(p):
         assert is_irreducible_mod_p(g)
         assert not is_irreducible_mod_p(g * g)
         assert factor_mod_p(g * g) == [(g, 2)]
+
+
+# ---------------------------------------------------------------- the block kernel
+
+
+@st.composite
+def polys_over_q(draw):
+    """Degree 1-9, leading coefficient 1, 2, 3, 7 or 9, coefficients in
+    [-30, 30] over denominators 1, 2, 3 or 5."""
+    degree = draw(st.integers(1, 9))
+    den = draw(st.sampled_from((1, 1, 2, 3, 5)))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=degree, max_size=degree))
+    return PolyQ([F(c, den) for c in coeffs] + [draw(st.sampled_from((1, 2, 3, 7, 9)))])
+
+
+SEPARABLE = polys_over_q().filter(lambda h: PolyFacts(h).disc != 0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(h=SEPARABLE, count=st.integers(1, 40))
+@example(h=PolyQ([-1, -1, 0, 0, 0, 1]), count=12)  # X^5 - X - 1: 2, 3 and 5 are good
+@example(h=PolyQ([F(1, 2), 3]), count=30)  # degree 1
+def test_frobenius_block_matches_the_lazy_reads_and_sympy(h, count):
+    expected = list(PolyFacts(h).frobenius(count))
+    block = PolyFacts(h).frobenius_block(count)
+    assert block == expected
+    # half filled: the lazy reads first, and one pattern past them
+    facts = PolyFacts(h)
+    list(facts.frobenius(count // 2))
+    facts.pattern(expected[-1][0])
+    assert facts.frobenius_block(count) == expected
+    for p, pattern in block:
+        assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), (h, p)
+
+
+@pytest.mark.parametrize("t0", [F(-18, 19), F(-17, 19)])
+def test_degree_12_fiber_blocks_match_the_lazy_reads(t0):
+    h = specialize(psl2_11_degree12_pencil(), t0)
+    expected = list(PolyFacts(h).frobenius(100))
+    assert expected[0][0] < 12  # the block holds primes below the degree
+    assert PolyFacts(h).frobenius_block(100) == expected
+    facts = PolyFacts(h)
+    list(facts.frobenius(30))
+    assert facts.frobenius_block(100) == expected
+    for p, pattern in expected[:60:6]:
+        assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), p
+
+
+def widest_int64_prime(n: int) -> int:
+    """The largest prime p with n * p^2 < 2^63."""
+    p = isqrt(((1 << 63) - 1) // n)
+    while not sympy.isprime(p):
+        p -= 1
+    return p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(degree=st.integers(1, 12), data=st.data())
+def test_frobenius_patterns_at_large_primes_match_sympy(degree, data):
+    """The kernel alone: one block at the largest int64 prime for the degree,
+    and one at the next prime, 2^61 - 1 and 10^18 + 3, in object arrays."""
+    edge = widest_int64_prime(degree)
+    for block in ([edge, 1000003], [int(sympy.nextprime(edge)), 2**61 - 1, 10**18 + 3]):
+        big = st.integers(-(10**20), 10**20)
+        coeffs = data.draw(st.lists(big, min_size=degree, max_size=degree))
+        coeffs.append(data.draw(st.sampled_from((1, 2, 3, 10**19 + 1))))
+        primes = [
+            p for p in block
+            if coeffs[-1] % p and gf.gf_sqf_p([c % p for c in reversed(coeffs)], p, ZZ)
+        ]
+        if not primes:
+            continue
+        for p, pattern in zip(primes, _frobenius_patterns(coeffs, primes)):
+            assert list(pattern) == oracle_degrees(PolyFp(p, coeffs)), (coeffs, p)
+
+
+def test_frobenius_block_refuses_what_frobenius_refuses():
+    for h in (PolyQ([0, 0, 1]), PolyQ([4, -4, 1]) * PolyQ([1, 1])):  # disc 0
+        with pytest.raises(AlgebraError):
+            list(PolyFacts(h).frobenius(3))
+        with pytest.raises(AlgebraError):
+            PolyFacts(h).frobenius_block(3)
+    # the kernel itself: no prime up to the degree, no repeated factor mod p
+    with pytest.raises(AlgebraError):
+        _frobenius_patterns([-1, -1, 0, 0, 0, 1], [5, 7])
+    with pytest.raises(AlgebraError):
+        _frobenius_patterns([1, -2, 1], [5, 7])

@@ -674,6 +674,20 @@ def test_kernels_match_plain_loops(name):
     _check_search_against_plain(G)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS) + ["S1"])
+def test_inverse_base_matches_the_one_shot_mask(name):
+    # the per-base-point argmax against the N x n x |base| mask it replaced,
+    # and against g^-1 read element by element
+    G = symmetric_group(1) if name == "S1" else ORACLE_GROUPS[name]()
+    arr = G.element_array()
+    index = _BaseIndex(arr)
+    one_shot = np.argmax(arr[:, :, None] == index.base, axis=1)
+    assert index.inverse_base.dtype == one_shot.dtype
+    assert np.array_equal(index.inverse_base, one_shot)
+    for g, row in zip(G.elements, index.inverse_base.tolist()):
+        assert row == [inverse(g)[b] for b in index.base]
+
+
 ENUMERATION_GROUPS = {
     **ORACLE_GROUPS,
     **{f"PSL2({p})": (lambda p=p: psl2_natural(p)) for p in (3, 5, 7, 11, 13, 17, 19, 23)},
