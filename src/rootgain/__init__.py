@@ -37,7 +37,6 @@ from .extension import (
     quadratic_local,
     root_number_over_extension,
     root_number_ratio,
-    split_prime_count,
 )
 from .jacobian import (
     NodePrimeRecord,
@@ -68,7 +67,6 @@ from .permgroup import (
     centralizer_scan,
     coset_action,
     metacyclic_odd_orbit_search,
-    normalizer_scan,
     orbits,
     psl2_11_degree55,
     psl2_natural,

@@ -102,15 +102,20 @@ def unproven_prime_reason(n: int) -> str | None:
     return None
 
 
+_sieved_primes: list[int] = []  # read by every walk of iter_primes
+
+
 def iter_primes():
-    """2, 3, 5, 7, ...: the primes of a sieve whose bound doubles each time
-    it runs out."""
-    done, bound = 1, 64
+    """2, 3, 5, 7, ...: one shared list of primes, sieved again (to 64, then to
+    twice its largest prime, past which Bertrand puts another) only when a
+    walk passes its end."""
+    i = 0
     while True:
-        for p in primes_up_to(bound):
-            if p > done:
-                yield p
-        done, bound = bound, 2 * bound
+        if i == len(_sieved_primes):
+            bound = 2 * _sieved_primes[-1] if _sieved_primes else 64
+            _sieved_primes.extend(primes_up_to(bound)[i:])
+        yield _sieved_primes[i]
+        i += 1
 
 
 def primes_up_to(bound: int) -> list[int]:

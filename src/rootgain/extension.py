@@ -3,6 +3,9 @@ decomposition profiles at unramified primes via mod-p factorization, declared
 profiles at ramified primes (with a tame consistency guard), Klein-four local
 analysis of biquadratic fields, and the root-number-over-extension evaluator.
 
+At a multiplicative prime the sign over F is that of the nodal cubic, the
+one-node case of the Jacobian engine `jacobian.root_number_after_extension`.
+
 A profile at p is a list of (e, f) pairs, one per prime of F above p. Ramified
 primes are never factored p-adically here; their profiles are declared inputs,
 checked against Sum e*f = n and the tame different bound v_p(disc) >= Sum f(e-1).
@@ -28,6 +31,7 @@ from .ellcurve import (
     CurveLocalData,
     local_root_number,
 )
+from .jacobian import StableModelData, root_number_after_extension
 from .permgroup import GroupError, check_decomposition_pair, orbits
 
 COMPUTED_UNRAMIFIED = "computed_unramified"
@@ -264,21 +268,6 @@ def profile_from_decomposition(pair: DecompositionPair) -> list[tuple[int, int]]
     return sorted(out)
 
 
-def split_prime_count(pair: DecompositionPair, reduction: str) -> int:
-    """Primes above p that stay split multiplicative: all D-orbits when the
-    base reduction is split; D-orbits with an even number of I-orbits when
-    non-split."""
-    return split_count_from_profile(profile_from_decomposition(pair), reduction)
-
-
-def split_count_from_profile(pairs, reduction: str) -> int:
-    if reduction == "split":
-        return len(pairs)
-    if reduction == "nonsplit":
-        return sum(1 for _, f in pairs if f % 2 == 0)
-    raise ExtensionError("reduction must be 'split' or 'nonsplit'")
-
-
 # ---------------------------------------------------------------- root numbers over F
 
 
@@ -290,9 +279,11 @@ def _contribution_at(bundle: CurveLocalData, p: int, F: ExtensionProfile) -> int
     if L.is_multiplicative:
         if pairs is None:
             raise Incomputable(p, "multiplicative prime with no profile for F")
-        reduction = "split" if L.type == SPLIT_MULT else "nonsplit"
-        s_p = split_count_from_profile(pairs, reduction)
-        return -1 if s_p % 2 else 1
+        # the nodal cubic: one absolutely irreducible component and one
+        # rational node, whose branches are rational iff the reduction is split
+        tau = 1 if L.type == SPLIT_MULT else -1
+        node = StableModelData(p, 1, True, ((1, tau),))
+        return root_number_after_extension(node, [f for _, f in pairs])
     # remaining cases need p split completely and a known local root number
     if pairs is None:
         raise Incomputable(p, f"{L.type} prime with no profile for F")
@@ -311,9 +302,10 @@ def _contribution_at(bundle: CurveLocalData, p: int, F: ExtensionProfile) -> int
 def root_number_over_extension(bundle: CurveLocalData, F: ExtensionProfile) -> int:
     """W(E/F) = (-1)^(r1+r2) * prod over bad primes of their contributions.
 
-    Multiplicative p contributes (-1)^(s_p) with s_p read off the (e, f)
-    profile; a declared/additive p must split completely and contributes its
-    declared local root number to the power [F:Q].
+    Multiplicative p contributes the node engine's sign over the residue
+    degrees f of its (e, f) profile, (-1)^(s_p) with s_p the primes above p
+    that stay split; a declared/additive p must split completely and
+    contributes its declared local root number to the power [F:Q].
     """
     w = -1 if archimedean_place_count(F) % 2 else 1
     for L in bundle.local:

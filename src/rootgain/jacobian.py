@@ -6,6 +6,10 @@ The local root number of a stable reduction is
     W_p = (-1)^(n + s + 1) * prod tau([z]) = (-1)^(s+1) * prod (-tau([z])),
 n the number of Frobenius orbits of nodes, s the component count, tau = +1
 iff Frobenius (to the power of the orbit degree) fixes the two branches.
+
+`root_number_after_extension` is the one engine for these signs: `extension`
+reads an elliptic curve's sign at a multiplicative prime off its genus-1 case,
+the nodal cubic (one component, one node of degree 1, tau = +1 iff split).
 """
 
 from __future__ import annotations

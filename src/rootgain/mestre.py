@@ -30,6 +30,7 @@ from .ellcurve import NONSPLIT_MULT, SPLIT_MULT, CurveLocalData, LocalReductionD
 from .extension import (
     DecompositionPair,
     ExtensionProfile,
+    _check_certifiable,
     build_profile,
     certify_irreducible,
     irreducibility_settled,
@@ -253,6 +254,9 @@ def an_certificate(h: PolyQ | PolyFacts, pattern_primes: int = 100) -> AnCertifi
     for n <= 7; larger degrees report patterns with verdict "heuristic").
     """
     facts = PolyFacts.of(h)
+    _check_certifiable(facts)
+    # the block first, so that certification reads its patterns from the cache
+    block = facts.frobenius_block(pattern_primes)
     cert = certify_irreducible(facts)
     if not cert.certified:
         raise MestreError(
@@ -260,7 +264,7 @@ def an_certificate(h: PolyQ | PolyFacts, pattern_primes: int = 100) -> AnCertifi
             f"(status: {cert.status})"
         )
     square = rational_sqrt(facts.disc) is not None
-    uniq = tuple(sorted({pattern for _, pattern in facts.frobenius_block(pattern_primes)}))
+    uniq = tuple(sorted({pattern for _, pattern in block}))
     n = facts.poly.degree
     if not square:
         return AnCertificate(False, uniq, "patterns-insufficient", 0)

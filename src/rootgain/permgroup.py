@@ -1,6 +1,6 @@
 """Permutation groups of moderate degree: breadth-first element enumeration on
-arrays, orbits, signs, centralizers and normalizers, PSL2(p) and coset actions,
-and the odd-orbit certificate search over metacyclic subgroups.
+arrays, orbits, signs, centralizers, PSL2(p) and coset actions, and the
+odd-orbit certificate search over metacyclic subgroups.
 
 A permutation is a row of 0-based images; point labels are printed 1-based.
 Groups here are small enough (<= ~10^5 elements) that full enumeration beats
@@ -309,10 +309,11 @@ def psl2_natural(p: int) -> PermGroup:
 # ---------------------------------------------------------------- subgroup scans
 
 
-def _subgroup_rows(G: PermGroup, elements, error: str) -> np.ndarray:
-    """The rows of the given permutations in G; raises GroupError(error) unless
-    they form a subgroup of G: they hold the identity (row 0) and each product
-    a h, whose row a(h(base)) finds."""
+def _subgroup_rows(G: PermGroup, elements) -> np.ndarray:
+    """The rows of the given permutations in G; raises GroupError unless they
+    form a subgroup of G: they hold the identity (row 0) and each product a h,
+    whose row a(h(base)) finds."""
+    error = "coset_action: H is not a subgroup of G"
     n = G.degree
     perms = [tuple(e) for e in elements]
     if not perms or any(len(e) != n for e in perms):
@@ -348,38 +349,17 @@ def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
     return list(map(tuple, survivors[(survivors[:, xa] == xa[survivors]).all(axis=1)].tolist()))
 
 
-def normalizer_scan(G: PermGroup, subgroup_elements) -> list[Perm]:
-    """Exact normalizer of the given subgroup of G, in G's element order; raises
-    GroupError on a set that is not one."""
-    rows = _subgroup_rows(G, subgroup_elements, "normalizer_scan: given set is not a subgroup of G")
-    return list(map(tuple, G.element_array()[_normalizer(G, rows)].tolist()))
-
-
-def _conjugates(index: _BaseIndex, s: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """The row of g s g^-1 for each row g (of `rows`, or of the whole group),
-    found from its images g(s(g^-1(b))) on the base points b."""
-    rows = np.arange(len(index.arr)) if rows is None else rows
-    return index.find(index.arr[rows[:, None], s[index.inverse_base[rows]]])
-
-
-def _normalizer(G: PermGroup, rows: np.ndarray) -> np.ndarray:
-    """The rows of the normalizer of the subgroup on the given rows, ascending:
-    the g with every g s g^-1 in it, which a mask over G's rows tests. Only
-    `normalizer_scan` needs this: for a cyclic <c>, g <c> g^-1 = <g c g^-1>,
-    so the metacyclic search tests one conjugate per g."""
-    index = G.base_index
-    in_sub = np.zeros(len(index.arr), dtype=bool)
-    in_sub[rows] = True
-    keep = np.arange(len(index.arr))
-    for s in index.arr[rows]:
-        keep = keep[in_sub[_conjugates(index, s, keep)]]
-    return keep
+def _conjugates(index: _BaseIndex, s: np.ndarray) -> np.ndarray:
+    """The row of g s g^-1 for each row g of the group, found from its images
+    g(s(g^-1(b))) on the base points b."""
+    rows = np.arange(len(index.arr))
+    return index.find(index.arr[rows[:, None], s[index.inverse_base]])
 
 
 def coset_action(G: PermGroup, subgroup_elements) -> PermGroup:
     """Action of G on left cosets of H; degree [G:H]. Cosets are numbered in the
     order they first appear among G's elements."""
-    rows = _subgroup_rows(G, subgroup_elements, "coset_action: H is not a subgroup of G")
+    rows = _subgroup_rows(G, subgroup_elements)
     index = G.base_index
     # g H is keyed by its first element in G's order: the least row among the g h
     keys = np.min([index.find(index.arr[:, h]) for h in index.arr[rows][:, index.base]], axis=0)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
+from rootgain import algebra
 from rootgain.algebra import (
     TOP_VALUE,
     AlgebraError,
@@ -14,6 +16,7 @@ from rootgain.algebra import (
     factor_mod_p,
     is_irreducible_mod_p,
     is_prime,
+    iter_primes,
     legendre,
     poly_from_descending_string,
     poly_sqrt_exact,
@@ -281,6 +284,16 @@ def test_rational_roots_none():
 def test_poly_parse_descending():
     f = poly_from_descending_string("1,0,-164,0,2304,0")
     assert f == PolyQ([0, 2304, 0, -164, 0, 1])
+
+
+def test_prime_walks_sieve_no_bound_twice(monkeypatch):
+    bounds = []
+    sieve = algebra.primes_up_to
+    monkeypatch.setattr(algebra, "primes_up_to", lambda bound: bounds.append(bound) or sieve(bound))
+    first = list(islice(iter_primes(), 1000))
+    second = list(islice(iter_primes(), 1000))
+    assert first == second == sieve(7919)  # 7919 is the 1000th prime
+    assert bounds == sorted(set(bounds))
 
 
 def test_is_prime_small():

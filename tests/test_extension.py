@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootgain.algebra import PolyFacts, PolyQ, discriminant, valuation
-from rootgain.ellcurve import CurveLocalData, EllipticCurveData, LocalReductionData
+from rootgain.ellcurve import (
+    NONSPLIT_MULT,
+    SPLIT_MULT,
+    CurveLocalData,
+    EllipticCurveData,
+    LocalReductionData,
+)
 from rootgain.extension import (
     DecompositionPair,
     ExtensionError,
+    ExtensionProfile,
     Incomputable,
     PreconditionViolated,
     RequiresDeclaredProfile,
@@ -24,8 +32,6 @@ from rootgain.extension import (
     quadratic_local,
     root_number_over_extension,
     root_number_ratio,
-    split_count_from_profile,
-    split_prime_count,
 )
 from rootgain.inputfmt import ParseError, parse_pencil_file
 from rootgain.mestre import psl2_11_degree12_pencil, specialize
@@ -106,28 +112,51 @@ def test_archimedean_count_examples():
     assert archimedean_place_count(prof) == 5
 
 
-# ---------------------------------------------------------------- split counts
+# ---------------------------------------------------------------- multiplicative signs
+#
+# At a multiplicative prime q, W(E/F) picks up (-1)^(s_q), s_q counting the
+# primes of F above q where E stays split: all of them under split reduction,
+# those of even residue degree under non-split reduction. The evaluator takes
+# this sign from the one-node Jacobian engine; the plain loop counts.
+
+
+def _multiplicative_sign(pairs, split):
+    """W(E/F) times the archimedean sign, for E with bad reduction at q = 7
+    only (split or not) and F with the (e, f) profile `pairs` at 7."""
+    q, n = 7, sum(e * f for e, f in pairs)
+    bundle = CurveLocalData(None, (LocalReductionData(q, SPLIT_MULT if split else NONSPLIT_MULT),))
+    # only the profile at q and the place count r1 + r2 = n are read
+    F = ExtensionProfile(PolyQ([0] * n + [1]), (n, 0), {q: tuple(pairs)})
+    return root_number_over_extension(bundle, F) * (-1) ** n
+
+
+def _plain_split_sign(pairs, split):
+    split_primes = 0
+    for _, f in pairs:
+        if split or f % 2 == 0:
+            split_primes += 1
+    return (-1) ** split_primes
 
 
 def test_split_prime_count_trivial():
-    triv = DecompositionPair(5, (), ())
-    assert split_prime_count(triv, "split") == 5
-    assert split_prime_count(triv, "nonsplit") == 0
+    pairs = profile_from_decomposition(DecompositionPair(5, (), ()))
+    assert pairs == [(1, 1)] * 5
+    assert _multiplicative_sign(pairs, split=True) == -1  # 5 split primes
+    assert _multiplicative_sign(pairs, split=False) == 1  # none
 
 
 def test_split_prime_count_klein_four():
-    pair = v4_pair()
-    assert split_prime_count(pair, "split") == 2
+    pairs = profile_from_decomposition(v4_pair())
+    assert _multiplicative_sign(pairs, split=True) == 1  # 2 split primes
     # orbit {1,2,3,4} holds two inertia orbits (even), {5} holds one (odd)
-    assert split_prime_count(pair, "nonsplit") == 1
+    assert _multiplicative_sign(pairs, split=False) == -1
 
 
 def test_profile_from_decomposition_matches_counts():
-    pair = v4_pair()
-    pairs = profile_from_decomposition(pair)
+    pairs = profile_from_decomposition(v4_pair())
     assert pairs == [(1, 1), (2, 2)]
-    for red in ("split", "nonsplit"):
-        assert split_count_from_profile(pairs, red) == split_prime_count(pair, red)
+    for split in (True, False):
+        assert _multiplicative_sign(pairs, split) == _plain_split_sign(pairs, split)
 
 
 def test_profile_decomposition_equivalence_psl2_11():
@@ -140,8 +169,22 @@ def test_profile_decomposition_equivalence_psl2_11():
     pair = DecompositionPair(12, (c, x), (c,))
     pairs = profile_from_decomposition(pair)
     assert pairs == [(2, 2), (2, 2), (2, 2)]
-    for red in ("split", "nonsplit"):
-        assert split_count_from_profile(pairs, red) == split_prime_count(pair, red)
+    for split in (True, False):
+        assert _multiplicative_sign(pairs, split) == _plain_split_sign(pairs, split) == -1
+
+
+PROFILE_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "nonsplit"])
+def test_multiplicative_sign_matches_plain_split_count(split):
+    # every profile of 1 to 4 primes above q, each multiset in every order: 1554
+    checked = 0
+    for k in range(1, 5):
+        for pairs in product(PROFILE_SHAPES, repeat=k):
+            assert _multiplicative_sign(pairs, split) == _plain_split_sign(pairs, split), pairs
+            checked += 1
+    assert checked == 1554
 
 
 def test_inertia_must_be_normal():
@@ -261,7 +304,7 @@ def test_s8_branch_record_is_rejected_at_its_line():
 
 
 def test_split_count_monotone_and_bounded():
-    from rootgain.permgroup import centralizer_scan, perm_order, psl2_natural
+    from rootgain.permgroup import centralizer_scan, orbit_count, perm_order, psl2_natural
 
     pairs = [DecompositionPair(5, (), ()), v4_pair()]
     G = psl2_natural(11)
@@ -271,13 +314,16 @@ def test_split_count_monotone_and_bounded():
     )
     pairs.append(DecompositionPair(12, (c, x), (c,)))
     pairs.append(DecompositionPair(12, (c,), (c,)))
-    from rootgain.permgroup import orbit_count
-
     for pair in pairs:
-        split = split_prime_count(pair, "split")
-        nonsplit = split_prime_count(pair, "nonsplit")
-        bound = orbit_count(pair.decomposition_gens, pair.degree)
-        assert nonsplit <= split == bound
+        profile = profile_from_decomposition(pair)
+        # split reduction keeps every prime above q, one per D-orbit, split;
+        # non-split reduction keeps at most those
+        orbits = orbit_count(pair.decomposition_gens, pair.degree)
+        assert len(profile) == orbits
+        assert _multiplicative_sign(profile, split=True) == (-1) ** orbits
+        even = sum(1 for _, f in profile if f % 2 == 0)
+        assert even <= orbits
+        assert _multiplicative_sign(profile, split=False) == (-1) ** even
 
 
 # ---------------------------------------------------------------- W(E/F)

@@ -26,7 +26,6 @@ from rootgain.permgroup import (
     identity_perm,
     inverse,
     metacyclic_odd_orbit_search,
-    normalizer_scan,
     orbit_count,
     orbits,
     perm_from_cycles,
@@ -247,6 +246,26 @@ def test_coset_action_rejects_non_subgroup():
     G = symmetric_group(3)
     with pytest.raises(GroupError):
         coset_action(G, [identity_perm(3), cyc("(1,2,3)", 3)])
+    # not closed, yet its translates g H have 4 least elements, and 4 x 3 = |A4|
+    H = ["()", "(2,3,4)", "(2,4,3)", "(1,4)(2,3)"]
+    with pytest.raises(GroupError):
+        coset_action(alternating_group(4), [cyc(e, 4) for e in H])
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        ["(1,2,3)"],  # no identity
+        ["()", "(1,2,3)"],  # not closed
+        ["()", "(1,2)(3,4)", "(1,3)(2,4)"],  # not closed
+        ["()", "(1,2)"],  # a subgroup of S4, not of A4
+    ],
+)
+def test_normalizer_scan_rejects_non_subgroup(elements):
+    """A set that is not a subgroup of A4 is refused before any scan of its
+    normalizer or cosets: `coset_action` runs the subgroup check first."""
+    with pytest.raises(GroupError):
+        coset_action(alternating_group(4), [cyc(e, 4) for e in elements])
 
 
 def test_psl2_11_degree55_primitive():
@@ -258,7 +277,7 @@ def test_psl2_11_degree55_primitive():
 def test_degree_times_subgroup_order_is_group_order():
     G = psl2_natural(11)
     c6 = next(c for c in G.elements if perm_order(c) == 6)
-    N = normalizer_scan(G, cyclic_powers(c6))
+    N = _plain_normalizer(G.elements, cyclic_powers(c6))
     Q = coset_action(G, N)
     assert Q.degree * len(N) == G.order()
 
@@ -290,38 +309,17 @@ def test_kernels_leave_the_tuples_unbuilt(monkeypatch):
         metacyclic_odd_orbit_search(G)
         x = next(g for g in map(tuple, G.element_array().tolist()) if perm_order(g) == 2)
         C = centralizer_scan(G, x)
-        N = normalizer_scan(G, cyclic_powers(x))
+        N = _plain_normalizer(list(map(tuple, G.element_array().tolist())), cyclic_powers(x))
         assert coset_action(G, N).degree == G.order() // len(N)
     # the tuples a caller gets are the plain loop's, in G's element order
-    assert all(type(c) is tuple for c in C + N)
+    assert all(type(c) is tuple for c in C)
     assert C == _plain_centralizer(G, x)
-    assert N == [g for g in G.elements if compose(compose(g, x), inverse(g)) in cyclic_powers(x)]
 
 
 def test_centralizer_of_transposition_in_s3():
     G = symmetric_group(3)
     C = centralizer_scan(G, cyc("(1,2)", 3))
     assert sorted(C) == sorted([identity_perm(3), cyc("(1,2)", 3)])
-
-
-def test_normalizer_of_c3_in_s3():
-    G = symmetric_group(3)
-    N = normalizer_scan(G, cyclic_powers(cyc("(1,2,3)", 3)))
-    assert len(N) == 6
-
-
-@pytest.mark.parametrize(
-    "elements",
-    [
-        ["(1,2,3)"],  # no identity
-        ["()", "(1,2,3)"],  # not closed
-        ["()", "(1,2)(3,4)", "(1,3)(2,4)"],  # not closed
-        ["()", "(1,2)"],  # a subgroup of S4, not of A4
-    ],
-)
-def test_normalizer_scan_rejects_non_subgroup(elements):
-    with pytest.raises(GroupError):
-        normalizer_scan(alternating_group(4), [cyc(e, 4) for e in elements])
 
 
 # ---------------------------------------------------------------- metacyclic search
@@ -563,6 +561,21 @@ def _plain_normalizer(elements, sub):
     return [g for g in elements if all(compose(compose(g, s), inverse(g)) in sub for s in sub)]
 
 
+def _plain_coset_action(G, sub):
+    """Images of the left cosets g H under G's generators, the cosets numbered
+    in the order they first appear among G's elements."""
+    cosets = []
+    for g in G.elements:
+        coset = frozenset(compose(g, h) for h in sub)
+        if coset not in cosets:
+            cosets.append(coset)
+    position = {coset: i for i, coset in enumerate(cosets)}
+    return tuple(
+        tuple(position[frozenset(compose(a, y) for y in coset)] for coset in cosets)
+        for a in G.generators
+    )
+
+
 def _plain_subgroups(elements):
     """Every subgroup as a set of elements: joins of cyclic subgroups to a fixpoint
     (each subgroup is the join of its cyclic subgroups)."""
@@ -643,18 +656,15 @@ def _dihedral(n):
     return PermGroup(n, [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))])
 
 
-def _check_against_plain(elements, n, normalizer_group=None):
+def _check_against_plain(elements, n, G):
     subs = all_subgroups(elements)
     as_sets = [frozenset(elements[i] for i in s) for s, _ in subs]
     assert len(set(as_sets)) == len(as_sets)
     assert set(as_sets) == _plain_subgroups(elements)
     for members, (_, gens) in zip(as_sets, subs):
         assert _plain_closure([elements[i] for i in gens], n) == members
-    if normalizer_group is not None:
-        for h in as_sets:
-            assert normalizer_scan(normalizer_group, h) == _plain_normalizer(
-                normalizer_group.elements, h
-            )
+    for h in as_sets:
+        assert coset_action(G, h).generators == _plain_coset_action(G, h)
 
 
 ORACLE_GROUPS = {
@@ -670,7 +680,7 @@ ORACLE_GROUPS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
 def test_kernels_match_plain_loops(name):
     G = ORACLE_GROUPS[name]()
-    _check_against_plain(list(G.elements), G.degree, normalizer_group=G)
+    _check_against_plain(list(G.elements), G.degree, G)
     _check_search_against_plain(G)
 
 
@@ -745,7 +755,7 @@ def test_element_rows_take_the_narrowest_signed_type(degree, dtype, divisors):
     assert elements[1] == c and G.element_array().max() == degree - 1
     assert centralizer_scan(G, c) == elements
     assert len(cyclic_subgroup_representatives(G)[0]) == divisors
-    assert normalizer_scan(G, cyclic_powers(c)) == elements
+    assert coset_action(G, cyclic_powers(c)).degree == 1
 
 
 def test_enumeration_keeps_one_narrow_copy_of_the_elements():
@@ -785,11 +795,9 @@ def _kernel_results(G):
     arr = G.element_array()
     xs = [tuple(x) for x in arr[:: len(arr) // 12].tolist()]
     reps, generated_by = cyclic_subgroup_representatives(G)
-    normalizers = [normalizer_scan(G, cyclic_powers(x)) for x in xs]
     return (
         [centralizer_scan(G, x) for x in xs],
-        normalizers,
-        coset_action(G, normalizers[1]).generators,
+        [coset_action(G, cyclic_powers(x)).generators for x in xs],
         [(c, powers.tolist()) for c, powers in reps],
         generated_by.tolist(),
         _cycle_counts(arr).tolist(),
@@ -807,13 +815,14 @@ def test_kernels_agree_on_narrow_and_int32_rows(name):
 
 
 def test_psl2_7_normalizers_and_metacyclic_match_plain_loops():
+    # G on the cosets of each normalizer is G on that subgroup's conjugates,
+    # as in psl2_11_degree55
     G = psl2_natural(7)
-    for g in G.elements:
-        h = frozenset(cyclic_powers(g))
-        assert normalizer_scan(G, h) == _plain_normalizer(G.elements, h)
     a = next(g for g in G.elements if perm_order(g) == 2)
-    for k in {_plain_closure([a, g], 8) for g in G.elements}:
-        assert normalizer_scan(G, k) == _plain_normalizer(G.elements, k)
+    cyclic = {frozenset(cyclic_powers(g)) for g in G.elements}
+    for h in cyclic | {_plain_closure([a, g], 8) for g in G.elements}:
+        N = _plain_normalizer(G.elements, h)
+        assert coset_action(G, N).generators == _plain_coset_action(G, N)
     assert _search_rows(G) == _plain_metacyclic(G)
 
 
@@ -834,7 +843,7 @@ def test_small_subgroups_of_sn_match_plain_loops(n, rng):
     # a shuffled element order, so the identity is rarely first
     elements = list(G.elements)
     rng.shuffle(elements)
-    _check_against_plain(elements, n, normalizer_group=G)
+    _check_against_plain(elements, n, G)
     # the same group enumerated in that order (after the identity): the first
     # subgroup of each class, and the conjugators found, move with it
     H = PermGroup(n, elements)
@@ -862,19 +871,17 @@ def test_all_subgroups_rejects_sets_not_closed(elements):
         all_subgroups(elements)
 
 
-def test_normalizer_scan_where_base_codes_outgrow_the_index():
-    # 11 disjoint transpositions on 64 points: order 2048, a base of 11 points
+def test_coset_action_where_base_codes_outgrow_the_index():
+    # 11 disjoint transpositions on 64 points: order 2048, a base of 11 points,
+    # which would need 64^11 codes, so the base index refuses the group
     gens = [
         tuple(2 * i + 1 - j % 2 if j // 2 == i else j for j in range(64)) for i in range(11)
     ]
     G = PermGroup(64, gens)
     assert G.order() == 2048
     h = cyclic_powers(compose(gens[0], gens[1]))
-    try:
-        got = normalizer_scan(G, h)
-    except GroupError:
-        return
-    assert got == _plain_normalizer(G.elements, frozenset(h))
+    with pytest.raises(GroupError, match="codes"):
+        coset_action(G, h)
 
 
 # ---------------------------------------------------------------- lattice traversal
