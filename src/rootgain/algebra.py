@@ -212,6 +212,12 @@ def rational_sqrt(q: Rational):
 # polynomials over Q
 
 
+def _primitive(c: list[int]) -> list[int]:
+    """c divided by its positive content."""
+    g = gcd(*c)
+    return [x // g for x in c]
+
+
 class PolyQ:
     """Univariate polynomial over Q; coefficients ascending, degree -1 for 0."""
 
@@ -357,11 +363,7 @@ class PolyQ:
         positive leading coefficient."""
         if self.is_zero():
             return self
-        ints, _ = self.integer_model()
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
+        ints = _primitive(self.integer_model()[0])
         if ints[-1] < 0:
             ints = [-c for c in ints]
         return PolyQ(ints)
@@ -475,27 +477,53 @@ def discriminant(f: PolyQ) -> Rational:
 # Sturm sequences
 
 
+def _negated_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """-rem(|lc(b)|^(d+1) a, b) for d = deg a - deg b, on ascending integer
+    coefficients: each step scales by |lc(b)| and cancels the top term."""
+    lc = b[-1]
+    sign = 1 if lc > 0 else -1
+    lc = abs(lc)
+    r = list(a)
+    n = len(b)
+    for k in range(len(a) - n, -1, -1):
+        top = r[k + n - 1] * sign
+        r = [x * lc for x in r[: k + n - 1]]
+        for i in range(n - 1):
+            r[k + i] -= top * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return [-x for x in r]
+
+
 def sturm_real_roots(f: PolyQ) -> int:
-    """Number of distinct real roots. The chain of f and f' ends in a multiple
-    of gcd(f, f'); dividing every term by it gives the Sturm chain of the
-    squarefree part and changes no sign pattern, so f need not be squarefree."""
+    """Number of distinct real roots, from the primitive integer Sturm chain.
+
+    The chain starts from the primitive integer model of f and its derivative;
+    each next term is the negated pseudo-remainder of the previous two, scaled
+    by |lc|^(d+1), over its positive content. By induction every term is a
+    positive multiple of the term f, f', -rem(f, f'), ... of the chain over Q
+    (Cohen, GTM 138, §3.3), so every sign pattern is the same. That chain ends
+    in a multiple of gcd(f, f'); dividing every term by it gives the Sturm
+    chain of the squarefree part and changes no sign pattern, so f need not be
+    squarefree."""
     if f.is_zero():
         raise AlgebraError("Sturm count of the zero polynomial")
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+    a = _primitive(f.integer_model()[0])
+    b = [i * c for i, c in enumerate(a)][1:]
+    chain = [a]
+    while b:
+        b = _primitive(b)
+        chain.append(b)
+        a, b = b, _negated_pseudo_remainder(a, b)
 
     def sign_changes(at_plus_infinity: bool) -> int:
         signs = []
         for p in chain:
-            if p.is_zero():
-                continue
-            s = 1 if p.leading() > 0 else -1
-            if not at_plus_infinity and p.degree % 2 == 1:
+            s = 1 if p[-1] > 0 else -1
+            if not at_plus_infinity and len(p) % 2 == 0:  # odd degree
                 s = -s
             signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
     return sign_changes(False) - sign_changes(True)
 
@@ -1068,11 +1096,7 @@ def rational_roots(f: PolyQ) -> list[Rational]:
     if k:
         roots.add(Fraction(0))
         ints = ints[k:]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    poly = PolyQ(ints)
+    poly = PolyQ(_primitive(ints))
     if poly.degree == 0:
         return sorted(roots)
     poly = poly.squarefree_part().primitive_integral()

@@ -8,8 +8,10 @@ polynomials, which changes discriminants by rational squares only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import gcd
 
@@ -106,11 +108,13 @@ def mestre_form_pencil(f: PolyQ, g: PolyQ, branch_points=()) -> Pencil:
     return Pencil(tuple(coeffs), tuple(branch_points), name="mestre-form")
 
 
+@cache
 def psl2_11_degree12_pencil() -> Pencil:
     """The degree-12 family A(X) - 9 s(t) B(X) - 3 s(t)^2 (X - 11) with
     s(t) = 2^8 * 3^5 / (11 t^2 + 1); branch points of index 2, 11, 11 with the
     index-2 one at t = infinity carrying a Klein-four decomposition pair built
-    from a fixed-point-free involution in PSL2(11) and a commuting involution."""
+    from a fixed-point-free involution in PSL2(11) and a commuting involution.
+    Built once per process: it has no inputs, and the pencil is immutable."""
     A3 = PolyQ([-308, -66, 0, 1])
     A = A3 * A3 * A3 * A3
     B = PolyQ([103763, 57358, 1892, -1573, -44, 11])
@@ -313,6 +317,8 @@ class PrimeCondition:
         reason = unproven_prime_reason(self.prime)
         if reason:
             raise MestreError(reason)
+        if self.kind == VALUATION_EQUALS and not isinstance(self.value, int):
+            raise MestreError("valuation condition needs an integer value")
         if self.kind == CONGRUENT_TO and self.modulus_exponent < 1:
             raise MestreError("congruence condition needs a positive modulus exponent")
 
@@ -342,35 +348,52 @@ def _satisfies_exact(t0: Fraction, cond: PrimeCondition) -> bool:
 
 
 def enumerate_t0(constraints: SearchConstraints, branch_locations=frozenset()):
-    """Rationals a/b in lowest terms by ascending height max(|a|, b), filtered
-    by the exact per-prime conditions; deterministic order.
+    """Rationals a/b in lowest terms by ascending height max(|a|, b), then b,
+    then a, that satisfy the exact per-prime conditions; deterministic order.
 
-    Congruence-to-zero conditions force the numerator to be a multiple of
-    prod q^m; the loops step accordingly (the order of surviving candidates is
-    unchanged), so large moduli do not cost quadratic enumeration time.
+    Each condition at p pins the p-part of t0 = a/b. valuation_of_t0_equals v
+    needs v_p(t0) = v; t0_congruent_to c mod p^k needs v_p(t0) = v_p(c) when
+    v_p(c) < k and v_p(t0) >= k otherwise (c = 0 included). With w the pinned
+    value (v, or min(k, v_p(c))), b must have v_p(b) = max(0, -w) exactly and
+    p^max(0, w) must divide a. So a row whose b breaks a rule is never visited,
+    numerators step by the product of the powers of p, and only the surviving
+    pairs become Fractions, each still filtered by the exact conditions.
     """
     conds = constraints.conditions
     H = constraints.height_bound
     step = 1
+    b_rules = []  # (p, p^e): v_p(b) = e
     for c in conds:
-        if c.kind == CONGRUENT_TO and Fraction(c.value) == 0:
-            step *= c.prime**c.modulus_exponent
+        if c.kind == VALUATION_EQUALS:
+            w = c.value
+        elif c.kind == CONGRUENT_TO:
+            w = min(c.modulus_exponent, _valuation(Fraction(c.value), c.prime))
+        else:
+            continue
+        b_rules.append((c.prime, c.prime ** max(0, -w)))
+        step *= c.prime ** max(0, w)
+    denominators = [
+        b for b in range(1, H + 1) if all(b % pe == 0 and b // pe % p for p, pe in b_rules)
+    ]
+
+    def rows(height: int):
+        """(a, b) coprime with max(|a|, b) = height, step | a and b admissible."""
+        below = bisect_left(denominators, height)
+        if height % step == 0:
+            for b in denominators[:below]:
+                if gcd(height, b) == 1:
+                    yield -height, b
+                    yield height, b
+        if below < len(denominators) and denominators[below] == height:
+            for a in range(-(height // step) * step, height + 1, step):
+                if gcd(a, height) == 1:
+                    yield a, height
+
     for height in range(1, H + 1):
-        b_values = range(1, height + 1) if height % step == 0 else (height,)
-        for b in b_values:
-            if b == height:
-                lo = -(height // step) * step
-                a_values = range(lo, height + 1, step)
-            else:
-                a_values = (-height, height)
-            for a in a_values:
-                if max(abs(a), b) != height or gcd(abs(a), b) != 1:
-                    continue
-                t0 = Fraction(a, b)
-                if t0 in branch_locations:
-                    continue
-                if all(_satisfies_exact(t0, c) for c in conds):
-                    yield t0
+        for a, b in rows(height):
+            t0 = Fraction(a, b)
+            if t0 not in branch_locations and all(_satisfies_exact(t0, c) for c in conds):
+                yield t0
 
 
 @dataclass(frozen=True)
@@ -389,17 +412,23 @@ def _unramified_as_required(facts: PolyFacts, conditions) -> bool:
     return all(valuation(facts.disc, c.prime) == 0 for c in conditions if c.kind == UNRAMIFIED_AT)
 
 
+def _fibers(P: Pencil, constraints: SearchConstraints):
+    """(t0, cleared fiber) along enumerate_t0, past the t0 specialize rejects."""
+    for t0 in enumerate_t0(constraints, P.branch_locations()):
+        try:
+            yield t0, specialize(P, t0)
+        except SpecializationError:
+            continue
+
+
 def _certified_fiber(
-    P: Pencil, t0: Fraction, declared: dict, conditions, primes: list[int] | None = None
+    h: PolyQ, declared: dict, conditions, primes: list[int] | None = None
 ) -> ExtensionProfile | None:
-    """The fiber at t0 through specialize, the unramified_at conditions and
-    build_profile (profiles computed at `primes`); None on any failure, when
-    the fiber is inseparable, or when its irreducibility is not certified.
-    Only the good primes up to the one that settles irreducibility are read."""
-    try:
-        facts = PolyFacts(specialize(P, t0))
-    except SpecializationError:
-        return None
+    """A cleared fiber through the unramified_at conditions and build_profile
+    (profiles computed at `primes`); None on any failure, when the fiber is
+    inseparable, or when its irreducibility is not certified. Only the good
+    primes up to the one that settles irreducibility are read."""
+    facts = PolyFacts(h)
     if facts.disc == 0 or not _unramified_as_required(facts, conditions):
         return None
     try:
@@ -430,8 +459,8 @@ def find_reference_specialization(
     )
     conditions = base.conditions + (PrimeCondition(q, UNRAMIFIED_AT),)
     declared = dict(matched_profiles or {})
-    for t0 in enumerate_t0(base, P.branch_locations()):
-        prof = _certified_fiber(P, t0, declared, conditions, primes=[q])
+    for t0, h in _fibers(P, base):
+        prof = _certified_fiber(h, declared, conditions, primes=[q])
         if prof is not None:
             return SpecializationRecord(t0, prof.poly, prof, "reference")
     raise SpecializationError(
@@ -440,17 +469,17 @@ def find_reference_specialization(
 
 
 def _evaluate_candidate(
-    P: Pencil,
     t0: Fraction,
+    h: PolyQ,
     q: int,
     declared: dict[int, list[tuple[int, int]]],
     reference: SpecializationRecord,
     local: CurveLocalData,
     conditions: tuple[PrimeCondition, ...],
 ) -> SpecializationRecord | None:
-    """One t0, already through enumerate_t0's exact conditions, through the
-    full pipeline; None when any check fails."""
-    prof = _certified_fiber(P, t0, declared, conditions)
+    """The fiber h at one t0, already through enumerate_t0's exact conditions,
+    through the full pipeline; None when any check fails."""
+    prof = _certified_fiber(h, declared, conditions)
     if prof is None or prof.signature != reference.profile.signature:
         return None
     ratio = root_number_ratio(local, prof, reference.profile, q)
@@ -484,7 +513,9 @@ def search_rank_gain(
 ) -> list[SpecializationRecord]:
     """Height-ordered specializations satisfying the constraints, each compared
     against a reference specialization: emits (t0, polynomial, profiles, ratio,
-    conditional-rank-gain flag, distinctness fingerprint).
+    conditional-rank-gain flag, distinctness fingerprint). Each cleared fiber
+    polynomial is emitted once, at its first t0; a repeat does not count
+    toward `limit`.
 
     The profile at the designated prime on the candidate side is declared from
     the target decomposition pair and consistency-checked (tame bound, exact
@@ -493,6 +524,8 @@ def search_rank_gain(
     a curve, over q alone with the assumed reduction type.
     """
     q = designated_prime
+    if limit < 1:
+        raise MestreError(f"limit must be >= 1, got {limit}")
     if q in constraints.excluded_primes:
         raise MestreError(f"designated prime {q} lies in the excluded set")
     if curve is None:  # q alone, multiplicative of the assumed type
@@ -510,10 +543,16 @@ def search_rank_gain(
             P, q, constraints, matched_profiles=matched_profiles
         )
     out = [reference]
-    for t0 in enumerate_t0(constraints, P.branch_locations()):
-        if len(out) > limit:
-            break
-        rec = _evaluate_candidate(P, t0, q, declared, reference, curve, constraints.conditions)
+    # the record of a fiber depends on its polynomial alone, so a repeat (the
+    # fiber at -t0 of a pencil in t^2) is skipped without a second evaluation
+    seen = {reference.poly}
+    for t0, h in _fibers(P, constraints):
+        if h in seen:
+            continue
+        seen.add(h)
+        rec = _evaluate_candidate(t0, h, q, declared, reference, curve, constraints.conditions)
         if rec is not None:
             out.append(rec)
+            if len(out) > limit:
+                break
     return out

@@ -29,6 +29,7 @@ from rootgain.algebra import (
     resultant,
     sturm_real_roots,
 )
+from rootgain.mestre import psl2_11_degree12_pencil, specialize
 
 sympy = pytest.importorskip("sympy")
 galoistools = pytest.importorskip("sympy.polys.galoistools")
@@ -88,6 +89,36 @@ def test_resultant_matches_sympy(f, g, shared):
 @given(products())
 def test_sturm_real_roots_matches_count_roots(f):
     assert sturm_real_roots(f) == to_sympy(f).count_roots()
+
+
+# Mostly-zero coefficients make chains whose degree drops by two, where lc^3
+# and |lc|^3 differ in sign when lc < 0; each coefficient has its own large
+# denominator, so the integer model is far from the rational one
+sparse_numerators = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+large_denominators = st.integers(10**6, 10**12)
+
+
+@st.composite
+def sparse_negative_leading(draw, max_degree=8):
+    degree = draw(st.integers(2, max_degree))
+    coeffs = [F(draw(sparse_numerators), draw(large_denominators)) for _ in range(degree)]
+    return PolyQ(coeffs + [F(-draw(st.integers(1, 3)), draw(large_denominators))])
+
+
+@ORACLE
+@given(sparse_negative_leading(), st.none() | factors(max_degree=2), st.integers(2, 3))
+def test_sturm_real_roots_matches_count_roots_on_sparse_negative_leading(f, repeated, power):
+    if repeated is not None:
+        f = f * repeated.monic() ** power
+    assert f.leading() < 0
+    assert sturm_real_roots(f) == to_sympy(f).count_roots()
+
+
+@pytest.mark.parametrize("a", [-18, -7, -1, 1, 5, 20, 37])
+def test_sturm_real_roots_matches_count_roots_on_psl2_11_fibers(a):
+    h = specialize(psl2_11_degree12_pencil(), F(a, 19))
+    assert h.degree == 12
+    assert sturm_real_roots(h) == to_sympy(h).count_roots()
 
 
 @ORACLE

@@ -992,6 +992,19 @@ def test_specialize_skips_an_inseparable_fiber(capsys, tmp_path):
     )
 
 
+def test_specialize_prints_each_fiber_polynomial_once(capsys, pencil_file):
+    # the pencil depends on t only through t^2, so the fibers at 1/19 and 2/19
+    # repeat those at -1/19 and -2/19; the search skips them and goes on to
+    # -20/19 and -21/19 for the 20 candidates
+    argv = ["specialize", "--pencil", pencil_file, "--q", "19", "--height", "2000"]
+    code, out = run(capsys, [*argv, "--limit", "20"])
+    assert code == 0
+    records = [l.split("\t") for l in out.splitlines() if l.startswith(("reference\t", "candidate\t"))]
+    assert [r[0] for r in records] == ["reference"] + ["candidate"] * 20
+    assert len({r[2] for r in records}) == 21
+    assert [r[1] for r in records[-3:]] == ["-1/19", "-20/19", "-21/19"]
+
+
 @pytest.mark.parametrize(
     "pencil_text, options",
     [

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import islice
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -13,8 +13,10 @@ from rootgain.extension import (
     profile_from_decomposition,
     root_number_over_extension,
 )
+from rootgain.inputfmt import parse_pencil_file
 from rootgain.mestre import (
     CONDITIONAL_TOKEN,
+    CONGRUENT_TO,
     UNRAMIFIED_AT,
     VALUATION_EQUALS,
     BranchPoint,
@@ -33,7 +35,7 @@ from rootgain.mestre import (
     search_rank_gain,
     specialize,
 )
-from rootgain.mestre import _certified_fiber
+from rootgain.mestre import _certified_fiber, _satisfies_exact
 from rootgain.permgroup import centralizer_scan, perm_from_cycles, perm_order, psl2_natural
 
 F1 = PolyQ([0, 2304, 0, -164, 0, 1])  # X(X^4 - 164X^2 + 2304)
@@ -160,6 +162,16 @@ def test_psl2_11_pencil_involutions_match_the_group():
     bp = psl2_11_degree12_pencil().branch_points[0]
     assert bp.pair.decomposition_gens == (c, x)
     assert bp.pair.inertia_gens == (c,)
+
+
+def test_psl2_11_pencil_is_built_once_and_left_unchanged():
+    pencil = psl2_11_degree12_pencil()
+    assert psl2_11_degree12_pencil() is pencil
+    assert parse_pencil_file("family: psl2-11-degree12\n") is pencil
+    cons = SearchConstraints((PrimeCondition(19, VALUATION_EQUALS, -1),), 40, (2, 3, 5, 7, 11))
+    records = search_rank_gain(pencil, None, cons, pencil.branch_points[0].pair, 19, limit=2)
+    assert [r.role for r in records] == ["reference", "candidate", "candidate"]
+    assert pencil == psl2_11_degree12_pencil.__wrapped__()
 
 
 def test_specialize_rejects_branch_point_and_degree_drop():
@@ -332,6 +344,45 @@ def test_enumerate_t0_congruence_condition():
     assert all(valuation(t, 2) >= 3 or t == 0 for t in vals)
 
 
+def full_scan_t0(constraints, branch_locations):
+    """Every a/b in lowest terms by (height, b, a), minus the branch locations,
+    filtered by the exact conditions."""
+    out = []
+    for height in range(1, constraints.height_bound + 1):
+        for b in range(1, height + 1):
+            for a in range(-height, height + 1) if b == height else (-height, height):
+                t0 = F(a, b)
+                if gcd(a, b) != 1 or t0 in branch_locations:
+                    continue
+                if all(_satisfies_exact(t0, c) for c in constraints.conditions):
+                    out.append(t0)
+    return out
+
+
+def seeded_condition(rng, p):
+    if rng.random() < 0.4:
+        return PrimeCondition(p, VALUATION_EQUALS, rng.randint(-2, 2))
+    units = [u for u in range(1, 12) if u % p]
+    # a congruence value of valuation -2 to 2 at p, or 0
+    v = rng.randint(-2, 2)
+    unit = F(rng.choice([-1, 1]) * rng.choice(units), rng.choice(units))
+    value = 0 if v == 2 and rng.random() < 0.5 else unit * F(p) ** v
+    return PrimeCondition(p, CONGRUENT_TO, value, rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumerate_t0_matches_the_full_scan(seed):
+    rng = random.Random(f"enumerate_t0/{seed}")
+    locations = [F(0), F(1), F(-1, 2), F(2, 3), F(-5, 4), F(9, 25), "inf"]
+    for _ in range(8):
+        primes = rng.sample([2, 3, 5, 7], rng.randint(1, 2))
+        cons = SearchConstraints(
+            tuple(seeded_condition(rng, p) for p in primes), rng.randint(1, 60)
+        )
+        branch = frozenset(rng.sample(locations, rng.randint(0, 3)))
+        assert list(enumerate_t0(cons, branch)) == full_scan_t0(cons, branch), cons
+
+
 def test_constraints_validation():
     with pytest.raises(MestreError):
         SearchConstraints(
@@ -342,6 +393,8 @@ def test_constraints_validation():
         )
     with pytest.raises(MestreError):
         PrimeCondition(4, "unramified_at")
+    with pytest.raises(MestreError, match="integer value"):
+        PrimeCondition(5, "valuation_of_t0_equals", F(1, 2))
 
 
 # ---------------------------------------------------------------- search
@@ -469,13 +522,13 @@ def test_search_fibers_read_primes_only_until_irreducibility_settles():
     pencil = psl2_11_degree12_pencil()
     q = 19
     reference = _certified_fiber(
-        pencil, F(-1), {}, (PrimeCondition(q, UNRAMIFIED_AT),), primes=[q]
+        specialize(pencil, F(-1)), {}, (PrimeCondition(q, UNRAMIFIED_AT),), primes=[q]
     )
     fibers = [reference]
     cons = SearchConstraints((PrimeCondition(q, VALUATION_EQUALS, -1),), 40, (2, 3, 5, 7, 11))
     declared = {q: profile_from_decomposition(pencil.branch_points[0].pair)}
     for t0 in islice(enumerate_t0(cons, pencil.branch_locations()), 6):
-        fibers.append(_certified_fiber(pencil, t0, declared, cons.conditions))
+        fibers.append(_certified_fiber(specialize(pencil, t0), declared, cons.conditions))
     for prof in fibers:
         assert len(prof.facts._patterns) <= 16
         assert certify_irreducible(prof.facts).status == "pattern_incompatible"
@@ -498,6 +551,13 @@ def test_search_rejects_excluded_designated_prime():
     )
     with pytest.raises(MestreError):
         search_rank_gain(pencil, None, cons, pencil.branch_points[0].pair, 11)
+
+
+def test_search_rejects_a_limit_below_one():
+    pencil = psl2_11_degree12_pencil()
+    cons = SearchConstraints((PrimeCondition(19, VALUATION_EQUALS, -1),), 20, (2, 3, 5, 7, 11))
+    with pytest.raises(MestreError, match="limit must be >= 1, got 0"):
+        search_rank_gain(pencil, None, cons, pencil.branch_points[0].pair, 19, limit=0)
 
 
 def test_search_rejects_unknown_assumed_reduction():
