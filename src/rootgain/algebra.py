@@ -2,7 +2,9 @@
 Sturm sequences, quadratic symbols.
 
 Everything here is exact; no floating point is used anywhere. Rational is the
-stdlib Fraction (already normalized: gcd(num, den) = 1, den >= 1).
+stdlib Fraction (already normalized: gcd(num, den) = 1, den >= 1). Resultants,
+discriminants, Sturm counts and gcds over Q all come from one primitive
+integer pseudo-remainder sequence of the integer models (`_prs`).
 """
 
 from __future__ import annotations
@@ -311,9 +313,6 @@ class PolyQ:
                 rem.pop()
         return PolyQ(quo), PolyQ(rem)
 
-    def __mod__(self, other: PolyQ) -> PolyQ:
-        return self.divmod(other)[1]
-
     def __floordiv__(self, other: PolyQ) -> PolyQ:
         return self.divmod(other)[0]
 
@@ -337,10 +336,13 @@ class PolyQ:
         return PolyQ([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
 
     def gcd(self, other: PolyQ) -> PolyQ:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd, 0 when both are 0: the last term of the _prs chain
+        of the integer models, a multiple of the last nonzero Euclidean
+        remainder over Q (Cohen, GTM 138, §3.3)."""
+        if not self or not other:
+            return (self + other).monic()
+        chain = _prs(self.integer_model()[0], other.integer_model()[0])[0]
+        return PolyQ(chain[-1]).monic()
 
     def squarefree_part(self) -> PolyQ:
         if self.is_zero():
@@ -402,79 +404,7 @@ def poly_from_descending_string(text: str) -> PolyQ:
 
 
 # ----------------------------------------------------------------------------
-# resultants / discriminants (fraction-free over Z)
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def resultant_int(a: list[int], b: list[int]) -> int:
-    """Resultant of two integer polynomials (ascending coefficients)."""
-    a = list(a)
-    b = list(b)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a or not b:
-        return 0
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    n = da + db
-    rows = []
-    ra = a[::-1]
-    rb = b[::-1]
-    for i in range(db):
-        rows.append([0] * i + ra + [0] * (n - da - 1 - i))
-    for i in range(da):
-        rows.append([0] * i + rb + [0] * (n - db - 1 - i))
-    return _bareiss_det(rows)
-
-
-def resultant(f: PolyQ, g: PolyQ) -> Rational:
-    fi, df = f.integer_model()
-    gi, dg = g.integer_model()
-    r = resultant_int(fi, gi)
-    return Fraction(r) / (Fraction(df) ** g.degree * Fraction(dg) ** f.degree)
-
-
-def discriminant(f: PolyQ) -> Rational:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 1:
-        raise AlgebraError("discriminant of a constant polynomial")
-    r = resultant(f, f.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * r / f.leading()
-
-
-# ----------------------------------------------------------------------------
-# Sturm sequences
+# one integer remainder sequence: resultants, discriminants, Sturm counts, gcds
 
 
 def _negated_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -495,26 +425,76 @@ def _negated_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return [-x for x in r]
 
 
-def sturm_real_roots(f: PolyQ) -> int:
-    """Number of distinct real roots, from the primitive integer Sturm chain.
+def _prs(a: list[int], b: list[int]) -> tuple[list[list[int]], int]:
+    """(chain, Res(a, b)) for nonzero, trimmed, ascending integer lists.
 
-    The chain starts from the primitive integer model of f and its derivative;
-    each next term is the negated pseudo-remainder of the previous two, scaled
-    by |lc|^(d+1), over its positive content. By induction every term is a
-    positive multiple of the term f, f', -rem(f, f'), ... of the chain over Q
-    (Cohen, GTM 138, §3.3), so every sign pattern is the same. That chain ends
-    in a multiple of gcd(f, f'); dividing every term by it gives the Sturm
-    chain of the squarefree part and changes no sign pattern, so f need not be
-    squarefree."""
+    The chain is a and b over their positive contents, then each negated
+    pseudo-remainder of the last two terms over its positive content (scaled
+    by |lc|^(d+1) for a degree drop d >= 0, not at all for d < 0). By
+    induction every term is a positive multiple of the term a, b, -rem(a, b),
+    ... of the Euclidean chain over Q, so the last term is a multiple of
+    gcd(a, b).
+
+    The resultant rides along on the identities of Cohen, GTM 138, §3.3, for
+    A of degree m and B of degree n:
+      Res(A, B) = (-1)^(mn) Res(B, A);
+      Res(B, A) = lc(B)^(m-k) Res(B, A mod B), where k = deg(A mod B);
+      A mod B = -g*C / |lc B|^(d+1), C the next term and g its content;
+      Res(B, sC) = s^n Res(B, C);
+    a zero remainder gives 0, and a constant B = b gives b^m. The scalars
+    gather in one integer fraction num/den, which divides exactly.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    ga, gb = gcd(*a), gcd(*b)
+    chain = [[x // ga for x in a], [x // gb for x in b]]
+    num, den = ga**n * gb**m, 1
+    while n:
+        r = _negated_pseudo_remainder(*chain[-2:])
+        if not r:
+            return chain, 0
+        k, g, lc = len(r) - 1, gcd(*r), chain[-1][-1]
+        num *= (-1) ** ((m + 1) * n) * lc ** (m - k) * g**n
+        den *= abs(lc) ** (max(m - n + 1, 0) * n)
+        chain.append([x // g for x in r])
+        m, n = n, k
+    return chain, num * chain[-1][0] ** m // den
+
+
+def resultant(f: PolyQ, g: PolyQ) -> Rational:
+    """Res(f, g), 0 when either is 0: the resultant of the integer models,
+    carried along their _prs chain by the identities of Cohen, GTM 138, §3.3,
+    over df^(deg g) dg^(deg f) for their denominators df and dg."""
+    fi, df = f.integer_model()
+    gi, dg = g.integer_model()
+    r = _prs(fi, gi)[1] if fi and gi else 0
+    return Fraction(r) / (Fraction(df) ** g.degree * Fraction(dg) ** f.degree)
+
+
+def discriminant(f: PolyQ) -> Rational:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
+    n = f.degree
+    if n < 1:
+        raise AlgebraError("discriminant of a constant polynomial")
+    r = resultant(f, f.derivative())
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * r / f.leading()
+
+
+def sturm_real_roots(f: PolyQ) -> int:
+    """Number of distinct real roots, read off the _prs chain of the integer
+    model of f and its derivative.
+
+    Every term of that chain is a positive multiple of the term f, f',
+    -rem(f, f'), ... of the Sturm chain over Q, so every sign pattern is the
+    same. That chain ends in a multiple of gcd(f, f'); dividing every term by
+    it gives the Sturm chain of the squarefree part and changes no sign
+    pattern, so f need not be squarefree."""
     if f.is_zero():
         raise AlgebraError("Sturm count of the zero polynomial")
-    a = _primitive(f.integer_model()[0])
-    b = [i * c for i, c in enumerate(a)][1:]
-    chain = [a]
-    while b:
-        b = _primitive(b)
-        chain.append(b)
-        a, b = b, _negated_pseudo_remainder(a, b)
+    if f.degree == 0:
+        return 0
+    a = f.integer_model()[0]
+    chain = _prs(a, [i * c for i, c in enumerate(a)][1:])[0]
 
     def sign_changes(at_plus_infinity: bool) -> int:
         signs = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import PolyFp, PolyQ, legendre, primes_up_to, valuation
+from .algebra import PolyFp, PolyQ, discriminant, legendre, primes_up_to, valuation
 
 CONDITIONAL_TOKEN = "conditional-on-parity-conjecture"
 
@@ -66,19 +66,24 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
     mod p keeps its degree and acquires exactly one double root (X-a)^2 with a
     separable cofactor not vanishing at a.
 
-    A prime with v_p(disc f) = 1 always has this shape, but every prime is
-    tested directly: for odd p, gcd(f, f') = X - a says exactly this (a root
-    of multiplicity m leaves (X-a)^(m-1) in the gcd, or (X-a)^m when p | m).
+    One discriminant answers two questions: disc f = 0 says f is not
+    separable, and for p not dividing the leading coefficient disc(f mod p)
+    = disc f mod p, so f mod p is squarefree, with no double root, exactly
+    when p does not divide disc f; those primes are skipped without a gcd.
+    The rest are tested directly: for odd p, gcd(f, f') = X - a says exactly
+    this (a root of multiplicity m leaves (X-a)^(m-1) in the gcd, or (X-a)^m
+    when p | m).
     """
     if f.degree < 5:
         raise JacobianError("hyperelliptic input needs degree >= 5")
     if any(c.denominator != 1 for c in f.coeffs):
         raise JacobianError("integral coefficients required")
-    if not f.is_separable():
+    disc = discriminant(f)
+    if disc == 0:
         raise JacobianError("f must be separable")
     out = []
     for p in primes_up_to(bound):
-        if p == 2 or valuation(f.leading(), p) != 0:
+        if p == 2 or valuation(f.leading(), p) != 0 or disc % p != 0:
             continue
         fp = PolyFp.reduce(f, p)
         g = fp.gcd(fp.derivative())

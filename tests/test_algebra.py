@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import islice
@@ -257,6 +258,70 @@ def test_resultant_scaling():
     g = PolyQ([1, 1])
     # Res(f, g) = lc(f)^0 * f evaluated at the root of g, up to sign convention
     assert resultant(f, g) == f(F(-1))
+
+
+def test_resultant_and_gcd_edge_cases():
+    zero, three, c = PolyQ([]), PolyQ([3]), PolyQ([F(-5, 2)])
+    f = PolyQ([1, 0, 1])
+    cubic = PolyQ([F(1, 3), -2, 0, F(-7, 4)])
+    # a zero argument gives 0
+    assert resultant(zero, f) == resultant(f, zero) == resultant(zero, zero) == 0
+    assert resultant(zero, three) == 0
+    # Res(c, g) = c^deg g and Res(f, c) = c^deg f, also for two constants
+    assert resultant(three, f) == 9
+    assert resultant(f, c) == F(25, 4)
+    assert resultant(c, cubic) == resultant(cubic, c) == F(-125, 8)
+    assert resultant(three, c) == 1
+    # gcd with 0 is the other argument made monic; with a constant it is 1
+    assert f.gcd(zero) == f
+    assert zero.gcd(cubic) == cubic.monic() == PolyQ([F(-4, 21), F(8, 7), 0, 1])
+    assert zero.gcd(zero) == zero
+    assert cubic.gcd(c) == three.gcd(zero) == zero.gcd(c) == PolyQ([1])
+    assert three.is_separable() and c.is_separable() and not zero.is_separable()
+    # negative leading coefficients and Fraction coefficients, a square factor
+    g = PolyQ([F(-1, 2), 0, F(-3, 5)]) * PolyQ([1, F(2, 7), F(-9, 4)]) ** 2
+    assert resultant(g, cubic) == resultant(cubic, g) == F(-7026593370101, 56646696960)
+    assert discriminant(g) == 0 and discriminant(cubic) == F(-1043, 16)
+    assert sturm_real_roots(g) == 2 and sturm_real_roots(cubic) == 1
+    assert g.gcd(g.derivative()) == PolyQ([F(-4, 9), F(-8, 63), 1])
+    assert g.squarefree_part() == PolyQ([F(-10, 27), F(-20, 189), F(7, 18), F(-8, 63), 1])
+    assert not g.is_separable()
+
+
+def _corpus_poly(rng, degree):
+    """A seeded polynomial of the given degree (-1 for 0): integer or
+    sparse numerators over small or large denominators, leading coefficient
+    of either sign."""
+    if degree < 0:
+        return PolyQ([])
+    numerators = rng.choice([range(-30, 31), [0, 0, 0, 1, -1, 2, -3]])
+    denominators = [1, 1, 2, 3, 7, 10**6 + 3]
+    coeffs = [F(rng.choice(numerators), rng.choice(denominators)) for _ in range(degree)]
+    return PolyQ(coeffs + [F(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 4, 9]))])
+
+
+# sha256 of resultant, discriminant, sturm_real_roots and gcd over the corpus
+# below, pinned from a Sylvester-matrix determinant and a Euclidean gcd over Q,
+# two other algorithms for the same values
+CORPUS_DIGEST = "3372167d96422a9a94c64027cbe27b1632e27f0e30b56eded65820cf15663ae2"
+
+
+def test_remainder_sequence_outputs_match_the_pinned_digest():
+    rng = random.Random(20261020)
+    lines = []
+    for i in range(400):
+        a, b = _corpus_poly(rng, rng.randint(-1, 9)), _corpus_poly(rng, rng.randint(-1, 9))
+        if i % 3 == 0:  # a shared factor: resultant 0, a gcd of positive degree
+            shared = _corpus_poly(rng, rng.randint(0, 3))
+            a, b = a * shared, b * shared
+        if i % 5 == 0:  # a repeated factor: discriminant 0
+            a = a * _corpus_poly(rng, rng.randint(1, 2)) ** 2
+        line = [resultant(a, b), resultant(b, a), a.gcd(b), b.gcd(a)]
+        if a.degree >= 1:
+            line += [discriminant(a), sturm_real_roots(a), a.gcd(a.derivative())]
+        lines.append(" ".join(map(str, line)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------- rational roots

@@ -1,8 +1,10 @@
 """Exact polynomial invariants checked against sympy, which shares no code with
-rootgain: discriminant and resultant against sympy's, sturm_real_roots against
-Poly.count_roots and rational_roots against the linear factors of sympy's
-factorization over Q, on derandomized polynomials of degree <= 8 with rational
-coefficients, including products with repeated and shared factors. is_prime
+rootgain: discriminant and resultant against sympy's, PolyQ.gcd,
+squarefree_part and is_separable against sympy's gcd, sqf_part and is_sqf,
+sturm_real_roots against Poly.count_roots and rational_roots against the
+linear factors of sympy's factorization over Q, on derandomized polynomials of
+degree <= 8 with rational coefficients, including products with repeated and
+shared factors. is_prime
 is checked against sympy's isprime at the strong pseudoprimes psi_12 and
 psi_13 and on seeded products of two 12-digit primes, iter_primes against
 primerange, _prime_divisors against factorint on seeded products of primes
@@ -76,21 +78,6 @@ def test_discriminant_matches_sympy(f):
     assert discriminant(f) == to_fraction(sympy.discriminant(to_sympy(f)))
 
 
-@ORACLE
-@given(products(max_degree=4), products(max_degree=4), st.none() | factors(max_degree=2))
-def test_resultant_matches_sympy(f, g, shared):
-    if shared is not None:
-        # a common factor makes the resultant vanish
-        f, g = f * shared, g * shared
-    assert resultant(f, g) == to_fraction(sympy.resultant(to_sympy(f), to_sympy(g)))
-
-
-@ORACLE
-@given(products())
-def test_sturm_real_roots_matches_count_roots(f):
-    assert sturm_real_roots(f) == to_sympy(f).count_roots()
-
-
 # Mostly-zero coefficients make chains whose degree drops by two, where lc^3
 # and |lc|^3 differ in sign when lc < 0; each coefficient has its own large
 # denominator, so the integer model is far from the rational one
@@ -103,6 +90,50 @@ def sparse_negative_leading(draw, max_degree=8):
     degree = draw(st.integers(2, max_degree))
     coeffs = [F(draw(sparse_numerators), draw(large_denominators)) for _ in range(degree)]
     return PolyQ(coeffs + [F(-draw(st.integers(1, 3)), draw(large_denominators))])
+
+
+# either kind, each of its own degree up to 8
+polynomials = products() | sparse_negative_leading()
+
+
+def from_sympy(f) -> PolyQ:
+    return PolyQ([to_fraction(c) for c in reversed(f.all_coeffs())])
+
+
+def sympy_resultant(f: PolyQ, g: PolyQ) -> F:
+    """sympy's Res(f, g), asked with the larger degree first: sympy 1.14
+    swaps a pair with deg f < deg g and drops the sign (-1)^(deg f deg g)
+    of Res(f, g) = (-1)^(deg f deg g) Res(g, f), as its own Sylvester
+    determinant shows."""
+    if f.degree < g.degree:
+        return (-1) ** (f.degree * g.degree) * sympy_resultant(g, f)
+    return to_fraction(sympy.resultant(to_sympy(f), to_sympy(g)))
+
+
+@ORACLE
+@given(polynomials, polynomials, st.none() | factors(max_degree=2))
+def test_resultant_matches_sympy(f, g, shared):
+    if shared is not None:
+        # a common factor makes the resultant vanish
+        f, g = f * shared, g * shared
+    assert resultant(f, g) == sympy_resultant(f, g)
+
+
+@ORACLE
+@given(polynomials, polynomials, st.none() | factors(max_degree=2), st.integers(1, 3))
+def test_gcd_and_squarefree_part_match_sympy(f, g, shared, power):
+    if shared is not None:
+        # a shared factor, repeated in f
+        f, g = f * shared**power, g * shared
+    assert f.gcd(g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)).monic())
+    assert f.squarefree_part() == from_sympy(to_sympy(f).sqf_part().monic())
+    assert f.is_separable() == to_sympy(f).is_sqf
+
+
+@ORACLE
+@given(products())
+def test_sturm_real_roots_matches_count_roots(f):
+    assert sturm_real_roots(f) == to_sympy(f).count_roots()
 
 
 @ORACLE
@@ -119,6 +150,7 @@ def test_sturm_real_roots_matches_count_roots_on_psl2_11_fibers(a):
     h = specialize(psl2_11_degree12_pencil(), F(a, 19))
     assert h.degree == 12
     assert sturm_real_roots(h) == to_sympy(h).count_roots()
+    assert discriminant(h) == to_fraction(sympy.discriminant(to_sympy(h)))
 
 
 @ORACLE

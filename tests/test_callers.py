@@ -1,8 +1,8 @@
-"""Every public top-level function of `rootgain` has a caller in `src/`.
+"""Every top-level function of `rootgain` has a caller in `src/`.
 
 A function that only its own definition mentions is dead code unless it is
-kept on purpose; each kept one names why. Package exports (`from .x import
-name` in `__init__.py`) are not callers.
+kept on purpose; each kept public one names why, and no private one is kept.
+Package exports (`from .x import name` in `__init__.py`) are not callers.
 """
 
 import ast
@@ -26,14 +26,14 @@ KEEP = {
 
 
 def _references():
-    """(public top-level functions by name, names referenced in src/ outside
-    each function's own definition)."""
+    """(top-level functions by name, names referenced in src/ outside each
+    function's own definition)."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     defined = {
         node.name: node
         for tree in trees
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef)
     }
 
     def names(node):
@@ -54,8 +54,16 @@ def _references():
 
 def test_every_public_function_has_a_caller_or_a_reason():
     defined, referenced = _references()
-    uncalled = sorted(set(defined) - referenced - set(KEEP))
+    public = {name for name in defined if not name.startswith("_")}
+    uncalled = sorted(public - referenced - set(KEEP))
     assert uncalled == [], f"public functions with no caller in src/: {uncalled}"
+
+
+def test_every_private_function_has_a_caller():
+    defined, referenced = _references()
+    private = {name for name in defined if name.startswith("_")}
+    uncalled = sorted(private - referenced)
+    assert uncalled == [], f"private functions with no caller in src/: {uncalled}"
 
 
 def test_keep_list_names_only_uncalled_functions():
