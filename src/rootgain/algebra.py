@@ -472,29 +472,37 @@ def resultant(f: PolyQ, g: PolyQ) -> Rational:
 
 def discriminant(f: PolyQ) -> Rational:
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 1:
+    _check_discriminant(f)
+    return _disc_from(f, resultant(f, f.derivative()))
+
+
+def _check_discriminant(f: PolyQ) -> None:
+    if f.degree < 1:
         raise AlgebraError("discriminant of a constant polynomial")
-    r = resultant(f, f.derivative())
+
+
+def _disc_from(f: PolyQ, res: Rational) -> Rational:
+    """disc(f) from res = Res(f, f'), for f of degree n >= 1."""
+    n = f.degree
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * r / f.leading()
+    return sign * res / f.leading()
 
 
-def sturm_real_roots(f: PolyQ) -> int:
+def sturm_real_roots(f: PolyQ | PolyFacts) -> int:
     """Number of distinct real roots, read off the _prs chain of the integer
-    model of f and its derivative.
+    model of f and its derivative, which f's PolyFacts shares with disc.
 
     Every term of that chain is a positive multiple of the term f, f',
     -rem(f, f'), ... of the Sturm chain over Q, so every sign pattern is the
     same. That chain ends in a multiple of gcd(f, f'); dividing every term by
     it gives the Sturm chain of the squarefree part and changes no sign
     pattern, so f need not be squarefree."""
-    if f.is_zero():
+    facts = PolyFacts.of(f)
+    if facts.poly.is_zero():
         raise AlgebraError("Sturm count of the zero polynomial")
-    if f.degree == 0:
+    if facts.poly.degree == 0:
         return 0
-    a = f.integer_model()[0]
-    chain = _prs(a, [i * c for i, c in enumerate(a)][1:])[0]
+    chain = facts._derivative_prs[0]
 
     def sign_changes(at_plus_infinity: bool) -> int:
         signs = []
@@ -840,11 +848,14 @@ def _frobenius_patterns(coeffs: list[int], primes: list[int]) -> list[tuple[int,
     row 0 of (C^p)^i. F_p[x]/f is a product of fields F_(p^k), r_k of them
     for each k, and on each Frobenius acts as the regular representation of
     C_k. So Tr(Q^d) = N_d = sum of k * r_k over k | d, mod p; N_d <= n < p
-    is exact, and r_d = (N_d - sum of k * r_k over k | d, k < d) / d.
+    is exact, and by Möbius inversion d * r_d = sum of mu(d/k) N_k over
+    k | d, which must be a nonnegative multiple of d, with sum of d * r_d =
+    n. Q^d is formed for d <= h = ceil(n/2), and for d > h, Tr(Q^d) =
+    Tr(Q^h Q^(d-h)) is read off the diagonal of that product alone.
 
-    Every matrix entry is below p, so a product sums n terms below p^2: the
-    block runs in int64 while n * p^2 < 2^63, in Python-int object arrays
-    above that.
+    Every matrix entry is below p, so a product (or a diagonal entry) sums n
+    terms below p^2: the block runs in int64 while n * p^2 < 2^63, in
+    Python-int object arrays above that.
     """
     # imported on first use: importing numpy ahead of the rest of the package
     # raised the import's peak RSS from 29.4 to 30.4 MB (CPython 3.11, numpy 2.4)
@@ -869,22 +880,30 @@ def _frobenius_patterns(coeffs: list[int], primes: list[int]) -> list[tuple[int,
     rows = [np.broadcast_to(np.eye(1, n, dtype=dtype), (len(primes), 1, n))]
     for _ in range(n - 1):
         rows.append(rows[-1] @ power % P)
-    q = q_power = np.concatenate(rows, axis=1)
-    traces = [q.trace(axis1=1, axis2=2)]
-    for _ in range(n - 1):
-        q_power = q_power @ q % P
-        traces.append(q_power.trace(axis1=1, axis2=2))
-    counts = [None]
-    inexact = np.zeros(len(primes), dtype=bool)
-    for d, trace in enumerate(traces, 1):
-        rest = trace % P[:, 0, 0] - sum(k * counts[k] for k in range(1, d) if d % k == 0)
-        inexact |= (rest < 0) | (rest % d != 0)
-        counts.append(rest // d)
-    if inexact.any() or (sum(k * counts[k] for k in range(1, n + 1)) != n).any():
+    q = np.concatenate(rows, axis=1)
+    half = (n + 1) // 2
+    q_powers = [q]
+    for _ in range(half - 1):
+        q_powers.append(q_powers[-1] @ q % P)
+    traces = [m.trace(axis1=1, axis2=2) for m in q_powers]
+    for d in range(half + 1, n + 1):
+        # the diagonal of Q^h Q^(d-h), each entry reduced mod p
+        diagonal = (q_powers[-1] * q_powers[d - half - 1].swapaxes(1, 2)).sum(axis=2) % P[:, 0]
+        traces.append(diagonal.sum(axis=1))
+    mu = [0, 1]  # the Möbius function: its sum over the divisors of d > 1 is 0
+    for d in range(2, n + 1):
+        mu.append(-sum(mu[k] for k in range(1, d) if d % k == 0))
+    mobius = np.array(
+        [[mu[d // k] if d % k == 0 else 0 for k in range(1, n + 1)] for d in range(1, n + 1)],
+        dtype=dtype,
+    )
+    degrees = np.arange(1, n + 1, dtype=dtype)[:, None]
+    weighted = mobius @ (np.stack(traces) % P[:, 0, 0])  # d * r_d, one column per prime
+    counts = weighted // degrees
+    if (weighted < 0).any() or (weighted % degrees != 0).any() or (weighted.sum(axis=0) != n).any():
         raise AlgebraError("Frobenius traces give no factor pattern: f is not squarefree mod p")
     return [
-        tuple(d for d, r in enumerate(row, 1) for _ in range(r))
-        for row in zip(*(c.tolist() for c in counts[1:]))
+        tuple(d for d, r in enumerate(column, 1) for _ in range(r)) for column in counts.T.tolist()
     ]
 
 
@@ -961,7 +980,8 @@ def is_irreducible_mod_p(f: PolyFp) -> bool:
 
 class PolyFacts:
     """A polynomial over Q with the facts its certificates, fingerprints and
-    profiles share, each computed once: the discriminant, and the Frobenius
+    profiles share, each computed once: the _prs chain of its integer model
+    and derivative, read by disc and by the Sturm count, and the Frobenius
     pattern (sorted factor degrees mod p) at each good prime. Holds no
     generator, so it pickles."""
 
@@ -974,8 +994,22 @@ class PolyFacts:
         return h if isinstance(h, PolyFacts) else cls(h)
 
     @cached_property
+    def _model(self) -> tuple[list[int], int]:
+        return self.poly.integer_model()
+
+    @cached_property
+    def _derivative_prs(self) -> tuple[list[list[int]], int]:
+        """_prs(a, a') for the integer model a (degree >= 1)."""
+        a = self._model[0]
+        return _prs(a, [i * c for i, c in enumerate(a)][1:])
+
+    @cached_property
     def disc(self) -> Rational:
-        return discriminant(self.poly)
+        """From the shared chain: a = d f and a' = d f' for the common
+        denominator d, so Res(f, f') = Res(a, a') / d^(2n - 1)."""
+        _check_discriminant(self.poly)
+        res = Fraction(self._derivative_prs[1], self._model[1] ** (2 * self.poly.degree - 1))
+        return _disc_from(self.poly, res)
 
     @cached_property
     def _bad(self) -> int:
@@ -983,8 +1017,7 @@ class PolyFacts:
         coefficients' common denominator times the numerators of the leading
         coefficient and disc, and disc's denominator (0 when disc is 0)."""
         lead, disc = self.poly.leading(), self.disc
-        common = lcm(*(c.denominator for c in self.poly.coeffs))
-        return common * lead.numerator * disc.numerator * disc.denominator
+        return self._model[1] * lead.numerator * disc.numerator * disc.denominator
 
     def is_good(self, p: int) -> bool:
         """p divides neither disc, the leading coefficient nor any coefficient's
@@ -1020,20 +1053,27 @@ class PolyFacts:
 
     def frobenius(self, count: int):
         """(p, pattern) at the first `count` good primes, in increasing order;
-        primes and patterns are found one at a time, as far as iterated."""
+        primes and patterns are found one at a time, as far as iterated, each
+        pattern not yet cached by _pattern. certify_irreducible reads these,
+        since its witness and pattern list depend on the order."""
         for p in islice(self._good_primes(), count):
             yield p, self._pattern(p)
 
-    def frobenius_block(self, count: int) -> list[tuple[int, tuple[int, ...]]]:
-        """list(self.frobenius(count)), with the patterns not yet known at
-        primes above the degree found together by _frobenius_patterns; the
-        primes up to the degree take the per-prime path."""
-        primes = list(islice(self._good_primes(), count))
+    def _read_block(self, primes: list[int]) -> None:
+        """Cache, in one _frobenius_patterns call, the patterns not yet known
+        at those of the good `primes` above the degree; the others are left
+        to _pattern."""
         n = self.poly.degree
         todo = [p for p in primes if p > n and p not in self._patterns]
         if todo:
-            coeffs = self.poly.integer_model()[0]
-            self._patterns.update(zip(todo, _frobenius_patterns(coeffs, todo)))
+            self._patterns.update(zip(todo, _frobenius_patterns(self._model[0], todo)))
+
+    def frobenius_block(self, count: int) -> list[tuple[int, tuple[int, ...]]]:
+        """list(self.frobenius(count)), with the patterns not yet known at
+        primes above the degree found together by one _read_block; the
+        primes up to the degree take the per-prime path."""
+        primes = list(islice(self._good_primes(), count))
+        self._read_block(primes)
         return [(p, self._pattern(p)) for p in primes]
 
 

@@ -109,12 +109,16 @@ def cmd_orbit_search(args) -> int:
         yield f"# group: {G.name or args.group} degree={G.degree} order={G.order()}"
         yield f"# candidates with degree - |orb(<I,x>)| odd: {len(cands)}"
         yield "inertia_generator\tx\t|I|\torb(I)\torb(H)\tI_in_An"
-        # candidates come grouped by c: format each c once
+        # candidates come grouped by c: format each c once, and each x once
+        # per report
+        x_texts: dict = {}
         for c, group in groupby(cands, key=attrgetter("c")):
             c_text = format_cycles(c)
             for m in group:
+                if m.x not in x_texts:
+                    x_texts[m.x] = format_cycles(m.x)
                 yield (
-                    f"{c_text}\t{format_cycles(m.x)}\t{m.inertia_order}\t"
+                    f"{c_text}\t{x_texts[m.x]}\t{m.inertia_order}\t"
                     f"{m.orbits_inertia}\t{m.orbits_full}\t{str(m.inertia_in_alternating).lower()}"
                 )
 

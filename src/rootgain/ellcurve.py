@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import TOP_VALUE, Rational, _prime_divisors, is_prime, legendre, valuation
 
@@ -38,7 +39,9 @@ FINITE_TYPES = (GOOD, SPLIT_MULT, NONSPLIT_MULT, ADDITIVE, DECLARED, UNKNOWN_23)
 
 @dataclass(frozen=True)
 class EllipticCurveData:
-    """Weierstrass model [a1, a2, a3, a4, a6] with derived invariants."""
+    """Weierstrass model [a1, a2, a3, a4, a6] with derived invariants, each
+    computed once per curve (the class is frozen but has no slots, so a
+    cached_property can store its value)."""
 
     a1: Rational
     a2: Rational
@@ -55,19 +58,19 @@ class EllipticCurveData:
             raise CurveError("invariant relation 1728*disc = c4^3 - c6^2 failed")
         return E
 
-    @property
+    @cached_property
     def b2(self) -> Rational:
         return self.a1**2 + 4 * self.a2
 
-    @property
+    @cached_property
     def b4(self) -> Rational:
         return 2 * self.a4 + self.a1 * self.a3
 
-    @property
+    @cached_property
     def b6(self) -> Rational:
         return self.a3**2 + 4 * self.a6
 
-    @property
+    @cached_property
     def b8(self) -> Rational:
         return (
             self.a1**2 * self.a6
@@ -77,15 +80,15 @@ class EllipticCurveData:
             - self.a4**2
         )
 
-    @property
+    @cached_property
     def c4(self) -> Rational:
         return self.b2**2 - 24 * self.b4
 
-    @property
+    @cached_property
     def c6(self) -> Rational:
         return -(self.b2**3) + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def disc(self) -> Rational:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6

@@ -14,6 +14,7 @@ checked against Sum e*f = n and the tame different bound v_p(disc) >= Sum f(e-1)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .algebra import (
     TOP_VALUE,
@@ -124,20 +125,36 @@ def certify_irreducible(
     return IrreducibilityCertificate(status, None, tuple(sorted(patterns)))
 
 
+# irreducibility_settled reads the good primes above the degree in blocks:
+# the first 8, the next 16, then the rest
+_BLOCK_ENDS = (0, 8, 24, _CERTIFICATE_PRIMES)
+
+
 def irreducibility_settled(h: PolyQ | PolyFacts) -> bool:
-    """certify_irreducible(h).certified, read only up to the first
-    good prime whose pattern leaves no split size: the full-degree pattern
-    (n,) allows none, and the set of allowed sizes only shrinks as patterns
-    are added."""
+    """certify_irreducible(h).certified, from the same first 50 good primes:
+    it is set iff their patterns, taken together, leave no split size (the
+    full-degree pattern (n,) allows none), which does not depend on the order
+    they are read in. So the primes above the degree are read in blocks of
+    one PolyFacts._read_block each, the first 8, then 16, then the rest, up
+    to the first block after which no split size is left; the primes up to
+    the degree are read one at a time, and only when the blocks leave a
+    split size. Each pattern read stays in the shared cache."""
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
-    splits = _split_sizes(facts.poly.degree)
-    if splits:
-        for _, pattern in facts.frobenius(_CERTIFICATE_PRIMES):
-            splits &= _subset_sums(pattern)
-            if not splits:
-                break
-    return not splits
+    n = facts.poly.degree
+    splits = _split_sizes(n)
+    if not splits:
+        return True
+    primes = list(islice(facts._good_primes(), _CERTIFICATE_PRIMES))
+    above = [p for p in primes if p > n]
+    blocks = [above[start:end] for start, end in zip(_BLOCK_ENDS, _BLOCK_ENDS[1:])]
+    for block in [*blocks, [p for p in primes if p <= n]]:
+        facts._read_block(block)
+        for p in block:
+            splits &= _subset_sums(facts._pattern(p))
+        if not splits:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------- profiles
@@ -202,7 +219,7 @@ def build_profile(
     h = facts.poly
     if h.degree < 1:
         raise ExtensionError("defining polynomial must be nonconstant")
-    r1 = sturm_real_roots(h)
+    r1 = sturm_real_roots(facts)
     if (h.degree - r1) % 2 != 0:
         raise ExtensionError("parity of real-root count contradicts the degree")
     r2 = (h.degree - r1) // 2

@@ -11,15 +11,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import (
     NotASquare,
     PolyFacts,
     PolyQ,
     Rational,
+    _primitive,
     _valuation,
     iter_primes,
     poly_sqrt_exact,
@@ -90,6 +91,19 @@ class Pencil:
     def branch_locations(self) -> set:
         return {bp.location for bp in self.branch_points}
 
+    @cached_property
+    def integer_models(self) -> tuple[tuple[list[int], list[int], int], ...]:
+        """(N, D, deg D - deg N) per coefficient num/den, with integer
+        polynomials N and D such that num/den = N/D (deg N read as 0 when num
+        is 0): num = N0/n and den = D0/d for integer N0, D0 and the common
+        denominators n, d, so N = d N0 and D = n D0. Computed once per
+        pencil."""
+        out = []
+        for num, den in self.coefficients:
+            (N0, n), (D0, d) = num.integer_model(), den.integer_model()
+            out.append(([c * d for c in N0], [c * n for c in D0], den.degree - max(num.degree, 0)))
+        return tuple(out)
+
 
 def mestre_form_pencil(f: PolyQ, g: PolyQ, branch_points=()) -> Pencil:
     """f(X) - t*g(X); requires deg g < deg f, separable f, and g nonzero and
@@ -143,26 +157,52 @@ def psl2_11_degree12_pencil() -> Pencil:
     return Pencil(tuple(coeffs), bps, name="psl2-11-degree12")
 
 
+def _homogeneous(c: list[int], a: int, b: int) -> int:
+    """b^deg c(a/b) = the sum of c_j a^j b^(deg - j), by Horner in integers;
+    0 for the zero polynomial."""
+    if not c:
+        return 0
+    acc, b_power = c[-1], 1
+    for x in reversed(c[:-1]):
+        b_power *= b
+        acc = acc * a + x * b_power
+    return acc
+
+
 def specialize(P: Pencil, t0: Rational) -> PolyQ:
     """F(t0, X) cleared to a primitive integral polynomial (positive leading
     coefficient); rejects declared branch points, coefficient poles and degree
     drops. An inseparable fiber is returned: its discriminant is 0, which the
-    search reads off its PolyFacts."""
+    search reads off its PolyFacts.
+
+    At t0 = a/b, each coefficient N(t0)/D(t0) of the pencil's integer models
+    is u/v = N^h(a, b) b^e / D^h(a, b) for e = deg D - deg N >= 0 (the power
+    of b moves to v when e < 0), with N^h and D^h homogenized, so no
+    `Fraction` is built: the fiber is the primitive part of the integers u
+    times L/v, for L the lcm of the |v|."""
     t0 = Fraction(t0)
     if t0 in P.branch_locations():
         raise SpecializationError(f"t0 = {t0} is a declared branch point")
-    vals = []
-    for num, den in P.coefficients:
-        d = den(t0)
-        if d == 0:
+    a, b = t0.numerator, t0.denominator
+    pairs = []
+    for N, D, e in P.integer_models:
+        v = _homogeneous(D, a, b)
+        if v == 0:
             raise SpecializationError(f"coefficient pole at t0 = {t0}")
-        vals.append(num(t0) / d)
-    h = PolyQ(vals)
-    if h.degree != P.degree_x:
+        u = _homogeneous(N, a, b)
+        pairs.append((u * b**e, v) if e >= 0 else (u, v * b**-e))
+    common = lcm(*(abs(v) for _, v in pairs))
+    ints = [u * (common // v) for u, v in pairs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if len(ints) - 1 != P.degree_x:
         raise SpecializationError(
-            f"degree drop at t0 = {t0}: got {h.degree}, expected {P.degree_x}"
+            f"degree drop at t0 = {t0}: got {len(ints) - 1}, expected {P.degree_x}"
         )
-    return h.primitive_integral()
+    ints = _primitive(ints)
+    if ints and ints[-1] < 0:
+        ints = [-c for c in ints]
+    return PolyQ(ints)
 
 
 # ---------------------------------------------------------------- Mestre identity
@@ -174,8 +214,12 @@ def mestre_verify(f: PolyQ, g: PolyQ) -> PolyQ:
         raise MestreError("f must be separable")
     if g.degree >= f.degree:
         raise MestreError("requires deg g < deg f")
-    h = f.derivative() * g - g.derivative() * f
-    return poly_sqrt_exact(h)
+    return _mestre_root(f, g)
+
+
+def _mestre_root(f: PolyQ, g: PolyQ) -> PolyQ:
+    """mestre_verify for a separable f and deg g < deg f, unchecked."""
+    return poly_sqrt_exact(f.derivative() * g - g.derivative() * f)
 
 
 def mestre_solve_odd_quintic(f: PolyQ) -> list[tuple[PolyQ, PolyQ]]:
@@ -231,7 +275,7 @@ def mestre_solve_odd_quintic(f: PolyQ) -> list[tuple[PolyQ, PolyQ]]:
             seen.add((beta, gamma))
             g = PolyQ([gamma, 0, beta, 0, 1])
             try:
-                r = mestre_verify(f, g)
+                r = _mestre_root(f, g)  # f was checked above, and deg g = 4
             except NotASquare:
                 continue
             out.append((g, r))
@@ -424,18 +468,21 @@ def _fibers(P: Pencil, constraints: SearchConstraints):
 def _certified_fiber(
     h: PolyQ, declared: dict, conditions, primes: list[int] | None = None
 ) -> ExtensionProfile | None:
-    """A cleared fiber through the unramified_at conditions and build_profile
-    (profiles computed at `primes`); None on any failure, when the fiber is
-    inseparable, or when its irreducibility is not certified. Only the good
-    primes up to the one that settles irreducibility are read."""
+    """A cleared fiber through the unramified_at conditions, the irreducibility
+    bit and build_profile (profiles computed at `primes`); None on any
+    failure, when the fiber is inseparable, or when its irreducibility is not
+    certified. The bit comes first: it reads its good primes in blocks, up to
+    the block that settles it, and a profile at a prime of those blocks then
+    reads the cached pattern."""
     facts = PolyFacts(h)
     if facts.disc == 0 or not _unramified_as_required(facts, conditions):
         return None
+    if not irreducibility_settled(facts):
+        return None
     try:
-        prof = build_profile(facts, declared=declared, primes=primes)
+        return build_profile(facts, declared=declared, primes=primes)
     except ValueError:
         return None
-    return prof if irreducibility_settled(facts) else None
 
 
 def find_reference_specialization(

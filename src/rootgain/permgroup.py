@@ -649,9 +649,10 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     Three exact prunings skip only joins whose result is already found, so
     every subgroup keeps the generator list of its first producer:
     - s = <e> is not extended: each <e, g> = <g> came from the cyclic pass.
-    - s with 2|s| > |G|/2 is not extended: by Lagrange every proper overgroup
-      of s has order at least 2|s|, so every join is the whole group, which is
-      recorded from the least g outside s if it is new.
+    - s is not extended when no divisor d of |G| with |s| < d <= |G|/2 is a
+      multiple of |s| (when |G|/|s| is 1 or prime): by Lagrange a proper
+      overgroup of s would need such an order, so every join is the whole
+      group, which is recorded from the least g outside s if it is new.
     - g is skipped when <g> was already joined to s: <s, g> = <s, <g>>.
     Raises GroupError when the elements are not closed under composition.
     """
@@ -679,9 +680,10 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     queue = sorted(found, key=_bits)
     for s in queue:
         members, gens = _bits(s), found[s]
-        if len(members) == 1:
+        m = len(members)
+        if m == 1:
             continue
-        if 2 * len(members) > limit:
+        if not any(len(arr) % d == 0 for d in range(2 * m, limit + 1, m)):
             if whole not in found:
                 found[whole] = gens + [_least(whole & ~s)]
                 queue.append(whole)
@@ -693,7 +695,7 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
             if cyclic[g] in joined:
                 continue
             joined.add(cyclic[g])
-            t = _join(s, len(members), maps + [cols[g]], cosets, limit) or whole
+            t = _join(s, m, maps + [cols[g]], cosets, limit) or whole
             if t not in found:
                 found[t] = gens + [g]
                 queue.append(t)

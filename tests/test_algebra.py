@@ -10,6 +10,7 @@ from rootgain.algebra import (
     TOP_VALUE,
     AlgebraError,
     NotASquare,
+    PolyFacts,
     PolyFp,
     PolyQ,
     discriminant,
@@ -306,7 +307,9 @@ def _corpus_poly(rng, degree):
 CORPUS_DIGEST = "3372167d96422a9a94c64027cbe27b1632e27f0e30b56eded65820cf15663ae2"
 
 
-def test_remainder_sequence_outputs_match_the_pinned_digest():
+def _corpus_digest(disc_and_sturm) -> str:
+    """The digest of the corpus lines, with disc and the Sturm count of each
+    a of positive degree from disc_and_sturm(a)."""
     rng = random.Random(20261020)
     lines = []
     for i in range(400):
@@ -318,10 +321,22 @@ def test_remainder_sequence_outputs_match_the_pinned_digest():
             a = a * _corpus_poly(rng, rng.randint(1, 2)) ** 2
         line = [resultant(a, b), resultant(b, a), a.gcd(b), b.gcd(a)]
         if a.degree >= 1:
-            line += [discriminant(a), sturm_real_roots(a), a.gcd(a.derivative())]
+            line += [*disc_and_sturm(a), a.gcd(a.derivative())]
         lines.append(" ".join(map(str, line)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CORPUS_DIGEST
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_remainder_sequence_outputs_match_the_pinned_digest():
+    assert _corpus_digest(lambda a: (discriminant(a), sturm_real_roots(a))) == CORPUS_DIGEST
+
+
+def test_polyfacts_disc_and_sturm_count_match_the_pinned_digest():
+    # both read the one chain that a PolyFacts keeps
+    def from_facts(a):
+        facts = PolyFacts(a)
+        return facts.disc, sturm_real_roots(facts)
+
+    assert _corpus_digest(from_facts) == CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------- rational roots

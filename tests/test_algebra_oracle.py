@@ -1,7 +1,8 @@
 """Exact polynomial invariants checked against sympy, which shares no code with
-rootgain: discriminant and resultant against sympy's, PolyQ.gcd,
-squarefree_part and is_separable against sympy's gcd, sqf_part and is_sqf,
-sturm_real_roots against Poly.count_roots and rational_roots against the
+rootgain: discriminant (also as PolyFacts.disc) and resultant against sympy's,
+PolyQ.gcd, squarefree_part and is_separable against sympy's gcd, sqf_part and
+is_sqf, sturm_real_roots (of a PolyQ and of a PolyFacts) against
+Poly.count_roots and rational_roots against the
 linear factors of sympy's factorization over Q, on derandomized polynomials of
 degree <= 8 with rational coefficients, including products with repeated and
 shared factors. is_prime
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from rootgain.algebra import (
     TRIAL_DIVISION_BOUND,
     FactoringIncomplete,
+    PolyFacts,
     PolyFp,
     PolyQ,
     _prime_divisors,
@@ -145,12 +147,24 @@ def test_sturm_real_roots_matches_count_roots_on_sparse_negative_leading(f, repe
     assert sturm_real_roots(f) == to_sympy(f).count_roots()
 
 
+@ORACLE
+@given(polynomials)
+def test_polyfacts_disc_and_sturm_count_match_sympy(f):
+    # both read the PolyFacts' one chain of the integer model d f and its
+    # derivative, whose denominator d enters Res(f, f') as d^(2n - 1)
+    facts = PolyFacts(f)
+    assert sturm_real_roots(facts) == to_sympy(f).count_roots()
+    assert facts.disc == to_fraction(sympy.discriminant(to_sympy(f)))
+
+
 @pytest.mark.parametrize("a", [-18, -7, -1, 1, 5, 20, 37])
 def test_sturm_real_roots_matches_count_roots_on_psl2_11_fibers(a):
     h = specialize(psl2_11_degree12_pencil(), F(a, 19))
     assert h.degree == 12
     assert sturm_real_roots(h) == to_sympy(h).count_roots()
     assert discriminant(h) == to_fraction(sympy.discriminant(to_sympy(h)))
+    facts = PolyFacts(h)
+    assert (facts.disc, sturm_real_roots(facts)) == (discriminant(h), sturm_real_roots(h))
 
 
 @ORACLE

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -486,13 +486,72 @@ def test_irreducibility_settled_is_the_certified_bit(h):
 
 def test_irreducibility_settles_before_the_witness_prime():
     # X^5 - 5X + 6: the patterns (1,2,2) at 3, (1,4) at 7 and (2,3) at 11 leave
-    # no split size, while the first irreducible reduction is at 23
+    # no split size, while the first irreducible reduction is at 23. The bit
+    # reads the first block, the first 8 good primes above the degree, and
+    # never the good prime 3 at or below it
     facts = PolyFacts(PolyQ([6, -5, 0, 0, 0, 1]))
     assert irreducibility_settled(facts)
-    assert sorted(facts._patterns) == [3, 7, 11]
+    assert sorted(facts._patterns) == [7, 11, 17, 19, 23, 29, 31, 37]
     cert = certify_irreducible(facts)
     assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 23)
     assert cert.patterns == ((1, 1, 3), (1, 2, 2), (1, 4), (2, 3))
+
+
+def seeded_polys(count=60):
+    """Seeded polynomials of degree 2-12 with rational coefficients and
+    leading coefficients other than 1; every third one a product of two
+    factors, so reducible. Only nonzero discriminants are kept."""
+    rng = random.Random(3012)
+
+    def part(degree):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+        return PolyQ(coeffs + [F(rng.randint(1, 5), rng.randint(1, 3))])
+
+    out = []
+    while len(out) < count:
+        degree = rng.randint(2, 12)
+        if len(out) % 3 == 0:
+            a = rng.randint(1, degree - 1)
+            h = part(a) * part(degree - a)
+        else:
+            h = part(degree)
+        if discriminant(h) != 0:
+            out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("h", seeded_polys())
+def test_irreducibility_settled_is_the_certified_bit_on_seeded_polynomials(h):
+    assert irreducibility_settled(h) == certify_irreducible(h).certified
+
+
+@pytest.mark.parametrize("a", range(1, 37))
+def test_irreducibility_settled_is_the_certified_bit_on_psl2_11_fibers(a):
+    h = specialize(psl2_11_degree12_pencil(), F(a, 19))
+    facts = PolyFacts(h)
+    assert irreducibility_settled(facts)
+    assert certify_irreducible(h).status == "pattern_incompatible"
+
+
+def test_irreducibility_settled_by_a_prime_at_or_below_the_degree():
+    # X^2 - X + (1 - d)/4 has disc d, with d = 1 mod every odd prime up to 300
+    # and d = 5 mod 8: every odd prime up to 300 is good and splits, so the
+    # blocks of primes above the degree leave the split 1 + 1, and only the
+    # good prime 2, where the reduction is X^2 + X + 1, settles the bit
+    odd = 1
+    for p in range(3, 300, 2):
+        if all(p % q for q in range(3, p, 2)):
+            odd *= p
+    d = 1 + odd * (4 * pow(odd, -1, 8) % 8)
+    assert d % 8 == 5 and all(d % p == 1 for p in (3, 5, 229, 293))
+    facts = PolyFacts(PolyQ([F(1 - d, 4), -1, 1]))
+    assert facts.disc == d
+    assert irreducibility_settled(facts)
+    primes = list(islice(facts._good_primes(), 50))
+    assert sorted(facts._patterns) == primes and primes[0] == 2 and primes[-1] == 229
+    assert all(facts._patterns[p] == (1, 1) for p in primes[1:])
+    cert = certify_irreducible(facts)
+    assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 2)
 
 
 # ---------------------------------------------------------------- cross-module

@@ -268,6 +268,33 @@ def test_frobenius_patterns_at_large_primes_match_sympy(degree, data):
             assert list(pattern) == oracle_degrees(PolyFp(p, coeffs)), (coeffs, p)
 
 
+def test_frobenius_patterns_refuse_exactly_the_non_squarefree_reductions():
+    """The kernel alone, one prime at a time and in blocks: it refuses a
+    (polynomial, prime) pair iff f mod p has a repeated factor (sympy's
+    gf_sqf_p), and otherwise reads sympy's factor degrees. Small primes make
+    repeated factors common."""
+    rng = random.Random(2026)
+    refused = 0
+    for _ in range(700):
+        degree = rng.randint(2, 12)
+        coeffs = [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([1, 2, 3, -1])]
+        primes = [p for p in rng.sample(range(degree + 1, 60), 6) if sympy.isprime(p)]
+        primes = [p for p in primes if coeffs[-1] % p]
+        squarefree = {p: gf.gf_sqf_p([c % p for c in reversed(coeffs)], p, ZZ) for p in primes}
+        for p in primes:
+            if squarefree[p]:
+                (pattern,) = _frobenius_patterns(coeffs, [p])
+                assert list(pattern) == oracle_degrees(PolyFp(p, coeffs)), (coeffs, p)
+            else:
+                refused += 1
+                with pytest.raises(AlgebraError):
+                    _frobenius_patterns(coeffs, [p])
+        if primes and not all(squarefree.values()):
+            with pytest.raises(AlgebraError):
+                _frobenius_patterns(coeffs, primes)
+    assert refused > 50
+
+
 def test_frobenius_block_refuses_what_frobenius_refuses():
     for h in (PolyQ([0, 0, 1]), PolyQ([4, -4, 1]) * PolyQ([1, 1])):  # disc 0
         with pytest.raises(AlgebraError):

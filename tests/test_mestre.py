@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import islice
 from math import factorial, gcd
+from operator import and_
 
 import pytest
 
@@ -13,6 +15,7 @@ from rootgain.extension import (
     profile_from_decomposition,
     root_number_over_extension,
 )
+from rootgain.extension import _split_sizes, _subset_sums
 from rootgain.inputfmt import parse_pencil_file
 from rootgain.mestre import (
     CONDITIONAL_TOKEN,
@@ -515,10 +518,94 @@ def test_search_enforces_unramified_conditions():
     assert valuation(discriminant(reference.poly), 23) == 0
 
 
+def fraction_horner_specialize(P, t0):
+    """specialize by its definition: each coefficient num(t0) / den(t0) by
+    Fraction Horner, then the primitive integral model."""
+    t0 = F(t0)
+    if t0 in P.branch_locations():
+        raise SpecializationError(f"t0 = {t0} is a declared branch point")
+    vals = []
+    for num, den in P.coefficients:
+        d = den(t0)
+        if d == 0:
+            raise SpecializationError(f"coefficient pole at t0 = {t0}")
+        vals.append(num(t0) / d)
+    h = PolyQ(vals)
+    if h.degree != P.degree_x:
+        raise SpecializationError(
+            f"degree drop at t0 = {t0}: got {h.degree}, expected {P.degree_x}"
+        )
+    return h.primitive_integral()
+
+
+def _rational_poly_text(rng, degree, roots=()):
+    """A descending coefficient list of a polynomial in t with rational
+    coefficients: random of the given degree, times t - r for each r in
+    roots."""
+    poly = PolyQ([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)])
+    poly = poly + PolyQ([0] * degree + [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))])
+    for r in roots:
+        poly = poly * PolyQ([-r, 1])
+    return ",".join(str(c) for c in reversed(poly.coeffs))
+
+
+def general_pencil_texts(count=40):
+    """Seeded `form: general` pencil files over Q(t): coefficients with unequal
+    denominators, zero coefficients, poles and leading-coefficient zeros (so
+    degree drops) at small t0, and branch points there."""
+    rng = random.Random(2102)
+    special = [F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)]
+    texts = []
+    for _ in range(count):
+        degree = rng.randint(1, 6)
+        lines = ["form: general", f"degree: {degree}"]
+        for k in range(degree + 1):
+            if k < degree and rng.random() < 0.2:
+                num = "0"
+            else:
+                roots = [rng.choice(special)] if k == degree and rng.random() < 0.5 else []
+                num = _rational_poly_text(rng, rng.randint(0, 3), roots)
+            den_roots = [rng.choice(special)] if rng.random() < 0.3 else []
+            den = _rational_poly_text(rng, rng.randint(0, 2), den_roots)
+            lines.append(f"coeff: k={k} num={num} den={den}")
+        if rng.random() < 0.3:
+            lines.append(f"branch: location={rng.choice(special)} e=2")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SpecializationError as exc:
+        return str(exc)
+
+
+def test_specialize_matches_the_fraction_horner_definition():
+    t0s = [F(a, b) for b in range(1, 7) for a in range(-12, 13) if gcd(a, b) == 1]
+    kinds = ("branch point", "pole", "degree drop")
+    outcomes = set()
+    for text in general_pencil_texts():
+        pencil = parse_pencil_file(text)
+        for t0 in t0s:
+            expected = _outcome(fraction_horner_specialize, pencil, t0)
+            assert _outcome(specialize, pencil, t0) == expected, (text, t0)
+            outcomes.add(next((k for k in kinds if k in str(expected)), "fiber"))
+    # every kind of outcome is reached
+    assert outcomes == {"fiber", "branch point", "pole", "degree drop"}
+
+
+def test_specialize_matches_the_fraction_horner_definition_on_the_psl2_11_pencil():
+    pencil = psl2_11_degree12_pencil()
+    for t0 in [F(0), F(-1), F(7, 19), F(-40, 19), F(1000003, 7), F(-1, 4)]:
+        assert specialize(pencil, t0) == fraction_horner_specialize(pencil, t0)
+
+
 def test_search_fibers_read_primes_only_until_irreducibility_settles():
     # PSL2(11) on 12 points has no 12-cycle, so no fiber is irreducible mod p
-    # and the full certificate reads 50 good primes; the search stops at the
-    # first prime whose pattern leaves no split size
+    # and the full certificate reads 50 good primes; the search reads the good
+    # primes above the degree in blocks of 8 and then 16, and stops after the
+    # first block whose patterns leave no split size
     pencil = psl2_11_degree12_pencil()
     q = 19
     reference = _certified_fiber(
@@ -530,8 +617,14 @@ def test_search_fibers_read_primes_only_until_irreducibility_settles():
     for t0 in islice(enumerate_t0(cons, pencil.branch_locations()), 6):
         fibers.append(_certified_fiber(specialize(pencil, t0), declared, cons.conditions))
     for prof in fibers:
-        assert len(prof.facts._patterns) <= 16
-        assert certify_irreducible(prof.facts).status == "pattern_incompatible"
+        facts = prof.facts
+        above = [p for p in islice(facts._good_primes(), 50) if p > 12]
+        settled_by_first_block = not (
+            _split_sizes(12) & reduce(and_, (_subset_sums(facts.pattern(p)) for p in above[:8]))
+        )
+        expected = above[:8] if settled_by_first_block else above[:24]
+        assert sorted(facts._patterns) == expected
+        assert certify_irreducible(facts).status == "pattern_incompatible"
 
 
 def test_reference_error_names_the_height_searched():

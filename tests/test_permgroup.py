@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootgain.permgroup as permgroup_module
 from rootgain.permgroup import (
     CapExceeded,
     GroupError,
@@ -988,8 +989,8 @@ def test_coset_extensions_take_one_g_per_double_coset(name):
         assert set(extensions) == {extend(g) for g in outside}
 
 
-# small groups where the Lagrange skip (2|s| > |G|/2) records the whole group,
-# and the trivial group, where <e> is never extended
+# small groups where the Lagrange skip (|G|/|s| is 1 or prime) records the
+# whole group, and the trivial group, where <e> is never extended
 PRUNING_GROUPS = {
     "trivial": lambda: PermGroup(1, []),
     "C2": lambda: PermGroup(2, [(1, 0)]),
@@ -1040,6 +1041,20 @@ def test_benchmark_scale_lattices_are_pinned(p, count):
         for x in involutions
     ]
     assert hashlib.sha256(repr(lattices).encode()).hexdigest() == LATTICE_DIGESTS[p]
+
+
+def test_lagrange_skip_saves_joins_on_a_psl2_43_centralizer(monkeypatch):
+    # C(x) is dihedral of order 44: its 11 Klein four-groups have the prime
+    # index 11, so they are not extended, where a rule that extends s while
+    # 2|s| <= |G|/2 made 239 joins in all
+    (C,) = _involution_centralizers(43, 1)
+    calls = []
+    join = permgroup_module._join
+    monkeypatch.setattr(permgroup_module, "_join", lambda *args: calls.append(args) or join(*args))
+    subs = all_subgroups(C)
+    tau, sigma = _divisor_count_and_sum(22)
+    assert len(subs) == tau + sigma
+    assert len(calls) == 190
 
 
 def _mask(indices):

@@ -13,6 +13,7 @@ from itertools import combinations, islice
 
 import pytest
 
+import rootgain.algebra as algebra_module
 from rootgain.algebra import (
     AlgebraError,
     PolyFacts,
@@ -23,9 +24,11 @@ from rootgain.algebra import (
     is_irreducible_mod_p,
     iter_primes,
     rational_sqrt,
+    sturm_real_roots,
     valuation,
 )
 from rootgain.extension import (
+    build_profile,
     ExtensionError,
     RequiresDeclaredProfile,
     certify_irreducible,
@@ -235,3 +238,17 @@ def test_zero_discriminant_raises_instead_of_seeking_a_good_prime():
             distinctness_fingerprint(arg, PolyQ([1, 0, 1]))
         with pytest.raises(MestreError):
             distinctness_fingerprint(PolyQ([1, 0, 1]), arg)
+
+
+def test_disc_and_signature_share_one_remainder_sequence(monkeypatch):
+    h = specialize(psl2_11_degree12_pencil(), F(-7, 19))
+    calls = []
+    prs = algebra_module._prs
+    monkeypatch.setattr(algebra_module, "_prs", lambda a, b: calls.append(a) or prs(a, b))
+    facts = PolyFacts(h)
+    # the declared profile's tame bound reads disc, the signature the chain
+    profile = build_profile(facts, declared={19: [(2, 2), (2, 2), (2, 2)]})
+    real_roots, disc = sturm_real_roots(facts), facts.disc
+    assert len(calls) == 1
+    assert profile.signature == (real_roots, 6) == (0, 6)
+    assert disc == discriminant(h)
