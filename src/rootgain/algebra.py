@@ -470,22 +470,18 @@ def resultant(f: PolyQ, g: PolyQ) -> Rational:
     return Fraction(r) / (Fraction(df) ** g.degree * Fraction(dg) ** f.degree)
 
 
-def discriminant(f: PolyQ) -> Rational:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    _check_discriminant(f)
-    return _disc_from(f, resultant(f, f.derivative()))
-
-
-def _check_discriminant(f: PolyQ) -> None:
-    if f.degree < 1:
+def discriminant(f: PolyQ | PolyFacts) -> Rational:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), with Res(f, f') read off
+    the _prs chain that f's PolyFacts shares with the Sturm count: a = d f and
+    a' = d f' for the common denominator d, so Res(f, f') = Res(a, a') /
+    d^(2n - 1)."""
+    facts = PolyFacts.of(f)
+    n = facts.poly.degree
+    if n < 1:
         raise AlgebraError("discriminant of a constant polynomial")
-
-
-def _disc_from(f: PolyQ, res: Rational) -> Rational:
-    """disc(f) from res = Res(f, f'), for f of degree n >= 1."""
-    n = f.degree
+    res = Fraction(facts._derivative_prs[1], facts._model[1] ** (2 * n - 1))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res / f.leading()
+    return sign * res / facts.poly.leading()
 
 
 def sturm_real_roots(f: PolyQ | PolyFacts) -> int:
@@ -1005,11 +1001,7 @@ class PolyFacts:
 
     @cached_property
     def disc(self) -> Rational:
-        """From the shared chain: a = d f and a' = d f' for the common
-        denominator d, so Res(f, f') = Res(a, a') / d^(2n - 1)."""
-        _check_discriminant(self.poly)
-        res = Fraction(self._derivative_prs[1], self._model[1] ** (2 * self.poly.degree - 1))
-        return _disc_from(self.poly, res)
+        return discriminant(self)
 
     @cached_property
     def _bad(self) -> int:

@@ -126,7 +126,11 @@ def certify_irreducible(
 
 
 # irreducibility_settled reads the good primes above the degree in blocks:
-# the first 8, the next 16, then the rest
+# the first 8, the next 16, then the rest. One block costs about as much as
+# two or three single-prime reads, so the blocks pay on fibers that need more
+# than a few primes (degree-12 PSL2(11) fibers need 5.6 to 6.3 in order, on
+# average) and cost a little where two or three settle it (degree-5 Mestre
+# fibers)
 _BLOCK_ENDS = (0, 8, 24, _CERTIFICATE_PRIMES)
 
 

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
 
 from .algebra import (
@@ -328,14 +328,25 @@ def distinctness_fingerprint(
     h1: PolyQ | PolyFacts, h2: PolyQ | PolyFacts, max_primes: int = 200
 ) -> str:
     """'distinct' iff some good prime separates the factor-degree multisets of
-    h1 and h2 among the first max_primes primes; else 'indistinguishable'."""
+    h1 and h2 among the first max_primes primes; else 'indistinguishable'.
+    The answer does not depend on the order the primes are read in, so those
+    whose patterns both records already hold are read first."""
     f1, f2 = PolyFacts.of(h1), PolyFacts.of(h2)
     if f1.poly.degree != f2.poly.degree:
         raise MestreError("fingerprints compare polynomials of equal degree")
     if f1.disc == 0 or f2.disc == 0:
         raise MestreError("fingerprints compare polynomials of nonzero discriminant")
     good = filter(lambda p: f1._is_good(p) and f2._is_good(p), iter_primes())
-    if any(f1._pattern(p) != f2._pattern(p) for p in islice(good, max_primes)):
+    primes = islice(good, max_primes)
+    held = f1._patterns.keys() & f2._patterns.keys()
+    top = max(held, default=0)
+    head = []  # the primes up to the largest held one, the held ones first
+    for p in primes:
+        head.append(p)
+        if p >= top:
+            break
+    head.sort(key=lambda p: p not in held)
+    if any(f1._pattern(p) != f2._pattern(p) for p in chain(head, primes)):
         return "distinct"
     return "indistinguishable"
 

@@ -22,6 +22,7 @@ KEEP = {
     "cyclic_powers": "an independent oracle in tests for the cyclic-subgroup walk",
     "an_certificate": "a library entry point: its tests and the benchmark's A_n requests call it",
     "all_subgroups": "a library entry point: acceptance tests and the benchmark's lattices call it",
+    "resultant": "a library entry point: discriminant reads the same _prs scalar off PolyFacts",
 }
 
 

@@ -32,6 +32,7 @@ from rootgain.extension import (
     ExtensionError,
     RequiresDeclaredProfile,
     certify_irreducible,
+    irreducibility_settled,
     profile_at_unramified,
 )
 from rootgain.mestre import (
@@ -200,6 +201,27 @@ def test_degree_12_fibers_match_reference(t0):
     assert list(copy.frobenius(60)) == list(facts.frobenius(60))
 
 
+def test_fingerprint_reads_the_patterns_both_records_hold_first(monkeypatch):
+    # the irreducibility blocks cache both fibers' patterns at primes above 12,
+    # and 19 separates them; read in ascending order, the common good prime 7
+    # would be factored first, for both
+    P = psl2_11_degree12_pencil()
+    h1, h2 = specialize(P, F(-5)), specialize(P, F(2, 3))
+    f1, f2 = PolyFacts(h1), PolyFacts(h2)
+    assert irreducibility_settled(f1) and irreducibility_settled(f2)
+    assert f1._patterns[19] != f2._patterns[19] and f1._is_good(7) and f2._is_good(7)
+    calls = []
+    real = algebra_module._distinct_degree
+    monkeypatch.setattr(algebra_module, "_distinct_degree", lambda f: calls.append(f) or real(f))
+    assert distinctness_fingerprint(f1, f2) == "distinct"
+    assert calls == []
+    # 19 is the fourth common good prime: a held prime beyond the first
+    # max_primes of them is not read
+    assert [distinctness_fingerprint(f1, f2, count) for count in range(1, 6)] == [
+        ref_fingerprint(h1, h2, count) for count in range(1, 6)
+    ] == ["indistinguishable"] * 3 + ["distinct"] * 2
+
+
 def test_moduli_checked_where_polyfp_enters():
     with pytest.raises(AlgebraError):
         PolyFp(6, [1, 1])
@@ -249,6 +271,7 @@ def test_disc_and_signature_share_one_remainder_sequence(monkeypatch):
     # the declared profile's tame bound reads disc, the signature the chain
     profile = build_profile(facts, declared={19: [(2, 2), (2, 2), (2, 2)]})
     real_roots, disc = sturm_real_roots(facts), facts.disc
+    assert discriminant(facts) == disc
     assert len(calls) == 1
     assert profile.signature == (real_roots, 6) == (0, 6)
     assert disc == discriminant(h)
