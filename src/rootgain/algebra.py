@@ -1038,35 +1038,22 @@ class PolyFacts:
             self._patterns[p] = tuple(sorted(d for g, d in dd for _ in range(g.degree // d)))
         return self._patterns[p]
 
-    def _good_primes(self):
+    def good_primes(self, count: int) -> list[int]:
+        """The first `count` good primes, in increasing order."""
         if self.disc == 0:
             raise AlgebraError("no prime is good for a polynomial with discriminant 0")
-        return filter(self._is_good, iter_primes())
+        return list(islice(filter(self._is_good, iter_primes()), count))
 
-    def frobenius(self, count: int):
-        """(p, pattern) at the first `count` good primes, in increasing order;
-        primes and patterns are found one at a time, as far as iterated, each
-        pattern not yet cached by _pattern. certify_irreducible reads these,
-        since its witness and pattern list depend on the order."""
-        for p in islice(self._good_primes(), count):
-            yield p, self._pattern(p)
-
-    def _read_block(self, primes: list[int]) -> None:
-        """Cache, in one _frobenius_patterns call, the patterns not yet known
-        at those of the good `primes` above the degree; the others are left
-        to _pattern."""
+    def patterns(self, primes: list[int]) -> list[tuple[int, ...]]:
+        """pattern(p) at each of the good `primes` (unchecked: take them from
+        good_primes). Two or more not yet cached above the degree are read in
+        one _frobenius_patterns block, since a block of one costs more than
+        the scalar read; the rest go through _pattern."""
         n = self.poly.degree
         todo = [p for p in primes if p > n and p not in self._patterns]
-        if todo:
+        if len(todo) > 1:
             self._patterns.update(zip(todo, _frobenius_patterns(self._model[0], todo)))
-
-    def frobenius_block(self, count: int) -> list[tuple[int, tuple[int, ...]]]:
-        """list(self.frobenius(count)), with the patterns not yet known at
-        primes above the degree found together by one _read_block; the
-        primes up to the degree take the per-prime path."""
-        primes = list(islice(self._good_primes(), count))
-        self._read_block(primes)
-        return [(p, self._pattern(p)) for p in primes]
+        return [self._pattern(p) for p in primes]
 
 
 # ----------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
+from math import gcd
 from operator import attrgetter
 
 from .algebra import NotASquare, PolyFacts, poly_from_descending_string, rational_sqrt
@@ -229,13 +230,18 @@ def cmd_specialize(args) -> int:
     if args.curve:
         with open(args.curve, encoding="utf-8") as fh:
             curve = parse_curve_file(fh.read())
-    target = None
-    for bp in pencil.branch_points:
-        if bp.pair is not None:
-            target = bp.pair
-            break
-    if target is None:
+    point = next((bp for bp in pencil.branch_points if bp.pair is not None), None)
+    if point is None:
         raise ParseError(0, "pencil declares no branch point with decomposition data")
+    # a t0 with v_q(t0) = v meets inf with multiplicity m = -v and 0 with m = v,
+    # so its inertia at q is <g^m>, g the point's inertia generator of order e
+    # (Beckmann): the pair's inertia only when m > 0 and gcd(m, e) = 1
+    v, e = args.valuation, point.ramification_index
+    m = -v if point.location == "inf" else v if point.location == 0 else 0
+    if m <= 0 or gcd(m, e) != 1:
+        where = f"the pair at {point.location} (e={e})"
+        raise ParseError(0, f"--valuation {v} misses the inertia of {where}")
+    target = point.pair
     # a composite prime, a nonpositive exponent or --height is an option error
     try:
         conditions = [PrimeCondition(args.q, "valuation_of_t0_equals", args.valuation)]

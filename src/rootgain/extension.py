@@ -1,7 +1,12 @@
-"""Degree-n extensions F/Q as defining polynomials: archimedean signature,
-decomposition profiles at unramified primes via mod-p factorization, declared
-profiles at ramified primes (with a tame consistency guard), Klein-four local
-analysis of biquadratic fields, and the root-number-over-extension evaluator.
+"""Degree-n extensions F/Q as defining polynomials: irreducibility from
+Frobenius patterns, archimedean signature, decomposition profiles at
+unramified primes, declared profiles at ramified primes (with a tame
+consistency guard), Klein-four local analysis of biquadratic fields, and the
+root-number-over-extension evaluator.
+
+Patterns are read only through PolyFacts' public readers, one cache for the
+certificate (its 50 good primes in order), the search's irreducibility bit
+(the same primes in blocks) and the profiles.
 
 At a multiplicative prime the sign over F is that of the nodal cubic, the
 one-node case of the Jacobian engine `jacobian.root_number_after_extension`.
@@ -14,7 +19,6 @@ checked against Sum e*f = n and the tame different bound v_p(disc) >= Sum f(e-1)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .algebra import (
     TOP_VALUE,
@@ -67,11 +71,6 @@ class PreconditionViolated(ExtensionError):
 class IrreducibilityCertificate:
     status: str  # "irreducible_mod_p" | "pattern_incompatible" | "unverified"
     witness_prime: int | None
-    patterns: tuple[tuple[int, ...], ...]
-
-    @property
-    def certified(self) -> bool:
-        return self.status in ("irreducible_mod_p", "pattern_incompatible")
 
 
 # good primes an irreducibility certificate reads before it gives up
@@ -98,31 +97,28 @@ def _check_certifiable(facts: PolyFacts) -> None:
         raise ExtensionError("inseparable polynomial is reducible")
 
 
-def certify_irreducible(
-    h: PolyQ | PolyFacts, max_primes: int = _CERTIFICATE_PRIMES
-) -> IrreducibilityCertificate:
+def certify_irreducible(h: PolyQ | PolyFacts) -> IrreducibilityCertificate:
     """Certify irreducibility over Q from mod-p factor patterns.
 
     Either some good prime has h irreducible mod p, or the observed patterns
     admit no common split n = a + (n-a); otherwise status "unverified" (never
-    silently assumed irreducible). Scans to the first irreducible reduction,
-    which it names as the witness, or to max_primes good primes.
+    silently assumed irreducible). Reads the first 50 good primes one at a
+    time, in order, up to the first irreducible reduction, which it names as
+    the witness.
     """
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
     n = facts.poly.degree
     if n == 1:
-        return IrreducibilityCertificate("irreducible_mod_p", None, ())
+        return IrreducibilityCertificate("irreducible_mod_p", None)
     # h = h1*h2 with deg h1 = a forces every mod-p pattern to split as a + (n-a)
     splits = _split_sizes(n)
-    patterns: set[tuple[int, ...]] = set()
-    for p, pattern in facts.frobenius(max_primes):
+    for p in facts.good_primes(_CERTIFICATE_PRIMES):
+        (pattern,) = facts.patterns([p])
         if pattern == (n,):
-            return IrreducibilityCertificate("irreducible_mod_p", p, tuple(sorted(patterns)))
-        patterns.add(pattern)
+            return IrreducibilityCertificate("irreducible_mod_p", p)
         splits &= _subset_sums(pattern)
-    status = "unverified" if splits else "pattern_incompatible"
-    return IrreducibilityCertificate(status, None, tuple(sorted(patterns)))
+    return IrreducibilityCertificate("unverified" if splits else "pattern_incompatible", None)
 
 
 # irreducibility_settled reads the good primes above the degree in blocks:
@@ -139,23 +135,22 @@ def irreducibility_settled(h: PolyQ | PolyFacts) -> bool:
     it is set iff their patterns, taken together, leave no split size (the
     full-degree pattern (n,) allows none), which does not depend on the order
     they are read in. So the primes above the degree are read in blocks of
-    one PolyFacts._read_block each, the first 8, then 16, then the rest, up
+    one PolyFacts.patterns call each, the first 8, then 16, then the rest, up
     to the first block after which no split size is left; the primes up to
-    the degree are read one at a time, and only when the blocks leave a
-    split size. Each pattern read stays in the shared cache."""
+    the degree are read last, and only when the blocks leave a split size.
+    Each pattern read stays in the shared cache."""
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
     n = facts.poly.degree
     splits = _split_sizes(n)
     if not splits:
         return True
-    primes = list(islice(facts._good_primes(), _CERTIFICATE_PRIMES))
+    primes = facts.good_primes(_CERTIFICATE_PRIMES)
     above = [p for p in primes if p > n]
     blocks = [above[start:end] for start, end in zip(_BLOCK_ENDS, _BLOCK_ENDS[1:])]
     for block in [*blocks, [p for p in primes if p <= n]]:
-        facts._read_block(block)
-        for p in block:
-            splits &= _subset_sums(facts._pattern(p))
+        for pattern in facts.patterns(block):
+            splits &= _subset_sums(pattern)
         if not splits:
             return True
     return False

@@ -35,7 +35,6 @@ from .extension import (
     ExtensionProfile,
     _check_certifiable,
     build_profile,
-    certify_irreducible,
     irreducibility_settled,
     profile_from_decomposition,
     root_number_ratio,
@@ -294,25 +293,27 @@ class AnCertificate:
     ruled_out: int  # proper transitive subgroup typesets excluded
 
 
-def an_certificate(h: PolyQ | PolyFacts, pattern_primes: int = 100) -> AnCertificate:
+# good primes whose patterns an A_n certificate reads
+_AN_PATTERN_PRIMES = 100
+
+
+def an_certificate(h: PolyQ | PolyFacts) -> AnCertificate:
     """Square-discriminant test plus a Frobenius-pattern verdict.
 
-    The pattern stage compares factor-degree multisets mod good primes against
-    the cycle-type sets of proper transitive subgroups of A_n (exhaustive table
-    for n <= 7; larger degrees report patterns with verdict "heuristic").
+    The pattern stage compares the factor-degree multisets at the first 100
+    good primes with the cycle-type sets of proper transitive subgroups of A_n
+    (exhaustive table for n <= 7; larger degrees report verdict "heuristic").
     """
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
-    # the block first, so that certification reads its patterns from the cache
-    block = facts.frobenius_block(pattern_primes)
-    cert = certify_irreducible(facts)
-    if not cert.certified:
+    # the patterns first, so that the irreducibility bit reads its 50 from the cache
+    patterns = facts.patterns(facts.good_primes(_AN_PATTERN_PRIMES))
+    if not irreducibility_settled(facts):
         raise MestreError(
-            "an_certificate requires an irreducibility certificate "
-            f"(status: {cert.status})"
+            "an_certificate requires an irreducibility certificate (status: unverified)"
         )
     square = rational_sqrt(facts.disc) is not None
-    uniq = tuple(sorted({pattern for _, pattern in block}))
+    uniq = tuple(sorted(set(patterns)))
     n = facts.poly.degree
     if not square:
         return AnCertificate(False, uniq, "patterns-insufficient", 0)
@@ -324,11 +325,13 @@ def an_certificate(h: PolyQ | PolyFacts, pattern_primes: int = 100) -> AnCertifi
     return AnCertificate(True, uniq, verdict, ruled)
 
 
-def distinctness_fingerprint(
-    h1: PolyQ | PolyFacts, h2: PolyQ | PolyFacts, max_primes: int = 200
-) -> str:
+# common good primes a distinctness fingerprint reads before it gives up
+_FINGERPRINT_PRIMES = 200
+
+
+def distinctness_fingerprint(h1: PolyQ | PolyFacts, h2: PolyQ | PolyFacts) -> str:
     """'distinct' iff some good prime separates the factor-degree multisets of
-    h1 and h2 among the first max_primes primes; else 'indistinguishable'.
+    h1 and h2 among their first 200 common good primes; else 'indistinguishable'.
     The answer does not depend on the order the primes are read in, so those
     whose patterns both records already hold are read first."""
     f1, f2 = PolyFacts.of(h1), PolyFacts.of(h2)
@@ -337,7 +340,7 @@ def distinctness_fingerprint(
     if f1.disc == 0 or f2.disc == 0:
         raise MestreError("fingerprints compare polynomials of nonzero discriminant")
     good = filter(lambda p: f1._is_good(p) and f2._is_good(p), iter_primes())
-    primes = islice(good, max_primes)
+    primes = islice(good, _FINGERPRINT_PRIMES)
     held = f1._patterns.keys() & f2._patterns.keys()
     top = max(held, default=0)
     head = []  # the primes up to the largest held one, the held ones first

@@ -1,8 +1,12 @@
-"""Every top-level function of `rootgain` has a caller in `src/`.
+"""Every top-level function and every method of a top-level class of
+`rootgain` has a caller in `src/`.
 
-A function that only its own definition mentions is dead code unless it is
-kept on purpose; each kept public one names why, and no private one is kept.
-Package exports (`from .x import name` in `__init__.py`) are not callers.
+A function or method that only its own definition mentions is dead code
+unless it is kept on purpose; each kept public one names why, and no private
+one is kept. Methods are keyed `Class.name`, and a method counts as called
+when its name is referenced anywhere in `src/` outside its own definition
+(the scan reads names, not types). Package exports (`from .x import name` in
+`__init__.py`) are not callers.
 """
 
 import ast
@@ -23,19 +27,27 @@ KEEP = {
     "an_certificate": "a library entry point: its tests and the benchmark's A_n requests call it",
     "all_subgroups": "a library entry point: acceptance tests and the benchmark's lattices call it",
     "resultant": "a library entry point: discriminant reads the same _prs scalar off PolyFacts",
+    "EllipticCurveData.rescale": "the change of model that the reduction-type tests hold invariant",
+    "LocalReductionData.archimedean": "the archimedean place, read by the local sign table test",
+    "PermGroup.is_transitive": "a library check that the group tests run on built groups",
+    "MetacyclicCandidate.parity_odd": "the criterion's parity as a property, read by the search tests",
 }
 
 
 def _references():
-    """(top-level functions by name, names referenced in src/ outside each
-    function's own definition)."""
+    """(top-level functions by name and methods of top-level classes by
+    `Class.name`, names referenced in src/ outside each one's own
+    definition)."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    defined = {
-        node.name: node
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
+    defined = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        defined[f"{node.name}.{sub.name}"] = sub
 
     def names(node):
         for sub in ast.walk(node):
@@ -48,23 +60,31 @@ def _references():
     for tree in trees:
         for name in names(tree):
             counts[name] = counts.get(name, 0) + 1
-    for name, node in defined.items():
-        counts[name] = counts.get(name, 0) - sum(1 for n in names(node) if n == name)
-    return defined, {name for name, count in counts.items() if count > 0}
+    referenced = set()
+    for key, node in defined.items():
+        own = sum(1 for n in names(node) if n == node.name)
+        if counts.get(node.name, 0) - own > 0:
+            referenced.add(key)
+    return defined, referenced
+
+
+def _private(key):
+    name = key.rsplit(".", 1)[-1]
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
     defined, referenced = _references()
-    public = {name for name in defined if not name.startswith("_")}
+    public = {key for key in defined if not key.rsplit(".", 1)[-1].startswith("_")}
     uncalled = sorted(public - referenced - set(KEEP))
-    assert uncalled == [], f"public functions with no caller in src/: {uncalled}"
+    assert uncalled == [], f"public functions and methods with no caller in src/: {uncalled}"
 
 
 def test_every_private_function_has_a_caller():
     defined, referenced = _references()
-    private = {name for name in defined if name.startswith("_")}
+    private = {key for key in defined if _private(key)}
     uncalled = sorted(private - referenced)
-    assert uncalled == [], f"private functions with no caller in src/: {uncalled}"
+    assert uncalled == [], f"private functions and methods with no caller in src/: {uncalled}"
 
 
 def test_keep_list_names_only_uncalled_functions():

@@ -964,17 +964,23 @@ def test_specialize_reports_are_pinned(capsys, tmp_path, pencil_text, options, d
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_specialize_skips_an_inseparable_fiber(capsys, tmp_path):
-    # X^4 + 2X^2 - t is (X^2 + 1)^2 at t0 = -1, which --valuation 0 lets through
-    # to the candidate side, past the declared profile and the signature
+def _quartic_pencil(tmp_path, branch):
+    """X^4 + 2X^2 - 19t, whose fiber at t0 = -1/19 is (X^2 + 1)^2."""
     pencil = tmp_path / "p.pencil"
     pencil.write_text(
-        "form: general\ndegree: 4\ncoeff: k=0 num=-1,0\ncoeff: k=1 num=0\n"
-        "coeff: k=2 num=2\ncoeff: k=3 num=0\ncoeff: k=4 num=1\n"
-        "branch: location=inf e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)\n"
+        "form: general\ndegree: 4\ncoeff: k=0 num=-19,0\ncoeff: k=1 num=0\n"
+        f"coeff: k=2 num=2\ncoeff: k=3 num=0\ncoeff: k=4 num=1\nbranch: {branch}\n"
     )
+    return str(pencil)
+
+
+def test_specialize_skips_an_inseparable_fiber(capsys, tmp_path):
+    # the candidates t0 = -k/19 come in height order, so the search reaches the
+    # inseparable fiber (X^2 + 1)^2 at -1/19, past the valuation condition, and
+    # skips it before -20/19
+    pencil = _quartic_pencil(tmp_path, "location=inf e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)")
     argv = [
-        "specialize", "--pencil", str(pencil), "--q", "19", "--valuation", "0",
+        "specialize", "--pencil", pencil, "--q", "19",
         "--height", "30", "--limit", "2", "--exclude", "2,3",
     ]
     code, out = run(capsys, argv)
@@ -984,12 +990,54 @@ def test_specialize_skips_an_inseparable_fiber(capsys, tmp_path):
         f"# every rank-gain verdict below is {flag}; root numbers are unconditional\n"
         "# pencil general, designated prime 19, height bound 30, seed 0\n"
         "role\tt0\tpolynomial\tprofiles\tratio\tflag\tfingerprint\tan_parity\n"
-        "reference\t1\t1,0,2,0,-1\tp=19[1:4]\t\treference\t-\tnonsquare-disc\n"
-        f"candidate\t10/9\t9,0,18,0,-10\tp=19[2:1,2:1]\t-1\topposite-root-numbers {flag}"
-        "\tdistinct\tnonsquare-disc\n"
-        f"candidate\t9/10\t10,0,20,0,-9\tp=19[2:1,2:1]\t-1\topposite-root-numbers {flag}"
+        "reference\t-18/19\t1,0,2,0,18\tp=19[1:4]\t\treference\t-\tnonsquare-disc\n"
+        f"candidate\t-20/19\t1,0,2,0,20\tp=19[2:1,2:1]\t-1\topposite-root-numbers {flag}"
         "\tdistinct\tnonsquare-disc\n"
     )
+
+
+@pytest.mark.parametrize("valuation", ["1", "-2"])
+def test_specialize_refuses_a_valuation_that_misses_the_target_inertia(
+    capsys, pencil_file, valuation
+):
+    # psl2-11-degree12's pair sits at inf with e = 2. A t0 with v_19(t0) = 1
+    # meets t = 0, which is not a branch point, and one with v_19(t0) = -2
+    # meets inf twice: either way the fiber is unramified at 19, so the
+    # declared profile and the ratio -1 printed for it (at t0 = -19, -19/2 and
+    # -19/3 for v = 1) were wrong
+    argv = [
+        "specialize", "--pencil", pencil_file, "--q", "19", "--valuation", valuation,
+        "--height", "200", "--limit", "3",
+    ]
+    code, out = run(capsys, argv)
+    assert (code, out) == (4, "")
+
+
+@pytest.mark.parametrize(
+    "branch, valuation, reached",
+    [
+        ("location=1/2 e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)", "-1", False),
+        ("location=1/2 e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)", "1", False),
+        ("location=0 e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)", "-1", False),
+        ("location=0 e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)", "1", True),
+        ("location=0 e=2 degree=4 D=(1,2)(3,4) I=(1,2)(3,4)", "2", False),
+        ("location=inf e=3 degree=4 D=(1,2,3) I=(1,2,3)", "-3", False),
+        ("location=inf e=3 degree=4 D=(1,2,3) I=(1,2,3)", "-2", True),
+    ],
+)
+def test_specialize_valuation_must_reach_the_pair_branch_point(
+    capsys, tmp_path, branch, valuation, reached
+):
+    # v_q(t0) = v meets inf with multiplicity -v and 0 with multiplicity v; the
+    # inertia is the pair's only when that multiplicity is positive and prime
+    # to e, and no valuation reaches a branch point elsewhere
+    argv = [
+        "specialize", "--pencil", _quartic_pencil(tmp_path, branch), "--q", "19",
+        "--valuation", valuation, "--height", "30", "--limit", "2", "--exclude", "2,3",
+    ]
+    code, out = run(capsys, argv)
+    assert (code != 4) == reached
+    assert out.startswith("# every rank-gain verdict") == reached
 
 
 def test_specialize_prints_each_fiber_polynomial_once(capsys, pencil_file):

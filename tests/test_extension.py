@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import islice, product
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -446,14 +446,17 @@ def test_klein_four_local_seed_field():
 
 def test_certify_irreducible_quintic():
     cert = certify_irreducible(PolyQ([-2, 0, 0, 0, 0, 1]))
-    assert cert.certified
+    assert cert.status == "irreducible_mod_p"
 
 
 def test_certify_reducible_stays_unverified():
     h = PolyQ([-1, 0, 1])  # (X-1)(X+1)
     cert = certify_irreducible(h)
-    assert not cert.certified
-    assert cert.status == "unverified"
+    assert (cert.status, cert.witness_prime) == ("unverified", None)
+
+
+def certified(h):
+    return certify_irreducible(h).status != "unverified"
 
 
 @st.composite
@@ -481,7 +484,7 @@ def test_irreducibility_settled_is_the_certified_bit(h):
             with pytest.raises(ExtensionError):
                 check(h)
         return
-    assert irreducibility_settled(h) == certify_irreducible(h).certified
+    assert irreducibility_settled(h) == certified(h)
 
 
 def test_irreducibility_settles_before_the_witness_prime():
@@ -494,7 +497,17 @@ def test_irreducibility_settles_before_the_witness_prime():
     assert sorted(facts._patterns) == [7, 11, 17, 19, 23, 29, 31, 37]
     cert = certify_irreducible(facts)
     assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 23)
-    assert cert.patterns == ((1, 1, 3), (1, 2, 2), (1, 4), (2, 3))
+
+
+def test_certificate_reads_in_order_up_to_its_witness():
+    # the certificate reads one good prime at a time, so it caches the good
+    # primes up to its witness 23 (2 and 5 divide the discriminant) and no
+    # further, where the bit's first block runs to 37
+    facts = PolyFacts(PolyQ([6, -5, 0, 0, 0, 1]))
+    cert = certify_irreducible(facts)
+    assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 23)
+    assert sorted(facts._patterns) == [3, 7, 11, 17, 19, 23] == facts.good_primes(6)
+    assert facts.patterns([3, 7, 11]) == [(1, 2, 2), (1, 4), (2, 3)]
 
 
 def seeded_polys(count=60):
@@ -522,7 +535,7 @@ def seeded_polys(count=60):
 
 @pytest.mark.parametrize("h", seeded_polys())
 def test_irreducibility_settled_is_the_certified_bit_on_seeded_polynomials(h):
-    assert irreducibility_settled(h) == certify_irreducible(h).certified
+    assert irreducibility_settled(h) == certified(h)
 
 
 @pytest.mark.parametrize("a", range(1, 37))
@@ -547,7 +560,7 @@ def test_irreducibility_settled_by_a_prime_at_or_below_the_degree():
     facts = PolyFacts(PolyQ([F(1 - d, 4), -1, 1]))
     assert facts.disc == d
     assert irreducibility_settled(facts)
-    primes = list(islice(facts._good_primes(), 50))
+    primes = facts.good_primes(50)
     assert sorted(facts._patterns) == primes and primes[0] == 2 and primes[-1] == 229
     assert all(facts._patterns[p] == (1, 1) for p in primes[1:])
     cert = certify_irreducible(facts)

@@ -5,7 +5,7 @@ sympy's Poly(..., modulus=p).factor_list(). The packed distinct-degree kernel
 is compared block by block with sympy's gf_ddf_zassenhaus, and factor_mod_p
 factor by factor with gf_factor_sqf, at primes up to 2^89 - 1, whose packed
 slots are wider than 64 bits. The batched Frobenius-trace kernel behind
-PolyFacts.frobenius_block is compared with the per-prime path and with sympy,
+PolyFacts.patterns is compared with the per-prime path and with sympy,
 on both sides of its int64 bound n * p^2 < 2^63."""
 
 import random
@@ -113,11 +113,21 @@ def test_products_of_equal_degree_irreducibles(p):
             assert list(PolyFacts(PolyQ(f.coeffs)).pattern(p)) == expected
 
 
+def scalar_reads(facts, count):
+    """(p, pattern) at the first `count` good primes, one validated read each."""
+    return [(p, facts.pattern(p)) for p in facts.good_primes(count)]
+
+
+def block_read(facts, count):
+    """scalar_reads, with the patterns above the degree in one block."""
+    primes = facts.good_primes(count)
+    return list(zip(primes, facts.patterns(primes)))
+
+
 @pytest.mark.parametrize("t0", [F(-18, 19), F(-17, 19)])
 def test_degree_12_fiber_patterns_match_sympy(t0):
     h = specialize(psl2_11_degree12_pencil(), t0)
-    facts = PolyFacts(h)
-    for p, pattern in facts.frobenius(50):
+    for p, pattern in scalar_reads(PolyFacts(h), 50):
         assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), p
 
 
@@ -215,14 +225,14 @@ SEPARABLE = polys_over_q().filter(lambda h: PolyFacts(h).disc != 0)
 @example(h=PolyQ([-1, -1, 0, 0, 0, 1]), count=12)  # X^5 - X - 1: 2, 3 and 5 are good
 @example(h=PolyQ([F(1, 2), 3]), count=30)  # degree 1
 def test_frobenius_block_matches_the_lazy_reads_and_sympy(h, count):
-    expected = list(PolyFacts(h).frobenius(count))
-    block = PolyFacts(h).frobenius_block(count)
+    expected = scalar_reads(PolyFacts(h), count)
+    block = block_read(PolyFacts(h), count)
     assert block == expected
     # half filled: the lazy reads first, and one pattern past them
     facts = PolyFacts(h)
-    list(facts.frobenius(count // 2))
+    scalar_reads(facts, count // 2)
     facts.pattern(expected[-1][0])
-    assert facts.frobenius_block(count) == expected
+    assert block_read(facts, count) == expected
     for p, pattern in block:
         assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), (h, p)
 
@@ -230,12 +240,12 @@ def test_frobenius_block_matches_the_lazy_reads_and_sympy(h, count):
 @pytest.mark.parametrize("t0", [F(-18, 19), F(-17, 19)])
 def test_degree_12_fiber_blocks_match_the_lazy_reads(t0):
     h = specialize(psl2_11_degree12_pencil(), t0)
-    expected = list(PolyFacts(h).frobenius(100))
+    expected = scalar_reads(PolyFacts(h), 100)
     assert expected[0][0] < 12  # the block holds primes below the degree
-    assert PolyFacts(h).frobenius_block(100) == expected
+    assert block_read(PolyFacts(h), 100) == expected
     facts = PolyFacts(h)
-    list(facts.frobenius(30))
-    assert facts.frobenius_block(100) == expected
+    scalar_reads(facts, 30)
+    assert block_read(facts, 100) == expected
     for p, pattern in expected[:60:6]:
         assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), p
 
@@ -298,9 +308,7 @@ def test_frobenius_patterns_refuse_exactly_the_non_squarefree_reductions():
 def test_frobenius_block_refuses_what_frobenius_refuses():
     for h in (PolyQ([0, 0, 1]), PolyQ([4, -4, 1]) * PolyQ([1, 1])):  # disc 0
         with pytest.raises(AlgebraError):
-            list(PolyFacts(h).frobenius(3))
-        with pytest.raises(AlgebraError):
-            PolyFacts(h).frobenius_block(3)
+            PolyFacts(h).good_primes(3)
     # the kernel itself: no prime up to the degree, no repeated factor mod p
     with pytest.raises(AlgebraError):
         _frobenius_patterns([-1, -1, 0, 0, 0, 1], [5, 7])

@@ -265,7 +265,7 @@ def test_an_certificate_matches_sympy_galois_group():
             if disc == 0 or not wanted[square]:
                 continue
             poly = sympy.Poly([int(c) for c in reversed(h.coeffs)], x)
-            if not poly.is_irreducible or not certify_irreducible(h).certified:
+            if not poly.is_irreducible or certify_irreducible(h).status == "unverified":
                 continue
             wanted[square] -= 1
             group, alternating = galois.galois_group(poly)
@@ -618,7 +618,7 @@ def test_search_fibers_read_primes_only_until_irreducibility_settles():
         fibers.append(_certified_fiber(specialize(pencil, t0), declared, cons.conditions))
     for prof in fibers:
         facts = prof.facts
-        above = [p for p in islice(facts._good_primes(), 50) if p > 12]
+        above = [p for p in facts.good_primes(50) if p > 12]
         settled_by_first_block = not (
             _split_sizes(12) & reduce(and_, (_subset_sums(facts.pattern(p)) for p in above[:8]))
         )

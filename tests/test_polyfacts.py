@@ -14,6 +14,8 @@ from itertools import combinations, islice
 import pytest
 
 import rootgain.algebra as algebra_module
+import rootgain.extension as extension_module
+import rootgain.mestre as mestre_module
 from rootgain.algebra import (
     AlgebraError,
     PolyFacts,
@@ -61,21 +63,20 @@ def pattern(h, p):
 
 @lru_cache(maxsize=None)
 def ref_certificate(h, max_primes=50):
-    """(status, witness_prime, patterns) of certify_irreducible."""
+    """(status, witness_prime) of certify_irreducible."""
     n = h.degree
     patterns = []
     for p in islice(good_primes(h), max_primes):
         if is_irreducible_mod_p(PolyFp.reduce(h, p)):
-            return "irreducible_mod_p", p, tuple(sorted(set(patterns)))
+            return "irreducible_mod_p", p
         patterns.append(pattern(h, p))
-    uniq = tuple(sorted(set(patterns)))
 
     def splits(pat, a):
         return any(sum(c) == a for k in range(len(pat) + 1) for c in combinations(pat, k))
 
-    if uniq and not any(all(splits(pat, a) for pat in uniq) for a in range(1, n // 2 + 1)):
-        return "pattern_incompatible", None, uniq
-    return "unverified", None, uniq
+    if patterns and not any(all(splits(pat, a) for pat in patterns) for a in range(1, n // 2 + 1)):
+        return "pattern_incompatible", None
+    return "unverified", None
 
 
 def ref_an_certificate(h, pattern_primes):
@@ -146,7 +147,7 @@ SPECIAL = [
 POLYS = random_polys() + SPECIAL
 
 
-def check_against_reference(facts, h, pattern_primes=(10, 40, 100)):
+def check_against_reference(monkeypatch, facts, h, pattern_primes=(10, 40, 100)):
     # a profile at a large prime first, so the record holds a pattern beyond
     # its contiguous run of good primes before certification reads that run
     for p in (101, 2, 3, 5, 7):
@@ -157,27 +158,33 @@ def check_against_reference(facts, h, pattern_primes=(10, 40, 100)):
         else:
             assert profile_at_unramified(facts, p) == expected
     cert = certify_irreducible(facts)
-    assert (cert.status, cert.witness_prime, cert.patterns) == ref_certificate(h)
-    assert certify_irreducible(h, max_primes=7) == certify_irreducible(facts, max_primes=7)
+    assert (cert.status, cert.witness_prime) == ref_certificate(h)
+    with monkeypatch.context() as patch:
+        patch.setattr(extension_module, "_CERTIFICATE_PRIMES", 7)
+        short = certify_irreducible(h)
+        assert (short.status, short.witness_prime) == ref_certificate(h, 7)
+        assert certify_irreducible(facts) == short
     for count in pattern_primes:
         expected = ref_an_certificate(h, count)
-        if expected is None:
-            with pytest.raises(MestreError):
-                an_certificate(facts, pattern_primes=count)
-            continue
-        got = an_certificate(facts, pattern_primes=count)
+        with monkeypatch.context() as patch:
+            patch.setattr(mestre_module, "_AN_PATTERN_PRIMES", count)
+            if expected is None:
+                with pytest.raises(MestreError, match=r"\(status: unverified\)"):
+                    an_certificate(facts)
+                continue
+            got = an_certificate(facts)
         assert (got.contained_in_alternating, got.patterns, got.verdict, got.ruled_out) == expected
 
 
 @pytest.mark.parametrize("index", range(len(POLYS)))
-def test_record_matches_prime_by_prime_reference(index):
+def test_record_matches_prime_by_prime_reference(monkeypatch, index):
     h = POLYS[index]
     facts = PolyFacts(h)
-    check_against_reference(facts, h)
+    check_against_reference(monkeypatch, facts, h)
     assert facts.disc == discriminant(h)
 
 
-def test_fingerprints_match_reference():
+def test_fingerprints_match_reference(monkeypatch):
     by_degree = {}
     for h in POLYS:
         by_degree.setdefault(h.degree, []).append(h)
@@ -185,20 +192,23 @@ def test_fingerprints_match_reference():
         records = [PolyFacts(h) for h in group]
         for (h1, f1), (h2, f2) in zip(zip(group, records), zip(group[1:], records[1:])):
             assert distinctness_fingerprint(f1, f2) == ref_fingerprint(h1, h2, 200)
-        for h, f in zip(group, records):
-            assert distinctness_fingerprint(f, h, max_primes=30) == "indistinguishable"
+        with monkeypatch.context() as patch:
+            patch.setattr(mestre_module, "_FINGERPRINT_PRIMES", 30)
+            for h, f in zip(group, records):
+                assert distinctness_fingerprint(f, h) == "indistinguishable"
 
 
 @pytest.mark.parametrize("t0", [1, -1])
-def test_degree_12_fibers_match_reference(t0):
+def test_degree_12_fibers_match_reference(monkeypatch, t0):
     h = specialize(psl2_11_degree12_pencil(), t0)
     facts = PolyFacts(h)
-    check_against_reference(facts, h)
+    check_against_reference(monkeypatch, facts, h)
     other = specialize(psl2_11_degree12_pencil(), -t0)
     assert distinctness_fingerprint(facts, other) == ref_fingerprint(h, other, 200)
     # the grown record pickles and keeps its facts
     copy = pickle.loads(pickle.dumps(facts))
-    assert list(copy.frobenius(60)) == list(facts.frobenius(60))
+    primes = facts.good_primes(60)
+    assert copy.good_primes(60) == primes and copy.patterns(primes) == facts.patterns(primes)
 
 
 def test_fingerprint_reads_the_patterns_both_records_hold_first(monkeypatch):
@@ -216,10 +226,28 @@ def test_fingerprint_reads_the_patterns_both_records_hold_first(monkeypatch):
     assert distinctness_fingerprint(f1, f2) == "distinct"
     assert calls == []
     # 19 is the fourth common good prime: a held prime beyond the first
-    # max_primes of them is not read
-    assert [distinctness_fingerprint(f1, f2, count) for count in range(1, 6)] == [
-        ref_fingerprint(h1, h2, count) for count in range(1, 6)
-    ] == ["indistinguishable"] * 3 + ["distinct"] * 2
+    # _FINGERPRINT_PRIMES of them is not read
+    got = []
+    for count in range(1, 6):
+        monkeypatch.setattr(mestre_module, "_FINGERPRINT_PRIMES", count)
+        got.append(distinctness_fingerprint(f1, f2))
+    assert got == [ref_fingerprint(h1, h2, count) for count in range(1, 6)]
+    assert got == ["indistinguishable"] * 3 + ["distinct"] * 2
+
+
+def test_patterns_reads_two_or_more_uncached_primes_above_the_degree_in_one_block(monkeypatch):
+    calls = []
+    real = algebra_module._frobenius_patterns
+    monkeypatch.setattr(
+        algebra_module, "_frobenius_patterns", lambda c, ps: calls.append(ps) or real(c, ps)
+    )
+    facts = PolyFacts(PolyQ([-1, -1, 0, 0, 0, 1]))  # X^5 - X - 1, disc 19 * 151
+    primes = facts.good_primes(8)
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 23]
+    facts.patterns([23, 3])  # one prime above the degree: the scalar read
+    assert calls == [] and sorted(facts._patterns) == [3, 23]
+    assert facts.patterns(primes) == [pattern(facts.poly, p) for p in primes]
+    assert calls == [[7, 11, 13, 17]]
 
 
 def test_moduli_checked_where_polyfp_enters():
@@ -250,7 +278,7 @@ def test_pattern_refuses_a_bad_prime():
 def test_zero_discriminant_raises_instead_of_seeking_a_good_prime():
     h = PolyQ([0, 0, 1])  # X^2: no prime is good
     with pytest.raises(AlgebraError):
-        list(PolyFacts(h).frobenius(1))
+        PolyFacts(h).good_primes(1)
     for arg in (h, PolyFacts(h)):
         with pytest.raises(ExtensionError):
             certify_irreducible(arg)
