@@ -310,6 +310,8 @@ def cmd_specialize(args) -> int:
 
 def cmd_jacobian(args) -> int:
     f = parse_value(0, poly_from_descending_string, args.f)
+    if args.bound < 3:  # no odd prime to scan
+        raise ParseError(0, f"--bound must be >= 3, got {args.bound}")
     # a --p the report never scans would be "rejected" without a look
     if args.p is not None:
         reason = unproven_prime_reason(args.p)

@@ -5,8 +5,8 @@ consistency guard), Klein-four local analysis of biquadratic fields, and the
 root-number-over-extension evaluator.
 
 Patterns are read only through PolyFacts' public readers, one cache for the
-certificate (its 50 good primes in order), the search's irreducibility bit
-(the same primes in blocks) and the profiles.
+certificate, the search's irreducibility bit and the profiles; the certificate
+and the bit read the same 50 good primes in the blocks of PolyFacts.blocks.
 
 At a multiplicative prime the sign over F is that of the nodal cubic, the
 one-node case of the Jacobian engine `jacobian.root_number_after_extension`.
@@ -102,9 +102,12 @@ def certify_irreducible(h: PolyQ | PolyFacts) -> IrreducibilityCertificate:
 
     Either some good prime has h irreducible mod p, or the observed patterns
     admit no common split n = a + (n-a); otherwise status "unverified" (never
-    silently assumed irreducible). Reads the first 50 good primes one at a
-    time, in order, up to the first irreducible reduction, which it names as
-    the witness.
+    silently assumed irreducible). Reads the first 50 good primes in the
+    blocks of PolyFacts.blocks, skipping those above the degree after the
+    first block that holds an irreducible reduction, and names the least such
+    prime it read as the witness: every prime at or below the degree is read
+    (they come last), and the blocks above it ascend, so that prime is the
+    least witness among the 50.
     """
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
@@ -113,42 +116,32 @@ def certify_irreducible(h: PolyQ | PolyFacts) -> IrreducibilityCertificate:
         return IrreducibilityCertificate("irreducible_mod_p", None)
     # h = h1*h2 with deg h1 = a forces every mod-p pattern to split as a + (n-a)
     splits = _split_sizes(n)
-    for p in facts.good_primes(_CERTIFICATE_PRIMES):
-        (pattern,) = facts.patterns([p])
-        if pattern == (n,):
-            return IrreducibilityCertificate("irreducible_mod_p", p)
-        splits &= _subset_sums(pattern)
+    witnesses = []
+    for block in facts.blocks(facts.good_primes(_CERTIFICATE_PRIMES)):
+        if witnesses and block[0] > n:
+            continue
+        for p, pattern in zip(block, facts.patterns(block)):
+            if pattern == (n,):
+                witnesses.append(p)
+            splits &= _subset_sums(pattern)
+    if witnesses:
+        return IrreducibilityCertificate("irreducible_mod_p", min(witnesses))
     return IrreducibilityCertificate("unverified" if splits else "pattern_incompatible", None)
-
-
-# irreducibility_settled reads the good primes above the degree in blocks:
-# the first 8, the next 16, then the rest. One block costs about as much as
-# two or three single-prime reads, so the blocks pay on fibers that need more
-# than a few primes (degree-12 PSL2(11) fibers need 5.6 to 6.3 in order, on
-# average) and cost a little where two or three settle it (degree-5 Mestre
-# fibers)
-_BLOCK_ENDS = (0, 8, 24, _CERTIFICATE_PRIMES)
 
 
 def irreducibility_settled(h: PolyQ | PolyFacts) -> bool:
     """certify_irreducible(h).certified, from the same first 50 good primes:
     it is set iff their patterns, taken together, leave no split size (the
     full-degree pattern (n,) allows none), which does not depend on the order
-    they are read in. So the primes above the degree are read in blocks of
-    one PolyFacts.patterns call each, the first 8, then 16, then the rest, up
-    to the first block after which no split size is left; the primes up to
-    the degree are read last, and only when the blocks leave a split size.
-    Each pattern read stays in the shared cache."""
+    they are read in. So it reads the blocks of PolyFacts.blocks up to the
+    first one after which no split size is left. Each pattern read stays in
+    the shared cache."""
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
-    n = facts.poly.degree
-    splits = _split_sizes(n)
+    splits = _split_sizes(facts.poly.degree)
     if not splits:
         return True
-    primes = facts.good_primes(_CERTIFICATE_PRIMES)
-    above = [p for p in primes if p > n]
-    blocks = [above[start:end] for start, end in zip(_BLOCK_ENDS, _BLOCK_ENDS[1:])]
-    for block in [*blocks, [p for p in primes if p <= n]]:
+    for block in facts.blocks(facts.good_primes(_CERTIFICATE_PRIMES)):
         for pattern in facts.patterns(block):
             splits &= _subset_sums(pattern)
         if not splits:
@@ -186,7 +179,7 @@ def profile_at_unramified(h: PolyQ | PolyFacts, p: int) -> list[tuple[int, int]]
         raise RequiresDeclaredProfile(
             f"p={p} divides disc or leading coefficient; declare the profile"
         )
-    return [(1, d) for d in facts.pattern(p)]
+    return [(1, d) for d in facts.patterns([p])[0]]
 
 
 def check_declared_profile(

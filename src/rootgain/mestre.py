@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import islice
 from math import gcd, lcm
 
 from .algebra import (
@@ -332,24 +332,23 @@ _FINGERPRINT_PRIMES = 200
 def distinctness_fingerprint(h1: PolyQ | PolyFacts, h2: PolyQ | PolyFacts) -> str:
     """'distinct' iff some good prime separates the factor-degree multisets of
     h1 and h2 among their first 200 common good primes; else 'indistinguishable'.
-    The answer does not depend on the order the primes are read in, so those
-    whose patterns both records already hold are read first."""
+    The answer does not depend on the order the primes are read in, so they
+    are read one at a time in the order of PolyFacts.blocks, those above the
+    degree first, whose patterns the irreducibility readers' blocks hold."""
     f1, f2 = PolyFacts.of(h1), PolyFacts.of(h2)
-    if f1.poly.degree != f2.poly.degree:
+    n = f1.poly.degree
+    if f2.poly.degree != n:
         raise MestreError("fingerprints compare polynomials of equal degree")
     if f1.disc == 0 or f2.disc == 0:
         raise MestreError("fingerprints compare polynomials of nonzero discriminant")
-    good = filter(lambda p: f1._is_good(p) and f2._is_good(p), iter_primes())
-    primes = islice(good, _FINGERPRINT_PRIMES)
-    held = f1._patterns.keys() & f2._patterns.keys()
-    top = max(held, default=0)
-    head = []  # the primes up to the largest held one, the held ones first
-    for p in primes:
-        head.append(p)
-        if p >= top:
-            break
-    head.sort(key=lambda p: p not in held)
-    if any(f1._pattern(p) != f2._pattern(p) for p in chain(head, primes)):
+    good = (p for p in iter_primes() if f1.is_good(p) and f2.is_good(p))
+    low = []  # the common good primes at or below the degree, read last
+    for p in islice(good, _FINGERPRINT_PRIMES):
+        if p <= n:
+            low.append(p)
+        elif f1.patterns([p]) != f2.patterns([p]):
+            return "distinct"
+    if any(f1.patterns([p]) != f2.patterns([p]) for p in low):
         return "distinct"
     return "indistinguishable"
 

@@ -381,9 +381,14 @@ def check_decomposition_pair(degree: int, decomposition_gens, inertia_gens) -> N
     groups like S_9. I is normal when conjugating its rows by each generator of
     D stays in I. D/I is cyclic iff some xI has order m = [D:I], that is, iff
     x^(m/l) lies outside I for every prime l | m.
+
+    Both groups are solvable, so each is refused first when its order cubed
+    passes 24^(n-1), Dixon's bound for a solvable subgroup of S_n (J. Algebra
+    7, 1967); their enumeration stops at 24^ceil((n-1)/3) rows, or at the
+    default cap where that is lower.
     """
-    D = PermGroup(degree, decomposition_gens).element_array()
-    I = PermGroup(degree, inertia_gens).element_array()
+    D = _solvable_rows(degree, decomposition_gens, "decomposition")
+    I = _solvable_rows(degree, inertia_gens, "inertia")
     if not all((D == g).all(axis=1).any() for g in inertia_gens):
         raise GroupError("inertia subgroup not contained in decomposition group")
     in_I = set(_row_keys(I))
@@ -396,6 +401,22 @@ def check_decomposition_pair(degree: int, decomposition_gens, inertia_gens) -> N
         xs = xs[[key not in in_I for key in _row_keys(_kth_powers(xs, m // ell))]]
     if not len(xs):
         raise GroupError("D/I is not cyclic")
+
+
+def _solvable_rows(degree: int, generators, name: str) -> np.ndarray:
+    """The element rows of <generators>, or GroupError when their number cubed
+    passes 24^(n-1). (n+1)//3 = ceil((n-1)/3), so only a group past that bound
+    passes the cap, unless the default cap is the lower."""
+    cap = min(PermGroup.DEFAULT_CAP, 24 ** ((degree + 1) // 3))
+    try:
+        rows = PermGroup(degree, generators, cap=cap).element_array()
+    except CapExceeded:
+        if cap == PermGroup.DEFAULT_CAP:
+            raise
+    else:
+        if len(rows) ** 3 <= 24 ** (degree - 1):
+            return rows
+    raise GroupError(f"{name} group is not solvable")
 
 
 def _kth_powers(xs: np.ndarray, k: int) -> np.ndarray:

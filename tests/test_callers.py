@@ -7,6 +7,10 @@ one is kept. Methods are keyed `Class.name`, and a method counts as called
 when its name is referenced anywhere in `src/` outside its own definition
 (the scan reads names, not types). Package exports (`from .x import name` in
 `__init__.py`) are not callers.
+
+The record of a polynomial's facts, `algebra.PolyFacts`, is read from other
+modules only through its public members: no other module names one of its
+`_`-prefixed members (matched by attribute name).
 """
 
 import ast
@@ -92,3 +96,29 @@ def test_keep_list_names_only_uncalled_functions():
     assert set(KEEP) <= set(defined)
     assert sorted(set(KEEP) & referenced) == []
     assert all(reason for reason in KEEP.values())
+
+
+def _polyfacts_private_members():
+    """The `_`-prefixed methods, properties and `self.` attributes of PolyFacts."""
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PolyFacts"]
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+            names.add(node.attr)
+    return {name for name in names if _private(name)}
+
+
+def test_polyfacts_private_members_are_named_only_in_algebra():
+    private = _polyfacts_private_members()
+    assert {"_patterns", "_model", "_bad"} <= private
+    outside = sorted(
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "algebra.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    )
+    assert outside == [], f"private PolyFacts members named outside algebra.py: {outside}"

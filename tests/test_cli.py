@@ -376,7 +376,8 @@ def test_specialize_branch_degree_other_than_pencil_degree_exits_4(capsys, tmp_p
 
 
 def test_specialize_branch_past_the_enumeration_cap_exits_4(capsys, tmp_path):
-    # D = S_10 has 3628800 elements, past the default cap of 10^6
+    # D = S_10 is past Dixon's bound for a solvable subgroup of S_10, so its
+    # enumeration stops at 24^3 = 13824 rows, before the default cap of 10^6
     pencil = tmp_path / "s10.pencil"
     pencil.write_text(
         "form: general\ndegree: 10\ncoeff: k=0 num=1\ncoeff: k=10 num=1\n"
@@ -385,7 +386,7 @@ def test_specialize_branch_past_the_enumeration_cap_exits_4(capsys, tmp_path):
     code = main(["specialize", "--pencil", str(pencil), "--q", "19"])
     captured = capsys.readouterr()
     assert code == 4
-    assert captured.err == "parse error: line 5: group order exceeds enumeration cap 1000000\n"
+    assert captured.err == "parse error: line 5: decomposition group is not solvable\n"
     assert captured.out == ""
 
 
@@ -517,6 +518,15 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
         (
             ["specialize", "--pencil", "PENCIL", "--q", "19", "--limit", "-1"],
             "--limit must be >= 1, got -1",
+        ),
+        # the node-prime scan covers odd primes only, so a bound below 3 scans none
+        (
+            ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "2"],
+            "--bound must be >= 3, got 2",
+        ),
+        (
+            ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "0", "--p", "3"],
+            "--bound must be >= 3, got 0",
         ),
     ],
 )

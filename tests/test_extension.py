@@ -38,6 +38,7 @@ from rootgain.mestre import psl2_11_degree12_pencil, specialize
 from rootgain.permgroup import (
     GroupError,
     PermGroup,
+    alternating_group,
     compose,
     inverse,
     perm_from_cycles,
@@ -205,6 +206,11 @@ def _closure_verdict(degree, d_gens, i_gens):
     D = PermGroup(degree, d_gens)
     dset = frozenset(D.elements)
     iset = frozenset(PermGroup(degree, i_gens).elements)
+    # Dixon: a solvable subgroup of S_n has order at most 24^((n-1)/3)
+    if len(dset) ** 3 > 24 ** (degree - 1):
+        return "D not solvable"
+    if len(iset) ** 3 > 24 ** (degree - 1):
+        return "I not solvable"
     if not iset <= dset:
         return "not a subgroup"
     for g in d_gens:
@@ -219,6 +225,8 @@ def _closure_verdict(degree, d_gens, i_gens):
 
 
 VERDICTS = {
+    "decomposition group is not solvable": "D not solvable",
+    "inertia group is not solvable": "I not solvable",
     "inertia subgroup not contained in decomposition group": "not a subgroup",
     "inertia subgroup is not normal in decomposition group": "not normal",
     "D/I is not cyclic": "not cyclic",
@@ -271,7 +279,7 @@ def test_pair_check_matches_closure_oracle_on_random_pairs():
         verdict = _closure_verdict(n, d_gens, i_gens)
         assert _row_verdict(n, d_gens, i_gens) == verdict, (n, d_gens, i_gens)
         seen.add(verdict)
-    assert seen == {"ok", "not a subgroup", "not normal", "not cyclic"}
+    assert seen == {"ok", *VERDICTS.values()}
 
 
 def _transposition(n, i):
@@ -286,10 +294,20 @@ def test_pair_check_accepts_groups_past_the_base_index():
         PermGroup(24, d_gens).base_index
     assert _row_verdict(24, d_gens, d_gens[:11]) == "ok"
     assert _closure_verdict(24, d_gens, d_gens[:11]) == "ok"
-    # S_9 with I trivial: too large for the index, and S_9 is not cyclic
+    # S_9 with I trivial: too large for the index, and past Dixon's bound
     with pytest.raises(GroupError):
         symmetric_group(9).base_index
-    assert _row_verdict(9, symmetric_group(9).generators, []) == "not cyclic"
+    assert _row_verdict(9, symmetric_group(9).generators, []) == "D not solvable"
+
+
+def test_pair_check_refuses_groups_past_dixons_bound():
+    # A5 is normal in S5 with cyclic quotient, but |S5|^3 = 1728000 > 24^4
+    S5, A5 = symmetric_group(5).generators, alternating_group(5).generators
+    assert _closure_verdict(5, S5, A5) == _row_verdict(5, S5, A5) == "D not solvable"
+    assert _row_verdict(5, (), S5) == "I not solvable"
+    # |S4|^3 = 24^3 meets the bound, and (S4, A4) is a pair
+    S4, A4 = symmetric_group(4).generators, alternating_group(4).generators
+    assert _closure_verdict(4, S4, A4) == _row_verdict(4, S4, A4) == "ok"
 
 
 def test_s8_branch_record_is_rejected_at_its_line():
@@ -300,7 +318,7 @@ def test_s8_branch_record_is_rejected_at_its_line():
     with pytest.raises(ParseError) as info:
         parse_pencil_file(text)
     assert info.value.lineno == 5
-    assert str(info.value) == "line 5: D/I is not cyclic"
+    assert str(info.value) == "line 5: decomposition group is not solvable"
 
 
 def test_split_count_monotone_and_bounded():
@@ -499,15 +517,27 @@ def test_irreducibility_settles_before_the_witness_prime():
     assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 23)
 
 
-def test_certificate_reads_in_order_up_to_its_witness():
-    # the certificate reads one good prime at a time, so it caches the good
-    # primes up to its witness 23 (2 and 5 divide the discriminant) and no
-    # further, where the bit's first block runs to 37
+def test_certificate_reads_the_blocks_up_to_its_witness():
+    # the certificate reads the blocks of the bit, so it caches the first
+    # block 7..37, which holds its witness 23, and the good prime 3 at or
+    # below the degree (2 and 5 divide the discriminant), and no further
     facts = PolyFacts(PolyQ([6, -5, 0, 0, 0, 1]))
     cert = certify_irreducible(facts)
     assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 23)
-    assert sorted(facts._patterns) == [3, 7, 11, 17, 19, 23] == facts.good_primes(6)
+    assert sorted(facts._patterns) == [3, 7, 11, 17, 19, 23, 29, 31, 37]
+    assert facts.blocks(facts.good_primes(9)) == [[7, 11, 17, 19, 23, 29, 31, 37], [3]]
     assert facts.patterns([3, 7, 11]) == [(1, 2, 2), (1, 4), (2, 3)]
+
+
+def test_certificate_witness_at_or_below_the_degree_beats_the_first_block():
+    # X^5 - X - 1 is irreducible mod 3 and 5, at or below the degree, and mod
+    # 11 and 13 in the first block; the primes at or below the degree are
+    # read after that block, and the least witness is named
+    facts = PolyFacts(PolyQ([-1, -1, 0, 0, 0, 1]))
+    cert = certify_irreducible(facts)
+    assert (cert.status, cert.witness_prime) == ("irreducible_mod_p", 3)
+    assert sorted(facts._patterns) == [2, 3, 5, 7, 11, 13, 17, 23, 29, 31, 37]
+    assert facts.patterns([2, 3, 5, 7, 11, 13]) == [(2, 3), (5,), (5,), (2, 3), (5,), (5,)]
 
 
 def seeded_polys(count=60):

@@ -79,7 +79,7 @@ def test_degrees_and_irreducibility_match_sympy(p):
         assert is_irreducible_mod_p(f) == (expected == [f.degree]), (h, p)
         facts = PolyFacts(h)
         if facts.is_good(p):
-            assert list(facts.pattern(p)) == expected, (h, p)
+            assert list(facts.patterns([p])[0]) == expected, (h, p)
 
 
 def irreducibles(p: int, d: int, count: int, rng: random.Random) -> list[PolyFp]:
@@ -110,12 +110,12 @@ def test_products_of_equal_degree_irreducibles(p):
             expected = sorted([d] * k + [e.degree for e in extra])
             assert oracle_degrees(f) == expected
             assert factor_degrees(f) == expected
-            assert list(PolyFacts(PolyQ(f.coeffs)).pattern(p)) == expected
+            assert list(PolyFacts(PolyQ(f.coeffs)).patterns([p])[0]) == expected
 
 
 def scalar_reads(facts, count):
-    """(p, pattern) at the first `count` good primes, one validated read each."""
-    return [(p, facts.pattern(p)) for p in facts.good_primes(count)]
+    """(p, pattern) at the first `count` good primes, one scalar read each."""
+    return [(p, facts.patterns([p])[0]) for p in facts.good_primes(count)]
 
 
 def block_read(facts, count):
@@ -231,7 +231,7 @@ def test_frobenius_block_matches_the_lazy_reads_and_sympy(h, count):
     # half filled: the lazy reads first, and one pattern past them
     facts = PolyFacts(h)
     scalar_reads(facts, count // 2)
-    facts.pattern(expected[-1][0])
+    facts.patterns([expected[-1][0]])
     assert block_read(facts, count) == expected
     for p, pattern in block:
         assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), (h, p)

@@ -213,13 +213,13 @@ def test_degree_12_fibers_match_reference(monkeypatch, t0):
 
 def test_fingerprint_reads_the_patterns_both_records_hold_first(monkeypatch):
     # the irreducibility blocks cache both fibers' patterns at primes above 12,
-    # and 19 separates them; read in ascending order, the common good prime 7
-    # would be factored first, for both
+    # and 19 separates them; the fingerprint reads the common good primes
+    # above the degree first, so the common good prime 7 is never factored
     P = psl2_11_degree12_pencil()
     h1, h2 = specialize(P, F(-5)), specialize(P, F(2, 3))
     f1, f2 = PolyFacts(h1), PolyFacts(h2)
     assert irreducibility_settled(f1) and irreducibility_settled(f2)
-    assert f1._patterns[19] != f2._patterns[19] and f1._is_good(7) and f2._is_good(7)
+    assert f1._patterns[19] != f2._patterns[19] and f1.is_good(7) and f2.is_good(7)
     calls = []
     real = algebra_module._distinct_degree
     monkeypatch.setattr(algebra_module, "_distinct_degree", lambda f: calls.append(f) or real(f))
@@ -267,12 +267,13 @@ def test_moduli_checked_where_polyfp_enters():
 def test_pattern_refuses_a_bad_prime():
     # X^4 - 4 has disc -2^14, and reduces to X^4 mod 2
     facts = PolyFacts(PolyQ([-4, 0, 0, 0, 1]))
-    with pytest.raises(AlgebraError):
-        facts.pattern(2)
-    assert facts.pattern(3) == (1, 1, 2)  # nothing cached at 2
+    with pytest.raises(RequiresDeclaredProfile):
+        profile_at_unramified(facts, 2)
+    assert profile_at_unramified(facts, 3) == [(1, 1), (1, 1), (1, 2)]
+    assert sorted(facts._patterns) == [3]  # nothing cached at 2
     # 2X^2 - 1: the leading coefficient vanishes mod 2
-    with pytest.raises(AlgebraError):
-        PolyFacts(PolyQ([-1, 0, 2])).pattern(2)
+    with pytest.raises(RequiresDeclaredProfile):
+        profile_at_unramified(PolyQ([-1, 0, 2]), 2)
 
 
 def test_zero_discriminant_raises_instead_of_seeking_a_good_prime():
