@@ -8,7 +8,6 @@ from .algebra import (
     PolyQ,
     Rational,
     discriminant,
-    factor_mod_p,
     legendre,
     poly_sqrt_exact,
     rational_roots,

@@ -1,15 +1,18 @@
-"""Exact arithmetic substrate: rationals, polynomials over Q and F_p, factorization,
-Sturm sequences, quadratic symbols.
+"""Exact arithmetic substrate: rationals, polynomials over Q and F_p, Frobenius
+patterns, Sturm sequences, quadratic symbols.
 
 Everything here is exact; no floating point is used anywhere. Rational is the
 stdlib Fraction (already normalized: gcd(num, den) = 1, den >= 1). Resultants,
 discriminants, Sturm counts and gcds over Q all come from one primitive
-integer pseudo-remainder sequence of the integer models (`_prs`).
+integer pseudo-remainder sequence of the integer models (`_prs`). Over F_p
+only the factor degrees at good primes are read (the Frobenius patterns of
+`PolyFacts`), by a block kernel and a one-prime distinct-degree kernel, both
+on the same integer model; no full factorization over F_p is taken.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -71,9 +74,12 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < psi_13 = 3317044064679887385961981.
 
     The bases 2..37 are exact below psi_12; 41 is added only from psi_12 on,
-    so the bases 2..41 are exact below psi_13 (Sorenson-Webster)."""
+    so the bases 2..41 are exact below psi_13 (Sorenson-Webster). Up to the
+    last prime of the shared sieve, n is looked up in it instead."""
     if n < 2:
         return False
+    if _sieved_primes and n <= _sieved_primes[-1]:
+        return _sieved_primes[bisect_left(_sieved_primes, n)] == n
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -542,7 +548,7 @@ def poly_sqrt_exact(h: PolyQ) -> PolyQ:
 
 
 # ----------------------------------------------------------------------------
-# polynomials over F_p and factorization
+# polynomials over F_p and Frobenius patterns
 
 
 class PolyFp:
@@ -575,11 +581,6 @@ class PolyFp:
         """f mod p; denominators must be prime to p."""
         if not is_prime(p):
             raise AlgebraError(f"PolyFp: modulus {p} is not prime")
-        return cls._reduce(f, p)
-
-    @classmethod
-    def _reduce(cls, f: PolyQ, p: int) -> PolyFp:
-        """reduce for a p already known to be prime."""
         out = []
         for c in f.coeffs:
             if c.denominator % p == 0:
@@ -609,16 +610,6 @@ class PolyFp:
         if self.p != other.p:
             raise AlgebraError("mixed moduli")
 
-    def __add__(self, other: PolyFp) -> PolyFp:
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFp._of(self.p, [(self[i] + other[i]) % self.p for i in range(n)])
-
-    def __sub__(self, other: PolyFp) -> PolyFp:
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFp._of(self.p, [(self[i] - other[i]) % self.p for i in range(n)])
-
     def __mul__(self, other) -> PolyFp:
         if isinstance(other, int):
             return PolyFp._of(self.p, [c * other % self.p for c in self.coeffs])
@@ -638,9 +629,6 @@ class PolyFp:
             raise ZeroDivisionError
         q, r = _divmod_list(list(self.coeffs), other.coeffs, self.p)
         return PolyFp._of(self.p, q), PolyFp._of(self.p, r)
-
-    def __mod__(self, other: PolyFp) -> PolyFp:
-        return self.divmod(other)[1]
 
     def __floordiv__(self, other: PolyFp) -> PolyFp:
         return self.divmod(other)[0]
@@ -667,54 +655,8 @@ class PolyFp:
             acc = (acc * x + c) % self.p
         return acc
 
-    def pow_mod(self, e: int, mod: PolyFp) -> PolyFp:
-        out = PolyFp._of(self.p, [1])
-        base = self % mod
-        while e:
-            if e & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return out
-
     def __repr__(self):
         return f"PolyFp({self.p}, {list(self.coeffs)})"
-
-
-def _pth_root(f: PolyFp) -> PolyFp:
-    """For f with f' = 0: the g with g^p = f (coefficientwise, a^(1/p) = a in F_p)."""
-    p = f.p
-    return PolyFp._of(p, [f[i] for i in range(0, len(f.coeffs), p)])
-
-
-def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Monic f -> [(g_i, m_i)] with f = prod g_i^m_i, g_i squarefree and coprime."""
-    p = f.p
-    out: list[tuple[PolyFp, int]] = []
-
-    def rec(f: PolyFp, mult: int):
-        if f.degree == 0:
-            return
-        d = f.derivative()
-        if d.is_zero():
-            rec(_pth_root(f), mult * p)
-            return
-        c = f.gcd(d)
-        w = f // c
-        i = 1
-        while w.degree > 0:
-            y = w.gcd(c)
-            z = w // y
-            if z.degree > 0:
-                out.append((z, mult * i))
-            w = y
-            c = c // y
-            i += 1
-        if c.degree > 0:
-            rec(_pth_root(c), mult * p)
-
-    rec(f.monic(), 1)
-    return out
 
 
 def _divmod_list(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -757,8 +699,10 @@ def _gcd_list(a: list[int], b: list[int], p: int) -> list[int]:
     return [x * inv % p for x in a]
 
 
-def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Squarefree monic f -> [(product of irreducibles of degree d, d)].
+def _distinct_degree(f: list[int], p: int) -> tuple[int, ...]:
+    """Sorted factor degrees of a squarefree monic f over F_p, given by its
+    reduced ascending coefficients: each block of degree-d irreducibles,
+    their product g, gives (deg g) / d entries d.
 
     A residue mod f (degree < n) is Kronecker-packed into one int, coefficient
     i in bits [i*w, (i+1)*w). A product of two packed residues is one big-int
@@ -772,9 +716,9 @@ def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
     matrix of f, whose row i is x^(ip) mod f. Every gcd is taken with the
     cofactor cur, which divides f, so the matrix is built only once.
     """
-    p, n = f.p, f.degree
+    n = len(f) - 1
     if n == 1:  # x is not reduced mod a linear f, which is its own block
-        return [(f, 1)]
+        return (1,)
     w = (2 * n * p * p).bit_length() + 1
     slot = (1 << w) - 1
     low = (1 << n * w) - 1
@@ -787,7 +731,7 @@ def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
         return [(v >> s & slot) % p for s in shifts]
 
     # folds[k] = x^(n+k) mod f, packed; f is monic, so x^n = x^n - f mod f
-    xn = r = [-c % p for c in f.coeffs[:n]]
+    xn = r = [-c % p for c in f[:n]]
     folds = [pack(r)]
     for _ in range(n - 1):
         r = [(x + r[-1] * y) % p for x, y in zip([0] + r[:-1], xn)]
@@ -813,7 +757,7 @@ def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
         rows.append(mul_mod(rows[-1], frob))
     h = unpack(frob)
     out = []
-    cur = list(f.coeffs)
+    cur = f
     d = 1
     while len(cur) > 2 * d:
         if d > 1:  # h times the Frobenius matrix: the packed rows weighted by h
@@ -824,12 +768,12 @@ def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
             hx.pop()
         g = _gcd_list(cur, hx, p)
         if len(g) > 1:
-            out.append((PolyFp._of(p, g), d))
+            out += [d] * ((len(g) - 1) // d)
             cur = _divmod_list(cur, g, p)[0]
         d += 1
-    if len(cur) > 1:
-        out.append((PolyFp._of(p, cur), len(cur) - 1))
-    return out
+    if len(cur) > 1:  # every factor left has degree >= d, and deg cur < 2d
+        out.append(len(cur) - 1)
+    return tuple(out)
 
 
 def _frobenius_patterns(coeffs: list[int], primes: list[int]) -> list[tuple[int, ...]]:
@@ -901,73 +845,6 @@ def _frobenius_patterns(coeffs: list[int], primes: list[int]) -> list[tuple[int,
     return [
         tuple(d for d, r in enumerate(column, 1) for _ in range(r)) for column in counts.T.tolist()
     ]
-
-
-def _equal_degree_split(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
-    """Cantor-Zassenhaus: split a monic product of degree-d irreducibles."""
-    p = f.p
-    if f.degree == d:
-        return [f]
-    n = f.degree
-    while True:
-        u = PolyFp._of(p, [rng.randrange(p) for _ in range(n)])
-        if u.degree < 1:
-            continue
-        if p == 2:
-            # trace map over F_{2^d}
-            t = u
-            acc = u
-            for _ in range(d - 1):
-                t = (t * t) % f
-                acc = acc + t
-            g = acc.gcd(f)
-        else:
-            g = u.gcd(f)
-            if 0 < g.degree < f.degree:
-                pass  # lucky split by a common factor
-            else:
-                w = u.pow_mod((p**d - 1) // 2, f)
-                g = (w - PolyFp._of(p, [1])).gcd(f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
-
-
-def factor_mod_p(f: PolyFp, seed: int = 0) -> list[tuple[PolyFp, int]]:
-    """Full factorization over F_p into monic irreducibles with multiplicities.
-
-    Squarefree decomposition, then distinct-degree, then randomized equal-degree
-    splitting (seeded). Output is sorted by (degree, coefficients), so it is
-    identical for every seed.
-    """
-    if f.is_zero():
-        raise AlgebraError("factorization of the zero polynomial")
-    rng = random.Random(seed)
-    out: list[tuple[PolyFp, int]] = []
-    for part, mult in _squarefree_decomposition(f):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree_split(prod, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    return out
-
-
-def factor_degrees(f: PolyFp, seed: int = 0) -> list[int]:
-    """Sorted degree multiset of the irreducible factors (with multiplicity)."""
-    degs = []
-    for g, m in factor_mod_p(f, seed):
-        degs.extend([g.degree] * m)
-    return sorted(degs)
-
-
-def is_irreducible_mod_p(f: PolyFp) -> bool:
-    if f.degree < 1:
-        return False
-    if f.degree == 1:
-        return True
-    if f.gcd(f.derivative()).degree != 0:
-        return False
-    dd = _distinct_degree(f.monic())
-    return len(dd) == 1 and dd[0][1] == f.degree
 
 
 # ----------------------------------------------------------------------------
@@ -1042,16 +919,17 @@ class PolyFacts:
         """Sorted factor degrees mod each of the good `primes` (unchecked: take
         them from good_primes, or check is_good). Two or more not yet cached
         above the degree are read in one _frobenius_patterns block, since a
-        block of one costs more than the scalar read; the rest are read off
-        the distinct-degree factorization of the (squarefree) reduction."""
-        n = self.poly.degree
+        block of one costs more than the scalar read; the rest are read one
+        at a time by _distinct_degree, off the integer model that the block
+        reads too, reduced mod p and made monic (squarefree at a good p)."""
+        n, a = self.poly.degree, self._model[0]
         todo = [p for p in primes if p > n and p not in self._patterns]
         if len(todo) > 1:
-            self._patterns.update(zip(todo, _frobenius_patterns(self._model[0], todo)))
+            self._patterns.update(zip(todo, _frobenius_patterns(a, todo)))
         for p in primes:
             if p not in self._patterns:
-                dd = _distinct_degree(PolyFp._reduce(self.poly, p).monic())
-                self._patterns[p] = tuple(sorted(d for g, d in dd for _ in range(g.degree // d)))
+                inv = pow(a[-1], -1, p)
+                self._patterns[p] = _distinct_degree([c * inv % p for c in a], p)
         return [self._patterns[p] for p in primes]
 
 

@@ -8,7 +8,6 @@ polynomials, which changes discriminants by rational squares only.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -429,19 +428,17 @@ def enumerate_t0(constraints: SearchConstraints, branch_locations=frozenset()):
             continue
         b_rules.append((c.prime, c.prime ** max(0, -w)))
         step *= c.prime ** max(0, w)
-    denominators = [
-        b for b in range(1, H + 1) if all(b % pe == 0 and b // pe % p for p, pe in b_rules)
-    ]
+    denominators = []  # the admissible b below the height walked to
 
     def rows(height: int):
         """(a, b) coprime with max(|a|, b) = height, step | a and b admissible."""
-        below = bisect_left(denominators, height)
         if height % step == 0:
-            for b in denominators[:below]:
+            for b in denominators:
                 if gcd(height, b) == 1:
                     yield -height, b
                     yield height, b
-        if below < len(denominators) and denominators[below] == height:
+        if all(height % pe == 0 and height // pe % p for p, pe in b_rules):
+            denominators.append(height)
             for a in range(-(height // step) * step, height + 1, step):
                 if gcd(a, height) == 1:
                     yield a, height

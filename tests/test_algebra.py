@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import isqrt
 
 import pytest
 
@@ -14,9 +15,6 @@ from rootgain.algebra import (
     PolyFp,
     PolyQ,
     discriminant,
-    factor_degrees,
-    factor_mod_p,
-    is_irreducible_mod_p,
     is_prime,
     iter_primes,
     legendre,
@@ -99,48 +97,32 @@ def bisection_real_roots(f, roots_bound):
     return sum(1 for a, b in zip(vals, vals[1:]) if (a < 0) != (b < 0))
 
 
-# ---------------------------------------------------------------- factor_mod_p
+# ---------------------------------------------------------------- Frobenius patterns
+
+
+def trial_division_pattern(f):
+    """Sorted factor degrees of f with multiplicity, by trial division."""
+    return tuple(sorted(g.degree for g, m in trial_division_factor(f) for _ in range(m)))
 
 
 def test_factor_x2_plus_1_mod_5():
     f = PolyFp(5, [1, 0, 1])
-    fac = factor_mod_p(f)
+    fac = trial_division_factor(f)
     assert [(list(g.coeffs), m) for g, m in fac] == [([2, 1], 1), ([3, 1], 1)]
+    assert PolyFacts(PolyQ([1, 0, 1])).patterns([5]) == [trial_division_pattern(f)] == [(1, 1)]
 
 
 def test_factor_x2_plus_1_mod_7_irreducible():
     f = PolyFp(7, [1, 0, 1])
-    assert is_irreducible_mod_p(f)
-    assert factor_degrees(f) == [2]
+    assert trial_irreducible(f)
+    assert PolyFacts(PolyQ([1, 0, 1])).patterns([7]) == [trial_division_pattern(f)] == [(2,)]
 
 
 def test_factor_quartic_mod_7_against_trial_division():
-    f = PolyFp.reduce(PolyQ([2304, 0, -164, 0, 1]), 7)
-    assert factor_mod_p(f) == trial_division_factor(f)
-
-
-def test_factor_recombination_random():
-    rng = random.Random(20240331)
-    for trial in range(1000):
-        p = rng.choice([3, 5, 7, 11, 13])
-        deg = rng.randint(1, 8)
-        coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-        f = PolyFp(p, coeffs)
-        fac = factor_mod_p(f, seed=trial)
-        prod = PolyFp(p, [f.coeffs[-1]])
-        for g, m in fac:
-            assert g.coeffs[-1] == 1
-            for _ in range(m):
-                prod = prod * g
-        assert prod == f
-        for g, _ in fac:
-            if g.degree <= 4:
-                assert trial_irreducible(g)
-
-
-def test_factor_deterministic_across_seeds():
-    f = PolyFp.reduce(PolyQ([1, 1, 1, 0, 2, 1, 1]), 5)
-    assert factor_mod_p(f, seed=0) == factor_mod_p(f, seed=12345)
+    h = PolyQ([2304, 0, -164, 0, 1])
+    f = PolyFp.reduce(h, 7)
+    assert PolyFacts(h).is_good(7)
+    assert PolyFacts(h).patterns([7]) == [trial_division_pattern(f)]
 
 
 def test_polyfp_rejects_composite_modulus():
@@ -374,6 +356,25 @@ def test_prime_walks_sieve_no_bound_twice(monkeypatch):
     second = list(islice(iter_primes(), 1000))
     assert first == second == sieve(7919)  # 7919 is the 1000th prime
     assert bounds == sorted(set(bounds))
+
+
+def test_is_prime_reads_the_shared_sieve_and_miller_rabin_past_it(monkeypatch):
+    """is_prime is membership in the shared sieve up to its last prime, and
+    agrees with trial division on both sides of it: before any walk (an empty
+    sieve), and after walks extend it."""
+    monkeypatch.setattr(algebra, "_sieved_primes", [])
+
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    for count in (0, 10, 100, 1000):
+        for _ in islice(iter_primes(), count):
+            pass
+        end = algebra._sieved_primes[-1] if count else 0
+        assert [n for n in range(end + 1) if is_prime(n)] == algebra._sieved_primes
+        assert [n for n in range(-2, end + 500) if is_prime(n)] == [
+            n for n in range(-2, end + 500) if trial_division(n)
+        ], end
 
 
 def test_is_prime_small():

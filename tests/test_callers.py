@@ -11,6 +11,10 @@ when its name is referenced anywhere in `src/` outside its own definition
 The record of a polynomial's facts, `algebra.PolyFacts`, is read from other
 modules only through its public members: no other module names one of its
 `_`-prefixed members (matched by attribute name).
+
+All arithmetic is exact and every run is the same: no module has a float
+literal, names `float`, imports `random`, or uses a `math` function other
+than gcd, isqrt and lcm.
 """
 
 import ast
@@ -23,8 +27,6 @@ KEEP = {
     "klein_four_local": "named by an acceptance criterion (the worked biquadratic field)",
     "orbit_simulation_root_number": "the independent oracle of the node engine",
     "global_root_semistable": "a test oracle for W(E/Q), and the caller-to-be of ROADMAP item 14",
-    "factor_degrees": "a test oracle for the Frobenius patterns, and ROADMAP item 3's factorizer",
-    "is_irreducible_mod_p": "a test oracle for the Frobenius patterns, and ROADMAP item 3's factorizer",
     "inverse": "an independent oracle in tests for the row kernels",
     "fixed_points": "an independent oracle in tests for the row kernels",
     "cyclic_powers": "an independent oracle in tests for the cyclic-subgroup walk",
@@ -122,3 +124,60 @@ def test_polyfacts_private_members_are_named_only_in_algebra():
         if isinstance(node, ast.Attribute) and node.attr in private
     )
     assert outside == [], f"private PolyFacts members named outside algebra.py: {outside}"
+
+
+EXACT_MATH = {"gcd", "isqrt", "lcm"}
+
+
+def _inexact_or_seeded(tree):
+    """(line, what) for each float literal, name `float`, import of `random`
+    and `math` function outside EXACT_MATH in a module's syntax tree."""
+    math_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "random":
+                    yield node.lineno, "import random"
+                elif alias.name == "math":
+                    math_names.add(alias.asname or "math")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "random":
+                yield node.lineno, "from random import"
+            elif node.module == "math":
+                for alias in node.names:
+                    if alias.name not in EXACT_MATH:
+                        yield node.lineno, f"math.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, f"literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno, "float"
+        elif (
+            isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) in math_names
+            and node.attr not in EXACT_MATH
+        ):
+            yield node.lineno, f"math.{node.attr}"
+
+
+def test_no_module_uses_floats_random_or_inexact_math():
+    found = sorted(
+        f"{path.name}:{line} {what}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, what in _inexact_or_seeded(ast.parse(path.read_text()))
+    )
+    assert found == [], f"inexact or seeded code in src/: {found}"
+
+
+def test_the_exactness_scan_finds_each_kind():
+    source = """
+import random
+import math as m
+from math import gcd, sqrt
+from random import choice
+x = 0.5 + float(1) + m.log(2) + m.isqrt(4) + gcd(2, 4)
+"""
+    found = sorted(what for _, what in _inexact_or_seeded(ast.parse(source)))
+    assert found == [
+        "float", "from random import", "import random", "literal 0.5", "math.log", "math.sqrt"
+    ]

@@ -5,7 +5,6 @@ import pytest
 from rootgain.algebra import (
     PolyFp,
     PolyQ,
-    factor_mod_p,
     legendre,
     primes_up_to,
     valuation,
@@ -36,13 +35,21 @@ def model(orbits, s=1):
 # ---------------------------------------------------------------- node primes
 
 
+def factor_list_mod_p(f: PolyFp):
+    """[(g, m)]: the monic irreducible factors of f over F_p with their
+    multiplicities, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    _, factors = sympy.Poly(f.coeffs[::-1], sympy.Symbol("x"), modulus=f.p).factor_list()
+    return [(PolyFp(f.p, [int(c) for c in g.all_coeffs()[::-1]]), m) for g, m in factors]
+
+
 def node_pattern_oracle(f, p):
     """Directly factor f mod p and test for exactly one double linear factor
     with everything else simple and away from the node."""
     fp = PolyFp.reduce(f, p)
     if fp.degree != f.degree:
         return None
-    fac = factor_mod_p(fp)
+    fac = factor_list_mod_p(fp)
     doubles = [(g, m) for g, m in fac if m == 2 and g.degree == 1]
     if len(doubles) != 1:
         return None
@@ -60,16 +67,18 @@ def node_pattern_oracle(f, p):
 
 
 def test_find_node_primes_against_factorization_oracle():
-    f = PolyQ([0, -1, 0, 0, 0, 1])  # X^5 - X
-    found = {rec.prime: rec.node for rec in find_node_primes(f, 50)}
-    expected = {}
-    for p in primes_up_to(50):
-        if p == 2:
-            continue
-        a = node_pattern_oracle(f, p)
-        if a is not None:
-            expected[p] = a
-    assert found == expected
+    # X^5 - X has disc 2^8, so no node prime; X^5 + X + 1 has three below 50
+    for f, count in ((PolyQ([0, -1, 0, 0, 0, 1]), 0), (PolyQ([1, 1, 0, 0, 0, 1]), 3)):
+        found = {rec.prime: rec.node for rec in find_node_primes(f, 50)}
+        expected = {}
+        for p in primes_up_to(50):
+            if p == 2:
+                continue
+            a = node_pattern_oracle(f, p)
+            if a is not None:
+                expected[p] = a
+        assert found == expected
+        assert len(found) == count
 
 
 def test_find_node_primes_simple_disc_root():
@@ -161,7 +170,7 @@ def test_tau_against_quadratic_splitting_oracle():
         rec = NodePrimeRecord(p, a, cof)
         # oracle: Y^2 - cof(a) splits into linears iff cof(a) is a square
         quad = PolyFp(p, [(-cof(a)) % p, 0, 1])
-        split = all(g.degree == 1 for g, _ in factor_mod_p(quad))
+        split = all(g.degree == 1 for g, _ in factor_list_mod_p(quad))
         assert (tau_sign(rec) == 1) == split
 
 

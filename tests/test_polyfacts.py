@@ -1,8 +1,8 @@
 """Differential tests of the shared per-polynomial record (PolyFacts).
 
 Every function that reads the record is compared with a reference computed
-here prime by prime, straight from PolyFp.reduce, factor_degrees and
-is_irreducible_mod_p, sharing nothing between calls.
+here prime by prime, straight from PolyFp.reduce and sympy's factorization
+over F_p, sharing nothing between calls.
 """
 
 import pickle
@@ -22,8 +22,6 @@ from rootgain.algebra import (
     PolyFp,
     PolyQ,
     discriminant,
-    factor_degrees,
-    is_irreducible_mod_p,
     iter_primes,
     rational_sqrt,
     sturm_real_roots,
@@ -58,7 +56,11 @@ def good_primes(h):
 
 @lru_cache(maxsize=None)
 def pattern(h, p):
-    return tuple(factor_degrees(PolyFp.reduce(h, p)))
+    """Sorted factor degrees of h mod p, with multiplicity, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    f = PolyFp.reduce(h, p)
+    _, factors = sympy.Poly(f.coeffs[::-1], sympy.Symbol("x"), modulus=p).factor_list()
+    return tuple(sorted(g.degree() for g, m in factors for _ in range(m)))
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +69,7 @@ def ref_certificate(h, max_primes=50):
     n = h.degree
     patterns = []
     for p in islice(good_primes(h), max_primes):
-        if is_irreducible_mod_p(PolyFp.reduce(h, p)):
+        if pattern(h, p) == (n,):
             return "irreducible_mod_p", p
         patterns.append(pattern(h, p))
 
@@ -222,7 +224,9 @@ def test_fingerprint_reads_the_patterns_both_records_hold_first(monkeypatch):
     assert f1._patterns[19] != f2._patterns[19] and f1.is_good(7) and f2.is_good(7)
     calls = []
     real = algebra_module._distinct_degree
-    monkeypatch.setattr(algebra_module, "_distinct_degree", lambda f: calls.append(f) or real(f))
+    monkeypatch.setattr(
+        algebra_module, "_distinct_degree", lambda f, p: calls.append(p) or real(f, p)
+    )
     assert distinctness_fingerprint(f1, f2) == "distinct"
     assert calls == []
     # 19 is the fourth common good prime: a held prime beyond the first
