@@ -4,7 +4,6 @@ constrained specialization search, and local root-number engines."""
 
 from .algebra import (
     NotASquare,
-    PolyFp,
     PolyQ,
     Rational,
     discriminant,

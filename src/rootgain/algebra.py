@@ -4,10 +4,12 @@ patterns, Sturm sequences, quadratic symbols.
 Everything here is exact; no floating point is used anywhere. Rational is the
 stdlib Fraction (already normalized: gcd(num, den) = 1, den >= 1). Resultants,
 discriminants, Sturm counts and gcds over Q all come from one primitive
-integer pseudo-remainder sequence of the integer models (`_prs`). Over F_p
-only the factor degrees at good primes are read (the Frobenius patterns of
-`PolyFacts`), by a block kernel and a one-prime distinct-degree kernel, both
-on the same integer model; no full factorization over F_p is taken.
+integer pseudo-remainder sequence of the integer models (`_prs`). A polynomial
+over F_p is a reduced, trimmed, ascending list of ints, for the kernels
+`_divmod_list`, `_gcd_list` and `_eval_int`. Over F_p only the factor degrees
+at good primes (the Frobenius patterns of `PolyFacts`, by a block kernel and a
+one-prime distinct-degree kernel), roots mod p and node primes are read; no
+full factorization over F_p is taken.
 """
 
 from __future__ import annotations
@@ -548,115 +550,7 @@ def poly_sqrt_exact(h: PolyQ) -> PolyQ:
 
 
 # ----------------------------------------------------------------------------
-# polynomials over F_p and Frobenius patterns
-
-
-class PolyFp:
-    """Univariate polynomial over F_p; the constructor and `reduce` check that
-    p is prime, arithmetic results reuse their operands' p through `_of`."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        if not is_prime(p):
-            raise AlgebraError(f"PolyFp: modulus {p} is not prime")
-        cs = [int(c) % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.p = p
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _of(cls, p: int, cs: list[int]) -> PolyFp:
-        """Internal constructor: p is a known prime, cs are reduced mod p."""
-        while cs and cs[-1] == 0:
-            cs.pop()
-        out = object.__new__(cls)
-        out.p = p
-        out.coeffs = tuple(cs)
-        return out
-
-    @classmethod
-    def reduce(cls, f: PolyQ, p: int) -> PolyFp:
-        """f mod p; denominators must be prime to p."""
-        if not is_prime(p):
-            raise AlgebraError(f"PolyFp: modulus {p} is not prime")
-        out = []
-        for c in f.coeffs:
-            if c.denominator % p == 0:
-                raise AlgebraError(f"reduction mod {p}: denominator divisible by {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return cls._of(p, out)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyFp) and self.p == other.p and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def _check(self, other: PolyFp):
-        if self.p != other.p:
-            raise AlgebraError("mixed moduli")
-
-    def __mul__(self, other) -> PolyFp:
-        if isinstance(other, int):
-            return PolyFp._of(self.p, [c * other % self.p for c in self.coeffs])
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PolyFp._of(self.p, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        return PolyFp._of(self.p, out)
-
-    def divmod(self, other: PolyFp) -> tuple[PolyFp, PolyFp]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        q, r = _divmod_list(list(self.coeffs), other.coeffs, self.p)
-        return PolyFp._of(self.p, q), PolyFp._of(self.p, r)
-
-    def __floordiv__(self, other: PolyFp) -> PolyFp:
-        return self.divmod(other)[0]
-
-    def monic(self) -> PolyFp:
-        if self.is_zero():
-            return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return self * inv
-
-    def gcd(self, other: PolyFp) -> PolyFp:
-        """The monic gcd; 0 when both are 0."""
-        self._check(other)
-        if self.is_zero():
-            return other.monic()
-        return PolyFp._of(self.p, _gcd_list(list(self.coeffs), list(other.coeffs), self.p))
-
-    def derivative(self) -> PolyFp:
-        return PolyFp._of(self.p, [i * c % self.p for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def __repr__(self):
-        return f"PolyFp({self.p}, {list(self.coeffs)})"
+# polynomials over F_p (reduced, trimmed, ascending int lists), Frobenius patterns
 
 
 def _divmod_list(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -982,20 +876,17 @@ def rational_roots(f: PolyQ) -> list[Rational]:
         return sorted(roots)
     bound = max(abs(ints[0]), abs(ints[-1]))
     target = 2 * bound * bound + 1
-    deriv = poly.derivative()
-    dints = [int(c) for c in deriv.coeffs]
+    dints = [i * c for i, c in enumerate(ints)][1:]
     for p in iter_primes():
         if p < 3 or ints[-1] % p == 0:
             continue
-        fp = PolyFp(p, ints)
-        if fp.gcd(fp.derivative()).degree != 0:
+        df = [c % p for c in dints]
+        while df and not df[-1]:  # trimmed for _gcd_list: f' = 0 mod p at X^3 - 1, p = 3
+            df.pop()
+        if len(_gcd_list([c % p for c in ints], df, p)) != 1:
             continue
-        res = []
-        for r in range(p):
-            if fp(r) == 0:
-                res.append(r)
         # quadratic Hensel lift of each simple root, then reconstruct
-        for r in res:
+        for r in [x for x in range(p) if _eval_int(ints, x, p) == 0]:
             m = p
             while m < target:
                 m = m * m
@@ -1013,7 +904,8 @@ def rational_roots(f: PolyQ) -> list[Rational]:
     return sorted(roots)
 
 
-def _eval_int(coeffs: list[int], x: int, m: int) -> int:
+def _eval_int(coeffs, x: int, m: int) -> int:
+    """The value at x mod m of the ascending integer coefficients `coeffs`."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % m

@@ -130,12 +130,12 @@ def certify_irreducible(h: PolyQ | PolyFacts) -> IrreducibilityCertificate:
 
 
 def irreducibility_settled(h: PolyQ | PolyFacts) -> bool:
-    """certify_irreducible(h).certified, from the same first 50 good primes:
-    it is set iff their patterns, taken together, leave no split size (the
-    full-degree pattern (n,) allows none), which does not depend on the order
-    they are read in. So it reads the blocks of PolyFacts.blocks up to the
-    first one after which no split size is left. Each pattern read stays in
-    the shared cache."""
+    """certify_irreducible(h).status != "unverified", from the same first 50
+    good primes: that holds iff their patterns, taken together, leave no split
+    size (the full-degree pattern (n,) allows none), which does not depend on
+    the order they are read in. So it reads the blocks of PolyFacts.blocks up
+    to the first one after which no split size is left. Each pattern read
+    stays in the shared cache."""
     facts = PolyFacts.of(h)
     _check_certifiable(facts)
     splits = _split_sizes(facts.poly.degree)

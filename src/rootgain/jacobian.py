@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import PolyFp, PolyQ, discriminant, legendre, primes_up_to, valuation
+from .algebra import PolyQ, _divmod_list, _eval_int, _gcd_list, discriminant, legendre, primes_up_to
 
 CONDITIONAL_TOKEN = "conditional-on-parity-conjecture"
 
@@ -50,14 +50,15 @@ class StableModelData:
 
 @dataclass(frozen=True)
 class NodePrimeRecord:
-    """An odd prime where f mod p = unit * (X-a)^2 g(X), g separable, g(a) != 0."""
+    """An odd prime where f mod p = (X-a)^2 g(X), g separable, g(a) != 0; the
+    cofactor g, unit included, is reduced mod p with ascending coefficients."""
 
     prime: int
     node: int  # the double root a in F_p
-    cofactor: PolyFp
+    cofactor: tuple[int, ...]
 
     def __post_init__(self):
-        if self.cofactor(self.node) == 0:
+        if _eval_int(self.cofactor, self.node, self.prime) == 0:
             raise JacobianError("cofactor vanishes at the node")
 
 
@@ -81,24 +82,30 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
     disc = discriminant(f)
     if disc == 0:
         raise JacobianError("f must be separable")
+    ints = [c.numerator for c in f.coeffs]
+    dints = [i * c for i, c in enumerate(ints)][1:]
     out = []
     for p in primes_up_to(bound):
-        if p == 2 or valuation(f.leading(), p) != 0 or disc % p != 0:
+        if p == 2 or ints[-1] % p == 0 or disc % p != 0:
             continue
-        fp = PolyFp.reduce(f, p)
-        g = fp.gcd(fp.derivative())
-        if g.degree != 1:
+        fp = [c % p for c in ints]
+        df = [c % p for c in dints]
+        while df and not df[-1]:  # trimmed for _gcd_list: p | deg f leaves top zeros
+            df.pop()
+        g = _gcd_list(fp, df, p)
+        if len(g) != 2:
             continue
         # monic linear gcd: the double root a = -constant term
-        a = (-g[0]) % p
-        out.append(NodePrimeRecord(prime=p, node=a, cofactor=fp // (g * g)))
+        a = -g[0] % p
+        cofactor = _divmod_list(fp, [a * a % p, -2 * a % p, 1], p)[0]
+        out.append(NodePrimeRecord(prime=p, node=a, cofactor=tuple(cofactor)))
     return out
 
 
 def tau_sign(rec: NodePrimeRecord) -> int:
     """+1 iff the node's two branch directions are Frobenius-fixed, i.e. iff
     the cofactor value at the node is a nonzero square mod p."""
-    val = rec.cofactor(rec.node)
+    val = _eval_int(rec.cofactor, rec.node, rec.prime)
     if val == 0:
         raise JacobianError("invalid record: cofactor vanishes at the node")
     return legendre(val, rec.prime)

@@ -12,7 +12,6 @@ from rootgain.algebra import (
     AlgebraError,
     NotASquare,
     PolyFacts,
-    PolyFp,
     PolyQ,
     discriminant,
     is_prime,
@@ -31,39 +30,51 @@ from rootgain.algebra import (
 
 
 def all_monic_polys(p, degree):
-    """Every monic polynomial of the exact given degree over F_p."""
-    if degree == 0:
-        yield PolyFp(p, [1])
-        return
-    coeffs = [0] * degree + [1]
-    total = p**degree
-    for k in range(total):
+    """Every monic polynomial of the exact given degree over F_p, as an
+    ascending int list."""
+    for k in range(p**degree):
         cs = []
-        v = k
         for _ in range(degree):
-            cs.append(v % p)
-            v //= p
-        yield PolyFp(p, cs + [1])
+            cs.append(k % p)
+            k //= p
+        yield cs + [1]
 
 
-def trial_division_factor(f):
-    """Exhaustive factorization oracle for small degree/modulus."""
-    p = f.p
+def gf_divmod(f, g, p):
+    """(quotient, remainder) of ascending int lists over F_p, by sympy's
+    galoistools (which shares no code with rootgain)."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
+    q, r = galoistools.gf_div(f[::-1], g[::-1], p, ZZ)
+    return [int(c) for c in q[::-1]], [int(c) for c in r[::-1]]
+
+
+def gf_monic(f, p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
+    return [int(c) for c in galoistools.gf_monic(f[::-1], p, ZZ)[1][::-1]]
+
+
+def trial_division_factor(f, p):
+    """Exhaustive factorization oracle for small degree/modulus: (monic
+    irreducible factor, multiplicity) pairs of the ascending int list f."""
     out = []
-    g = f.monic()
+    g = gf_monic(f, p)
     d = 1
-    while g.degree > 0:
-        if d > g.degree:
+    while len(g) > 1:
+        if d > len(g) - 1:
             raise AssertionError("oracle ran out of candidate degrees")
         hit = False
         for cand in all_monic_polys(p, d):
-            q, r = g.divmod(cand)
-            if r.is_zero() and trial_irreducible(cand):
+            q, r = gf_divmod(g, cand, p)
+            if not r and trial_irreducible(cand, p):
                 mult = 1
                 g = q
                 while True:
-                    q2, r2 = g.divmod(cand)
-                    if r2.is_zero():
+                    q2, r2 = gf_divmod(g, cand, p)
+                    if not r2:
                         mult += 1
                         g = q2
                     else:
@@ -73,17 +84,18 @@ def trial_division_factor(f):
                 break
         if not hit:
             d += 1
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 
-def trial_irreducible(f):
+def trial_irreducible(f, p):
     """Irreducibility by exhaustive trial division (degree <= 4 intended)."""
-    if f.degree <= 1:
-        return f.degree == 1
-    for d in range(1, f.degree // 2 + 1):
-        for cand in all_monic_polys(f.p, d):
-            if f.divmod(cand)[1].is_zero():
+    degree = len(f) - 1
+    if degree <= 1:
+        return degree == 1
+    for d in range(1, degree // 2 + 1):
+        for cand in all_monic_polys(p, d):
+            if not gf_divmod(f, cand, p)[1]:
                 return False
     return True
 
@@ -100,34 +112,29 @@ def bisection_real_roots(f, roots_bound):
 # ---------------------------------------------------------------- Frobenius patterns
 
 
-def trial_division_pattern(f):
+def trial_division_pattern(f, p):
     """Sorted factor degrees of f with multiplicity, by trial division."""
-    return tuple(sorted(g.degree for g, m in trial_division_factor(f) for _ in range(m)))
+    return tuple(sorted(len(g) - 1 for g, m in trial_division_factor(f, p) for _ in range(m)))
 
 
 def test_factor_x2_plus_1_mod_5():
-    f = PolyFp(5, [1, 0, 1])
-    fac = trial_division_factor(f)
-    assert [(list(g.coeffs), m) for g, m in fac] == [([2, 1], 1), ([3, 1], 1)]
-    assert PolyFacts(PolyQ([1, 0, 1])).patterns([5]) == [trial_division_pattern(f)] == [(1, 1)]
+    f = [1, 0, 1]
+    fac = trial_division_factor(f, 5)
+    assert fac == [([2, 1], 1), ([3, 1], 1)]
+    assert PolyFacts(PolyQ(f)).patterns([5]) == [trial_division_pattern(f, 5)] == [(1, 1)]
 
 
 def test_factor_x2_plus_1_mod_7_irreducible():
-    f = PolyFp(7, [1, 0, 1])
-    assert trial_irreducible(f)
-    assert PolyFacts(PolyQ([1, 0, 1])).patterns([7]) == [trial_division_pattern(f)] == [(2,)]
+    f = [1, 0, 1]
+    assert trial_irreducible(f, 7)
+    assert PolyFacts(PolyQ(f)).patterns([7]) == [trial_division_pattern(f, 7)] == [(2,)]
 
 
 def test_factor_quartic_mod_7_against_trial_division():
     h = PolyQ([2304, 0, -164, 0, 1])
-    f = PolyFp.reduce(h, 7)
+    f = [int(c) % 7 for c in h.coeffs]
     assert PolyFacts(h).is_good(7)
-    assert PolyFacts(h).patterns([7]) == [trial_division_pattern(f)]
-
-
-def test_polyfp_rejects_composite_modulus():
-    with pytest.raises(AlgebraError):
-        PolyFp(6, [1, 1])
+    assert PolyFacts(h).patterns([7]) == [trial_division_pattern(f, 7)]
 
 
 # ---------------------------------------------------------------- legendre

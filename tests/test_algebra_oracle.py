@@ -9,7 +9,8 @@ shared factors. is_prime
 is checked against sympy's isprime at the strong pseudoprimes psi_12 and
 psi_13 and on seeded products of two 12-digit primes, iter_primes against
 primerange, _prime_divisors against factorint on seeded products of primes
-with 6 to 14 digits, and F_p division and gcd against sympy's galoistools."""
+with 6 to 14 digits, and the F_p division and gcd kernels on int lists
+against sympy's galoistools."""
 
 import random
 from fractions import Fraction as F
@@ -23,8 +24,9 @@ from rootgain.algebra import (
     TRIAL_DIVISION_BOUND,
     FactoringIncomplete,
     PolyFacts,
-    PolyFp,
     PolyQ,
+    _divmod_list,
+    _gcd_list,
     _prime_divisors,
     discriminant,
     is_prime,
@@ -179,6 +181,18 @@ def test_rational_roots_match_sympy(f, roots):
     assert rational_roots(f) == expected
 
 
+@pytest.mark.parametrize(
+    "coeffs", [[-1, 0, 0, 1], [-8, 0, 0, 1], [-243, 0, 0, 0, 0, 1]], ids=["X^3-1", "X^3-8", "X^5-243"]
+)
+def test_rational_roots_where_the_derivative_vanishes_mod_p(coeffs):
+    """f' = 3X^2 is 0 mod 3, the first prime rational_roots tries, for X^3 - 1
+    and X^3 - 8. X^5 - 243 is X^5 mod 3, not squarefree, so 3 is skipped, and
+    f' = 5X^4 is 0 mod 5. The gcd kernel takes f' mod p trimmed, here to 0."""
+    f = PolyQ(coeffs)
+    expected = sorted(to_fraction(r) for r in sympy.roots(to_sympy(f), filter="Q"))
+    assert rational_roots(f) == expected != []
+
+
 # psi_12 and psi_13: the least composites that are strong pseudoprimes to every
 # prime base up to 37 and up to 41
 PSI_12 = 318665857834031151167461
@@ -259,30 +273,33 @@ def test_iter_primes_matches_primerange():
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 2**61 - 1])
-def test_polyfp_divmod_and_gcd_match_galoistools(p):
-    """Seeded pairs of degree -1 (zero) to 9, so zero operands and a divisor
-    of higher degree occur, and products with a shared factor, so that gcds
-    are not all 1."""
+def test_divmod_and_gcd_lists_match_galoistools(p):
+    """_divmod_list and _gcd_list on seeded reduced, trimmed, ascending lists
+    of degree -1 (zero) to 9, so zero operands and a divisor of higher degree
+    occur, and products with a shared factor, so that gcds are not all 1.
+    Each kernel is asked only within its preconditions: a nonzero divisor, and
+    a nonzero first operand of the gcd."""
     ZZ = sympy.polys.domains.ZZ
     rng = random.Random(p)
 
     def poly(degree):
         if degree < 0:
-            return PolyFp(p, [])
-        return PolyFp(p, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+            return []
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
 
     def desc(f):
-        return list(reversed(f.coeffs))
+        return f[::-1]
+
+    def asc(f):
+        return [int(c) for c in reversed(f)]
 
     for i in range(300):
         a, b = poly(rng.randint(-1, 9)), poly(rng.randint(-1, 9))
         if i % 3 == 0:
-            shared = poly(rng.randint(1, 3))
-            a, b = a * shared, b * shared
-        assert desc(a.gcd(b)) == galoistools.gf_gcd(desc(a), desc(b), p, ZZ), (a, b)
-        if b.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.divmod(b)
-            continue
-        q, r = a.divmod(b)
-        assert (desc(q), desc(r)) == galoistools.gf_div(desc(a), desc(b), p, ZZ), (a, b)
+            shared = desc(poly(rng.randint(1, 3)))
+            a, b = (asc(galoistools.gf_mul(desc(f), shared, p, ZZ)) for f in (a, b))
+        if a:
+            assert _gcd_list(a, b, p) == asc(galoistools.gf_gcd(desc(a), desc(b), p, ZZ)), (a, b)
+        if b:
+            q, r = galoistools.gf_div(desc(a), desc(b), p, ZZ)
+            assert _divmod_list(a, b, p) == (asc(q), asc(r)), (a, b)

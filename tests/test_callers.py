@@ -12,6 +12,9 @@ The record of a polynomial's facts, `algebra.PolyFacts`, is read from other
 modules only through its public members: no other module names one of its
 `_`-prefixed members (matched by attribute name).
 
+Every name a module imports is read in that module, except in `__init__.py`,
+whose imports are the package exports.
+
 All arithmetic is exact and every run is the same: no module has a float
 literal, names `float`, imports `random`, or uses a `math` function other
 than gcd, isqrt and lcm.
@@ -124,6 +127,45 @@ def test_polyfacts_private_members_are_named_only_in_algebra():
         if isinstance(node, ast.Attribute) and node.attr in private
     )
     assert outside == [], f"private PolyFacts members named outside algebra.py: {outside}"
+
+
+def _unused_imports(tree):
+    """(line, name) for each name bound by an import in a module's syntax tree
+    (`__future__` features aside) that no expression of the module reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_every_imported_name_is_read():
+    found = sorted(
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    )
+    assert found == [], f"imported names never read in src/: {found}"
+
+
+def test_the_import_scan_finds_each_unread_name():
+    source = """
+from __future__ import annotations
+import os.path
+import numpy as np
+from .algebra import PolyQ, valuation
+from math import gcd, lcm
+def f(x: PolyQ):
+    import json
+    return np.array([gcd(x, 2)])
+"""
+    found = sorted(name for _, name in _unused_imports(ast.parse(source)))
+    assert found == ["json", "lcm", "os", "valuation"]
 
 
 EXACT_MATH = {"gcd", "isqrt", "lcm"}

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from rootgain.algebra import (
     AlgebraError,
     PolyFacts,
-    PolyFp,
     PolyQ,
     _distinct_degree,
     _frobenius_patterns,
@@ -38,13 +37,27 @@ ZZ = sympy.ZZ
 PRIMES = (2, 3, 5, 7, 13, 101)
 
 
-def sympy_poly(f: PolyFp):
-    return sympy.Poly(list(reversed(f.coeffs)), X, modulus=f.p)
+def reduce_mod(h: PolyQ, p: int) -> list[int]:
+    """h mod p as a reduced ascending int list (denominators prime to p)."""
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs]
 
 
-def oracle_degrees(f: PolyFp) -> list[int]:
-    _, factors = sympy_poly(f).factor_list()
+def sympy_poly(f, p: int):
+    """The ascending int list f as a sympy polynomial over F_p."""
+    return sympy.Poly(list(reversed(f)), X, modulus=p)
+
+
+def oracle_degrees(f, p: int) -> list[int]:
+    _, factors = sympy_poly(f, p).factor_list()
     return sorted(g.degree() for g, m in factors for _ in range(m))
+
+
+def gf_product(factors, p: int) -> list[int]:
+    """The product over F_p of ascending int lists, by sympy's galoistools."""
+    out = [1]
+    for g in factors:
+        out = gf.gf_mul(out, list(reversed(g)), p, ZZ)
+    return [int(c) for c in reversed(out)]
 
 
 def seeded_polys():
@@ -74,15 +87,15 @@ def test_degrees_and_irreducibility_match_sympy(p):
     good = [h for h in POLYS if PolyFacts(h).is_good(p)]
     assert len(good) > len(POLYS) // 4
     for h in good:
-        assert list(PolyFacts(h).patterns([p])[0]) == oracle_degrees(PolyFp.reduce(h, p)), (h, p)
+        assert list(PolyFacts(h).patterns([p])[0]) == oracle_degrees(reduce_mod(h, p), p), (h, p)
 
 
-def irreducibles(p: int, d: int, count: int, rng: random.Random) -> list[PolyFp]:
+def irreducibles(p: int, d: int, count: int, rng: random.Random) -> list[list[int]]:
     """`count` distinct monic irreducibles of degree d mod p, by sympy."""
-    found: list[PolyFp] = []
+    found: list[list[int]] = []
     while len(found) < count:
-        g = PolyFp(p, [rng.randrange(p) for _ in range(d)] + [1])
-        if sympy_poly(g).is_irreducible and g not in found:
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if sympy_poly(g, p).is_irreducible and g not in found:
             found.append(g)
     return found
 
@@ -101,10 +114,10 @@ def test_products_of_equal_degree_irreducibles(p):
         k = min(k, irreducible_count(p, d))
         gs = irreducibles(p, d, k, rng)
         for lead, extra in ((1, []), (p - 1, irreducibles(p, d + 1, 1, rng))):
-            f = reduce(mul, gs + extra) * lead
-            expected = sorted([d] * k + [e.degree for e in extra])
-            assert oracle_degrees(f) == expected
-            assert list(PolyFacts(PolyQ(f.coeffs)).patterns([p])[0]) == expected
+            f = gf_product(gs + extra + [[lead]], p)
+            expected = sorted([d] * k + [len(e) - 1 for e in extra])
+            assert oracle_degrees(f, p) == expected
+            assert list(PolyFacts(PolyQ(f)).patterns([p])[0]) == expected
 
 
 def test_scalar_reads_of_non_monic_rational_polys_at_primes_up_to_the_degree():
@@ -144,7 +157,7 @@ def block_read(facts, count):
 def test_degree_12_fiber_patterns_match_sympy(t0):
     h = specialize(psl2_11_degree12_pencil(), t0)
     for p, pattern in scalar_reads(PolyFacts(h), 50):
-        assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), p
+        assert list(pattern) == oracle_degrees(reduce_mod(h, p), p), p
 
 
 # ---------------------------------------------------------------- the kernel
@@ -153,25 +166,25 @@ KERNEL_PRIMES = (2, 3, 5, 101, 2**31 - 1, 10**9 + 7, 2**61 - 1, 2**89 - 1)
 LARGE_PRIMES = KERNEL_PRIMES[-3:]
 
 
-def squarefree_monic(p: int, rng: random.Random, max_degree: int = 16) -> list[PolyFp]:
+def squarefree_monic(p: int, rng: random.Random, max_degree: int = 16) -> list[list[int]]:
     """For each degree 1..max_degree: a random monic polynomial and a product
     of random monic factors of degree <= 4 (several blocks even at large p),
     each the first of its kind drawn that sympy finds squarefree mod p."""
 
     def monic(d):
-        return PolyFp(p, [rng.randrange(p) for _ in range(d)] + [1])
+        return [rng.randrange(p) for _ in range(d)] + [1]
 
     def product(d):
         parts = []
         while sum(parts) < d:
             parts.append(min(rng.randint(1, 4), d - sum(parts)))
-        return reduce(mul, map(monic, parts))
+        return gf_product(map(monic, parts), p)
 
     out = []
     for degree in range(1, max_degree + 1):
         for make in (monic, product):
             f = make(degree)
-            while not gf.gf_sqf_p(list(reversed(f.coeffs)), p, ZZ):
+            while not gf.gf_sqf_p(list(reversed(f)), p, ZZ):
                 f = make(degree)
             out.append(f)
     return out
@@ -181,10 +194,10 @@ def squarefree_monic(p: int, rng: random.Random, max_degree: int = 16) -> list[P
 def test_distinct_degree_matches_gf_ddf_zassenhaus(p):
     rng = random.Random(p)
     for f in squarefree_monic(p, rng):
-        blocks = gf.gf_ddf_zassenhaus(list(reversed(f.coeffs)), p, ZZ)
+        blocks = gf.gf_ddf_zassenhaus(list(reversed(f)), p, ZZ)
         # each block: its product g of degree-d irreducibles gives deg(g) / d entries d
         expected = tuple(d for g, d in blocks for _ in range((len(g) - 1) // d))
-        assert _distinct_degree(list(f.coeffs), p) == expected, f
+        assert _distinct_degree(f, p) == expected, f
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -193,15 +206,15 @@ def test_factor_mod_p_and_irreducibility_at_large_primes(p):
     sympy's gf_factor_sqf, and a seeded irreducible reads as (degree,)."""
     rng = random.Random(p + 1)
     for f in squarefree_monic(p, rng, max_degree=8):
-        _, factors = gf.gf_factor_sqf(list(reversed(f.coeffs)), p, ZZ)
+        _, factors = gf.gf_factor_sqf(list(reversed(f)), p, ZZ)
         expected = tuple(sorted(len(g) - 1 for g in factors))
-        assert _distinct_degree(list(f.coeffs), p) == expected, f
+        assert _distinct_degree(f, p) == expected, f
     # seeded irreducibles, as sympy finds them
     for degree in (2, 3, 5, 8):
-        g = PolyFp(p, [rng.randrange(p) for _ in range(degree)] + [1])
-        while not gf.gf_irreducible_p(list(reversed(g.coeffs)), p, ZZ):
-            g = PolyFp(p, [rng.randrange(p) for _ in range(degree)] + [1])
-        assert _distinct_degree(list(g.coeffs), p) == (degree,)
+        g = [rng.randrange(p) for _ in range(degree)] + [1]
+        while not gf.gf_irreducible_p(list(reversed(g)), p, ZZ):
+            g = [rng.randrange(p) for _ in range(degree)] + [1]
+        assert _distinct_degree(g, p) == (degree,)
 
 
 # ---------------------------------------------------------------- the block kernel
@@ -234,7 +247,7 @@ def test_frobenius_block_matches_the_lazy_reads_and_sympy(h, count):
     facts.patterns([expected[-1][0]])
     assert block_read(facts, count) == expected
     for p, pattern in block:
-        assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), (h, p)
+        assert list(pattern) == oracle_degrees(reduce_mod(h, p), p), (h, p)
 
 
 @pytest.mark.parametrize("t0", [F(-18, 19), F(-17, 19)])
@@ -247,7 +260,7 @@ def test_degree_12_fiber_blocks_match_the_lazy_reads(t0):
     scalar_reads(facts, 30)
     assert block_read(facts, 100) == expected
     for p, pattern in expected[:60:6]:
-        assert list(pattern) == oracle_degrees(PolyFp.reduce(h, p)), p
+        assert list(pattern) == oracle_degrees(reduce_mod(h, p), p), p
 
 
 def widest_int64_prime(n: int) -> int:
@@ -275,7 +288,7 @@ def test_frobenius_patterns_at_large_primes_match_sympy(degree, data):
         if not primes:
             continue
         for p, pattern in zip(primes, _frobenius_patterns(coeffs, primes)):
-            assert list(pattern) == oracle_degrees(PolyFp(p, coeffs)), (coeffs, p)
+            assert list(pattern) == oracle_degrees([c % p for c in coeffs], p), (coeffs, p)
 
 
 def test_frobenius_patterns_refuse_exactly_the_non_squarefree_reductions():
@@ -294,7 +307,7 @@ def test_frobenius_patterns_refuse_exactly_the_non_squarefree_reductions():
         for p in primes:
             if squarefree[p]:
                 (pattern,) = _frobenius_patterns(coeffs, [p])
-                assert list(pattern) == oracle_degrees(PolyFp(p, coeffs)), (coeffs, p)
+                assert list(pattern) == oracle_degrees([c % p for c in coeffs], p), (coeffs, p)
             else:
                 refused += 1
                 with pytest.raises(AlgebraError):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from rootgain.algebra import (
-    PolyFp,
     PolyQ,
     legendre,
     primes_up_to,
@@ -35,22 +34,32 @@ def model(orbits, s=1):
 # ---------------------------------------------------------------- node primes
 
 
-def factor_list_mod_p(f: PolyFp):
-    """[(g, m)]: the monic irreducible factors of f over F_p with their
-    multiplicities, by sympy."""
+def reduce_mod(f: PolyQ, p):
+    """f mod p as a reduced, trimmed, ascending int list (denominators prime
+    to p)."""
+    out = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def factor_list_mod_p(cs, p):
+    """[(g, m)]: the monic irreducible factors over F_p of the ascending int
+    list cs, each a reduced ascending tuple, with their multiplicities, by
+    sympy."""
     sympy = pytest.importorskip("sympy")
-    _, factors = sympy.Poly(f.coeffs[::-1], sympy.Symbol("x"), modulus=f.p).factor_list()
-    return [(PolyFp(f.p, [int(c) for c in g.all_coeffs()[::-1]]), m) for g, m in factors]
+    _, factors = sympy.Poly(cs[::-1], sympy.Symbol("x"), modulus=p).factor_list()
+    return [(tuple(int(c) % p for c in g.all_coeffs()[::-1]), m) for g, m in factors]
 
 
 def node_pattern_oracle(f, p):
     """Directly factor f mod p and test for exactly one double linear factor
     with everything else simple and away from the node."""
-    fp = PolyFp.reduce(f, p)
-    if fp.degree != f.degree:
+    fp = reduce_mod(f, p)
+    if len(fp) - 1 != f.degree:
         return None
-    fac = factor_list_mod_p(fp)
-    doubles = [(g, m) for g, m in fac if m == 2 and g.degree == 1]
+    fac = factor_list_mod_p(fp, p)
+    doubles = [(g, m) for g, m in fac if m == 2 and len(g) == 2]
     if len(doubles) != 1:
         return None
     if any(m != 1 for g, m in fac if (g, m) != doubles[0]):
@@ -58,7 +67,7 @@ def node_pattern_oracle(f, p):
     g, _ = doubles[0]
     a = (-g[0]) % p
     rest = [h for h, m in fac if h != g]
-    if any(h(a) == 0 for h in rest):
+    if any(sum(c * a**i for i, c in enumerate(h)) % p == 0 for h in rest):
         return None
     # cofactor separable: distinct irreducible factors, all multiplicity one
     if len(set(rest)) != len(rest):
@@ -87,7 +96,7 @@ def test_find_node_primes_simple_disc_root():
     recs = find_node_primes(f, 200)
     assert {r.prime for r in recs} == {3, 7, 23}
     for r in recs:
-        assert r.cofactor.degree == f.degree - 2
+        assert len(r.cofactor) - 1 == f.degree - 2
 
 
 def test_triple_root_prime_excluded():
@@ -100,21 +109,29 @@ def test_triple_root_prime_excluded():
 
 
 def node_primes_full_check(f, bound):
-    """find_node_primes with every check spelled out: divide by X - a twice,
-    then require a cofactor that is nonzero at a and separable."""
+    """find_node_primes with every check spelled out in sympy's galoistools
+    (descending lists): divide by X - a twice, then require a cofactor that is
+    nonzero at a and separable."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
+    def gcd_with_derivative(g, p):
+        return gt.gf_gcd(g, gt.gf_diff(g, p, ZZ), p, ZZ)
+
     out = []
     for p in primes_up_to(bound):
         if p == 2 or valuation(f.leading(), p) != 0:
             continue
-        fp = PolyFp.reduce(f, p)
-        if fp.gcd(fp.derivative()).degree != 1:
+        fp = reduce_mod(f, p)[::-1]
+        g = gcd_with_derivative(fp, p)
+        if len(g) != 2:
             continue
-        a = -fp.gcd(fp.derivative())[0] % p
-        lin = PolyFp(p, [-a, 1])
-        q1, r1 = fp.divmod(lin)
-        q2, r2 = q1.divmod(lin)
-        if r1.is_zero() and r2.is_zero() and q2(a) and q2.gcd(q2.derivative()).degree == 0:
-            out.append((p, a, q2))
+        a = -g[1] % p
+        lin = [1, -a % p]
+        q1, r1 = gt.gf_div(fp, lin, p, ZZ)
+        q2, r2 = gt.gf_div(q1, lin, p, ZZ)
+        if not r1 and not r2 and gt.gf_eval(q2, a, p, ZZ) and len(gcd_with_derivative(q2, p)) == 1:
+            out.append((p, a, tuple(int(c) for c in reversed(q2))))
     return out
 
 
@@ -149,28 +166,30 @@ def test_inseparable_rejected():
 
 
 def test_tau_examples():
-    rec = NodePrimeRecord(7, 0, PolyFp(7, [1, 0, 0, 1]))
-    assert rec.cofactor(0) == 1
+    rec = NodePrimeRecord(7, 0, (1, 0, 0, 1))
+    assert rec.cofactor[0] == 1  # the value at the node 0
     assert tau_sign(rec) == 1
-    rec2 = NodePrimeRecord(7, 0, PolyFp(7, [3, 0, 0, 1]))
+    rec2 = NodePrimeRecord(7, 0, (3, 0, 0, 1))
     assert tau_sign(rec2) == -1  # 3 is a non-residue mod 7
 
 
 def test_tau_against_quadratic_splitting_oracle():
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
     rng = random.Random(1234)
     count = 0
     while count < 500:
         p = rng.choice([3, 5, 7, 11, 13, 17])
         a = rng.randrange(p)
         coeffs = [rng.randrange(p) for _ in range(3)] + [1]
-        cof = PolyFp(p, coeffs)
-        if cof(a) == 0:
+        value = int(gt.gf_eval(coeffs[::-1], a, p, ZZ))  # the cofactor at a
+        if value == 0:
             continue
         count += 1
-        rec = NodePrimeRecord(p, a, cof)
-        # oracle: Y^2 - cof(a) splits into linears iff cof(a) is a square
-        quad = PolyFp(p, [(-cof(a)) % p, 0, 1])
-        split = all(g.degree == 1 for g, _ in factor_list_mod_p(quad))
+        rec = NodePrimeRecord(p, a, tuple(coeffs))
+        # oracle: Y^2 - value splits into linears iff value is a square
+        split = all(len(g) == 2 for g, _ in factor_list_mod_p([-value % p, 0, 1], p))
         assert (tau_sign(rec) == 1) == split
 
 

@@ -1,8 +1,8 @@
 """Differential tests of the shared per-polynomial record (PolyFacts).
 
 Every function that reads the record is compared with a reference computed
-here prime by prime, straight from PolyFp.reduce and sympy's factorization
-over F_p, sharing nothing between calls.
+here prime by prime, straight from the coefficients reduced mod p and sympy's
+factorization over F_p, sharing nothing between calls.
 """
 
 import pickle
@@ -19,7 +19,6 @@ import rootgain.mestre as mestre_module
 from rootgain.algebra import (
     AlgebraError,
     PolyFacts,
-    PolyFp,
     PolyQ,
     discriminant,
     iter_primes,
@@ -58,8 +57,8 @@ def good_primes(h):
 def pattern(h, p):
     """Sorted factor degrees of h mod p, with multiplicity, by sympy."""
     sympy = pytest.importorskip("sympy")
-    f = PolyFp.reduce(h, p)
-    _, factors = sympy.Poly(f.coeffs[::-1], sympy.Symbol("x"), modulus=p).factor_list()
+    f = [c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs]
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p).factor_list()
     return tuple(sorted(g.degree() for g, m in factors for _ in range(m)))
 
 
@@ -254,13 +253,7 @@ def test_patterns_reads_two_or_more_uncached_primes_above_the_degree_in_one_bloc
     assert calls == [[7, 11, 13, 17]]
 
 
-def test_moduli_checked_where_polyfp_enters():
-    with pytest.raises(AlgebraError):
-        PolyFp(6, [1, 1])
-    with pytest.raises(AlgebraError):
-        PolyFp.reduce(PolyQ([1, 1]), 6)
-    with pytest.raises(AlgebraError):
-        PolyFp.reduce(PolyQ([F(1, 2), 1]), 6)
+def test_moduli_checked_where_outside_primes_enter():
     # the good-prime test, like the valuations it reads, takes primes only
     with pytest.raises(AlgebraError):
         PolyFacts(PolyQ([1, 0, 1])).is_good(6)
