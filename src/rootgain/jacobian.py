@@ -104,11 +104,9 @@ def find_node_primes(f: PolyQ, bound: int) -> list[NodePrimeRecord]:
 
 def tau_sign(rec: NodePrimeRecord) -> int:
     """+1 iff the node's two branch directions are Frobenius-fixed, i.e. iff
-    the cofactor value at the node is a nonzero square mod p."""
-    val = _eval_int(rec.cofactor, rec.node, rec.prime)
-    if val == 0:
-        raise JacobianError("invalid record: cofactor vanishes at the node")
-    return legendre(val, rec.prime)
+    the cofactor value at the node is a nonzero square mod p. The record
+    refuses a cofactor that vanishes at the node, so the value is a unit."""
+    return legendre(_eval_int(rec.cofactor, rec.node, rec.prime), rec.prime)
 
 
 def local_root_number_bks(M: StableModelData) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -185,16 +185,6 @@ class _BaseIndex:
         """Rows of the elements with the given base images (along the last axis)."""
         return self.lookup[images @ self.weights]
 
-    def table(self) -> np.ndarray:
-        """N x N array of the row of a*b (a after b), found from a(b(base)).
-        `all_subgroups` is its only caller."""
-        arr = self.arr.astype(np.intp)  # native-width index arrays gather fastest
-        on_base = arr[:, self.base]
-        table = np.empty((len(arr), len(arr)), dtype=self.lookup.dtype)
-        for a, images in enumerate(arr):
-            table[a] = self.find(images[on_base])
-        return table
-
 
 class PermGroup:
     """Finitely generated subgroup of S_n with lazily materialized elements."""
@@ -336,16 +326,17 @@ def _subgroup_rows(G: PermGroup, elements) -> np.ndarray:
 def centralizer_scan(G: PermGroup, x: Perm) -> list[Perm]:
     """Exact centralizer of the permutation x in G, in G's element order.
 
-    g commutes with x only if g(x(i)) = x(g(i)) at a point i that x moves, which
-    in a 2-transitive group leaves about |G|/(n-1) rows; only those are compared
-    on every point. x need not lie in G.
+    g commutes with x only if g(x(i)) = x(g(i)) at every point i that x moves.
+    The rows are filtered on the first three such points, one at a time: in a
+    2-transitive group the first leaves about |G|/(n-1) rows and the next two
+    leave few, and only those are compared on every point. x need not lie in G.
     """
     arr = G.element_array()
-    xa = np.array(x)
+    xa = np.array(x, dtype=arr.dtype)
     moved = np.flatnonzero(xa != np.arange(len(xa)))
-    i = moved[0] if len(moved) else 0
-    rows = np.flatnonzero(arr[:, xa[i]] == xa[arr[:, i]])
-    survivors = arr[rows]
+    survivors = arr
+    for i in moved[:3].tolist():
+        survivors = np.compress(survivors[:, xa[i]] == xa.take(survivors[:, i]), survivors, axis=0)
     return list(map(tuple, survivors[(survivors[:, xa] == xa[survivors]).all(axis=1)].tolist()))
 
 
@@ -442,15 +433,32 @@ def cyclic_powers(c: Perm) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-def _power_rows(index: _BaseIndex, c: list[int]) -> np.ndarray:
-    """The rows of c^0, c^1, ..., c^(m-1), found from their images on the base."""
-    start = tuple(index.base)
-    images = [start]
-    b = tuple(c[v] for v in start)
-    while b != start:
-        images.append(b)
-        b = tuple(c[v] for v in b)
-    return index.find(np.array(images, dtype=np.intp).reshape(len(images), len(start)))
+def _lex_rank(arr: np.ndarray) -> np.ndarray:
+    """The position of each row of arr in the lexicographic order of the rows,
+    in the narrowest signed type that holds it."""
+    rank = np.empty(len(arr), dtype=np.min_scalar_type(-len(arr)))
+    rank[np.lexsort(arr.T[::-1])] = np.arange(len(arr))
+    return rank
+
+
+def _power_table(index: _BaseIndex) -> tuple[list[np.ndarray], np.ndarray]:
+    """The rows of x^0, x^1, ..., x^(M-1) for every element x at once, one
+    column per power, M the largest element order; and the order of each x.
+    Column k + 1 is found from x(x^k(base)), one gather of every row by the
+    previous base images; the walk stops when every row has come back to the
+    identity (row 0)."""
+    N, n = index.arr.shape
+    flat = index.arr.ravel()
+    starts = np.arange(0, N * n, n)[:, None]  # where each row begins in `flat`
+    images = np.broadcast_to(np.array(index.base, dtype=np.intp), (N, len(index.base)))
+    columns = [np.zeros(N, dtype=index.lookup.dtype)]
+    order = np.zeros(N, dtype=np.intp)
+    while not order.all():
+        images = flat[starts + images]
+        row = index.find(images)
+        order[(row == 0) & (order == 0)] = len(columns)
+        columns.append(row)
+    return columns[:-1], order
 
 
 def cyclic_subgroup_representatives(
@@ -462,32 +470,35 @@ def cyclic_subgroup_representatives(
     Also returns, for each row of G's elements, the position in that list of the
     subgroup the element generates.
 
-    Each subgroup <c> is built once, from the first of its generators in G's
-    order, by one walk of its powers on the base; every c^j with
-    gcd(j, |c|) = 1 is then marked done.
+    Every element's powers come from one power table (`_power_table`). The
+    canonical generator of <x> is the x^j with gcd(j, |x|) = 1 of least
+    lexicographic rank, read one column j at a time, so the elements that
+    generate one subgroup share it.
     """
     index = G.base_index
-    arr = index.arr
-    todo = [True] * len(arr)
-    found = []  # (canonical generator, rows of its powers, rows of its generators)
-    for i in range(len(arr)):
-        if not todo[i]:
-            continue
-        rows = _power_rows(index, arr[i].tolist())
-        m = len(rows)
-        coprime = [j for j in range(m) if gcd(j, m) == 1]
-        gen_rows = rows[coprime]
-        for r in gen_rows.tolist():
-            todo[r] = False
-        j0 = coprime[np.lexsort(arr[gen_rows].T[::-1])[0]]
-        found.append((int(rows[j0]), rows[j0 * np.arange(m) % m], gen_rows))
-    found.sort(key=lambda t: (len(t[1]), arr[t[0]].tolist()))
-    generated_by = np.empty(len(arr), dtype=np.intp)
+    columns, order = _power_table(index)
+    rank = _lex_rank(index.arr)
+    orders, order_at = np.unique(order, return_inverse=True)
+    # x^0 generates only the trivial subgroup, which the identity (row 0) alone
+    # generates
+    canonical = np.zeros(len(order), dtype=np.intp)
+    least = np.full(len(order), len(order), dtype=np.intp)
+    least[0] = rank[0]
+    for j, rows in enumerate(columns[1:], start=1):
+        coprime = ((np.gcd(j, orders) == 1) & (j < orders))[order_at]
+        better = coprime & (rank[rows] < least)
+        canonical[better] = rows[better]
+        least[better] = rank[rows[better]]
+    subgroups, generated = np.unique(canonical, return_inverse=True)
+    by_order = np.lexsort((rank[subgroups], order[subgroups]))
+    subgroups = subgroups[by_order]
+    position = np.empty(len(subgroups), dtype=np.intp)
+    position[by_order] = np.arange(len(subgroups))
     reps = []
-    for k, (c, powers, gen_rows) in enumerate(found):
-        generated_by[gen_rows] = k
-        reps.append((c, powers))
-    return reps, generated_by
+    for m in orders.tolist():  # the subgroups of order m, one block of powers each
+        of_order = subgroups[order[subgroups] == m]
+        reps += zip(of_order.tolist(), np.stack([rows[of_order] for rows in columns[:m]], axis=1))
+    return reps, position[generated]
 
 
 def _cycle_counts(xs: np.ndarray) -> np.ndarray:
@@ -527,6 +538,9 @@ class MetacyclicCandidate:
         return (self.degree - self.orbits_full) % 2 == 1
 
 
+_CONJUGATE_CHUNK = 1 << 10  # rows g x g^-1 the metacyclic search finds at once
+
+
 def metacyclic_odd_orbit_search(
     G: PermGroup, require_inertia_even: bool = False
 ) -> list[MetacyclicCandidate]:
@@ -548,11 +562,19 @@ def metacyclic_odd_orbit_search(
     generator are class functions (a generator of g R g^-1 is g c^j g^-1 with
     gcd(j, |c|) = 1, and j is odd when |c| is even, while c of odd order is
     even), so `require_inertia_even` drops whole classes.
+
+    The g x g^-1 of a class are found from their base images g(x(g^-1(b))), a
+    chunk of conjugators g at a time (`_CONJUGATE_CHUNK` rows), and each
+    subgroup's x are put in order by the lexicographic rank of their rows
+    (`_lex_rank`, computed once per search).
     """
     n = G.degree
     reps, generated_by = cyclic_subgroup_representatives(G)
+    # both held to the end, in the narrowest types that hold them
+    generated_by = generated_by.astype(np.min_scalar_type(-len(reps)))
     index = G.base_index
     arr = index.arr
+    rank = _lex_rank(arr)
     solved: dict[int, tuple[int, bool, list[tuple[Perm, int]]]] = {}
     out: list[MetacyclicCandidate] = []
     for k, (c_row, powers) in enumerate(reps):
@@ -568,13 +590,23 @@ def metacyclic_odd_orbit_search(
             is_odd = (n - orbs) % 2 == 1
             xs, orbs = xs[is_odd], orbs[is_odd]
             subgroups, conjugators = np.unique(generated_by[conj], return_index=True)
-            # <c> itself is first reached at the identity, row 0
-            for s, g in zip(subgroups.tolist(), conjugators.tolist()):
-                g = arr[g]
-                moved = g[xs[:, np.argsort(g)]]  # g x g^-1
-                order = np.lexsort(moved.T[::-1])
-                moved_odd = list(zip(map(tuple, moved[order].tolist()), orbs[order].tolist()))
-                solved[s] = (orb_i, c_even, moved_odd)
+            # <c> itself is first reached at the identity, row 0. For a chunk of
+            # conjugators g, row [s, i] of `moved` is g x g^-1 for the s-th g
+            # and the i-th odd x
+            step = max(1, _CONJUGATE_CHUNK // max(1, len(xs)))
+            for start in range(0, len(conjugators), step):
+                gs = conjugators[start : start + step, None]
+                inner = xs.T[index.inverse_base[gs[:, 0]]].reshape(len(gs), -1)  # x(g^-1(b))
+                on_base = arr[gs, inner].reshape(len(gs), len(index.base), len(xs))
+                moved = index.find(on_base.swapaxes(1, 2))
+                order = np.argsort(rank[moved], axis=1)
+                moved = moved[np.arange(len(gs))[:, None], order]
+                for s, moved_odd, orbs_odd in zip(
+                    subgroups[start : start + step].tolist(),
+                    arr[moved].tolist(),
+                    orbs[order].tolist(),
+                ):
+                    solved[s] = (orb_i, c_even, list(zip(map(tuple, moved_odd), orbs_odd)))
         orb_i, c_even, odd = solved.pop(k)
         c = tuple(arr[c_row].tolist())
         out += [MetacyclicCandidate(n, c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
@@ -586,8 +618,10 @@ def psl2_11_degree55() -> PermGroup:
     cyclic subgroup <c> of order 6, the 12 g with g c g^-1 in <c>."""
     G = psl2_natural(11)
     index = G.base_index
-    c6 = next(c for c in index.arr if perm_order(c.tolist()) == 6)
-    N = index.arr[np.isin(_conjugates(index, c6), _power_rows(index, c6.tolist()))]
+    columns, order = _power_table(index)
+    c6 = np.flatnonzero(order == 6)[0]  # the first of order 6 in G's order
+    powers = [rows[c6] for rows in columns[:6]]
+    N = index.arr[np.isin(_conjugates(index, index.arr[c6]), powers)]
     if len(N) != 12:
         raise GroupError(f"expected an order-12 normalizer, got {len(N)}")
     return coset_action(G, N)
@@ -660,7 +694,9 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     Cyclic subgroups first, then single-element extensions to a fixpoint; this
     reaches every subgroup since any chain <g1> <= <g1,g2> <= ... realizes it.
     Subgroups are Python-int bitmasks over the element indices until the end.
-    For each queued subgroup s, the masks of its right cosets s x are summed
+    The product table is read off the products a(b(i)) that the closure check
+    forms anyway, by one base-index `find` over their base images. For each
+    queued subgroup s, the masks of its right cosets s x are summed
     from the product table's rows of one-element masks (`_right_cosets`); one
     g per double coset s g s is tried (`_double_coset_reps`), and <s, g> is
     joined a whole right coset at a time (`_join`, the kernel that
@@ -679,10 +715,12 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
     """
     perms = [tuple(e) for e in elements]
     arr = np.array(perms, dtype=np.min_scalar_type(-len(perms[0])))
-    table = _BaseIndex(arr).table()
-    # base images identify a product only if it is a member: compare whole
-    # products, [a, b, i] = a(b(i))
-    if not np.array_equal(arr[:, arr], arr[table]):
+    index = _BaseIndex(arr)
+    # the row of a*b (a after b), found from a(b(base)); base images identify a
+    # product only if it is a member, so compare whole products, [a, b, i] = a(b(i))
+    products = arr[:, arr]
+    table = index.find(products[:, :, index.base])
+    if not np.array_equal(products, arr[table]):
         raise GroupError("all_subgroups: the elements are not closed under composition")
     cols = table.T.tolist()  # cols[a][r] = r a
     one = [1 << x for x in range(len(arr))]

@@ -32,7 +32,7 @@ KEEP = {
     "global_root_semistable": "a test oracle for W(E/Q), and the caller-to-be of ROADMAP item 14",
     "inverse": "an independent oracle in tests for the row kernels",
     "fixed_points": "an independent oracle in tests for the row kernels",
-    "cyclic_powers": "an independent oracle in tests for the cyclic-subgroup walk",
+    "cyclic_powers": "an independent oracle in tests for the cyclic-subgroup power table",
     "an_certificate": "a library entry point: its tests and the benchmark's A_n requests call it",
     "all_subgroups": "a library entry point: acceptance tests and the benchmark's lattices call it",
     "resultant": "a library entry point: discriminant reads the same _prs scalar off PolyFacts",

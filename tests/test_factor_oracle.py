@@ -201,7 +201,7 @@ def test_distinct_degree_matches_gf_ddf_zassenhaus(p):
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
-def test_factor_mod_p_and_irreducibility_at_large_primes(p):
+def test_distinct_degree_at_large_primes_matches_sympy(p):
     """The factor degrees mod p that _distinct_degree reads are those of
     sympy's gf_factor_sqf, and a seeded irreducible reads as (degree,)."""
     rng = random.Random(p + 1)
@@ -237,7 +237,7 @@ SEPARABLE = polys_over_q().filter(lambda h: PolyFacts(h).disc != 0)
 @given(h=SEPARABLE, count=st.integers(1, 40))
 @example(h=PolyQ([-1, -1, 0, 0, 0, 1]), count=12)  # X^5 - X - 1: 2, 3 and 5 are good
 @example(h=PolyQ([F(1, 2), 3]), count=30)  # degree 1
-def test_frobenius_block_matches_the_lazy_reads_and_sympy(h, count):
+def test_frobenius_patterns_match_the_lazy_reads_and_sympy(h, count):
     expected = scalar_reads(PolyFacts(h), count)
     block = block_read(PolyFacts(h), count)
     assert block == expected
@@ -318,7 +318,7 @@ def test_frobenius_patterns_refuse_exactly_the_non_squarefree_reductions():
     assert refused > 50
 
 
-def test_frobenius_block_refuses_what_frobenius_refuses():
+def test_frobenius_patterns_refuse_what_polyfacts_refuses():
     for h in (PolyQ([0, 0, 1]), PolyQ([4, -4, 1]) * PolyQ([1, 1])):  # disc 0
         with pytest.raises(AlgebraError):
             PolyFacts(h).good_primes(3)

@@ -173,6 +173,21 @@ def test_tau_examples():
     assert tau_sign(rec2) == -1  # 3 is a non-residue mod 7
 
 
+@pytest.mark.parametrize(
+    "prime, node, cofactor",
+    [
+        (7, 0, (0, 1)),  # X at 0
+        (7, 2, (5, 1)),  # X + 5 at 2: 7
+        (11, 3, (2, 0, 1)),  # X^2 + 2 at 3: 11
+        (5, 1, ()),  # the zero polynomial
+    ],
+)
+def test_record_refuses_a_cofactor_vanishing_at_the_node(prime, node, cofactor):
+    # so tau_sign only ever reads a unit mod p
+    with pytest.raises(JacobianError, match="vanishes at the node"):
+        NodePrimeRecord(prime, node, cofactor)
+
+
 def test_tau_against_quadratic_splitting_oracle():
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy import ZZ

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import tracemalloc
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -38,8 +38,10 @@ from rootgain.permgroup import (
     transitive_typesets,
 )
 from rootgain.permgroup import (
+    MetacyclicCandidate,
     _BaseIndex,
     _conjugacy_classes,
+    _conjugates,
     _cycle_counts,
     _double_coset_reps,
     _join,
@@ -465,13 +467,20 @@ def test_transitive_typesets_a7():
 
 
 def test_transitive_typesets_build_no_product_table(monkeypatch):
-    """Every map comes from a base-index gather: with the N x N table refused,
+    """Every map comes from a base-index gather of one row of base images per
+    element at most: with a `find` over an N x N array of products refused,
     the uncached function still gives the expected typesets."""
+    find = _BaseIndex.find
 
-    def refuse(self):
-        raise AssertionError("transitive_typesets built the product table")
+    def one_row_per_element(self, images):
+        if images.ndim != 2 or len(images) > len(self.arr):
+            raise AssertionError("a product table was built")
+        return find(self, images)
 
-    monkeypatch.setattr(_BaseIndex, "table", refuse)
+    monkeypatch.setattr(_BaseIndex, "find", one_row_per_element)
+    # the guard bites: `all_subgroups` reads its table off N x N products
+    with pytest.raises(AssertionError, match="product table"):
+        all_subgroups(alternating_group(4).elements)
     build = transitive_typesets.__wrapped__
     assert build(4) == A4_TYPESETS
     assert set(build(5)) == A5_TYPESETS
@@ -790,6 +799,153 @@ CLASS_GROUPS = {
 def test_class_wise_metacyclic_search_matches_plain_loop(name):
     G = CLASS_GROUPS[name]()
     _check_search_against_plain(G)
+
+
+# ---------------------------------------------------------------- walks and loops
+#
+# The cyclic subgroups and the metacyclic search as they were computed one
+# element and one subgroup at a time, before the power table and the
+# per-class gathers: one walk of c's powers on the base per subgroup, and one
+# lexsort of g x g^-1 per conjugate subgroup.
+
+
+def _walk_power_rows(index, c):
+    """The rows of c^0, c^1, ..., c^(m-1), walked on the base one power at a time."""
+    start = tuple(index.base)
+    images = [start]
+    b = tuple(c[v] for v in start)
+    while b != start:
+        images.append(b)
+        b = tuple(c[v] for v in b)
+    return index.find(np.array(images, dtype=np.intp).reshape(len(images), len(start)))
+
+
+def _walked_cyclic_subgroups(G):
+    """`cyclic_subgroup_representatives` by one power walk per subgroup, from
+    the first of its generators in G's order; its c^j with gcd(j, |c|) = 1 are
+    then marked done, and the least of them by lexsort is the canonical one."""
+    index = G.base_index
+    arr = index.arr
+    todo = [True] * len(arr)
+    found = []  # (canonical generator, rows of its powers, rows of its generators)
+    for i in range(len(arr)):
+        if not todo[i]:
+            continue
+        rows = _walk_power_rows(index, arr[i].tolist())
+        m = len(rows)
+        coprime = [j for j in range(m) if gcd(j, m) == 1]
+        gen_rows = rows[coprime]
+        for r in gen_rows.tolist():
+            todo[r] = False
+        j0 = coprime[np.lexsort(arr[gen_rows].T[::-1])[0]]
+        found.append((int(rows[j0]), rows[j0 * np.arange(m) % m], gen_rows))
+    found.sort(key=lambda t: (len(t[1]), arr[t[0]].tolist()))
+    generated_by = np.empty(len(arr), dtype=np.intp)
+    reps = []
+    for k, (c, powers, gen_rows) in enumerate(found):
+        generated_by[gen_rows] = k
+        reps.append((c, powers))
+    return reps, generated_by
+
+
+def _subgroupwise_search(G, require_inertia_even=False):
+    """`metacyclic_odd_orbit_search` on the walked cyclic subgroups, with the
+    odd x of each class carried to every conjugate subgroup g<c>g^-1 by its
+    own gather and lexsort."""
+    n = G.degree
+    reps, generated_by = _walked_cyclic_subgroups(G)
+    index = G.base_index
+    arr = index.arr
+    solved = {}
+    out = []
+    for k, (c_row, powers) in enumerate(reps):
+        if k not in solved:
+            conj = _conjugates(index, arr[c_row])
+            orbit_reps, label = np.unique(arr[powers].min(axis=0), return_inverse=True)
+            label = label.astype(arr.dtype)
+            orb_i = len(orbit_reps)
+            c_even = (n - orb_i) % 2 == 0
+            xs = arr[np.isin(conj, powers) if c_even or not require_inertia_even else []]
+            orbs = _cycle_counts(label[xs[:, orbit_reps]])
+            is_odd = (n - orbs) % 2 == 1
+            xs, orbs = xs[is_odd], orbs[is_odd]
+            subgroups, conjugators = np.unique(generated_by[conj], return_index=True)
+            for s, g in zip(subgroups.tolist(), conjugators.tolist()):
+                g = arr[g]
+                moved = g[xs[:, np.argsort(g)]]  # g x g^-1
+                order = np.lexsort(moved.T[::-1])
+                moved_odd = list(zip(map(tuple, moved[order].tolist()), orbs[order].tolist()))
+                solved[s] = (orb_i, c_even, moved_odd)
+        orb_i, c_even, odd = solved.pop(k)
+        c = tuple(arr[c_row].tolist())
+        out += [MetacyclicCandidate(n, c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
+    return out
+
+
+WALK_GROUPS = {
+    **ORACLE_GROUPS,
+    **{f"PSL2({p})": (lambda p=p: psl2_natural(p)) for p in (3, 5, 7, 11, 13, 17, 19, 23)},
+    "PSL2(11) on 55 points": psl2_11_degree55,
+    "S1": lambda: symmetric_group(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GROUPS))
+def test_power_table_matches_the_walk_per_subgroup(name):
+    G = WALK_GROUPS[name]()
+    reps, generated_by = cyclic_subgroup_representatives(G)
+    walked, walked_by = _walked_cyclic_subgroups(G)
+    assert [c for c, _ in reps] == [c for c, _ in walked]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(reps, walked))
+    assert generated_by.dtype == walked_by.dtype
+    assert np.array_equal(generated_by, walked_by)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GROUPS))
+def test_class_gathers_match_the_lexsort_per_subgroup(name):
+    G = WALK_GROUPS[name]()
+    for require_inertia_even in (False, True):
+        got = metacyclic_odd_orbit_search(G, require_inertia_even)
+        assert got == _subgroupwise_search(G, require_inertia_even)
+
+
+def test_search_peak_memory_holds():
+    # tracemalloc sees numpy's buffers. The per-subgroup lexsorts peaked at
+    # 6.1 MB on PSL2(29), as does the chunked gather; one gather per class,
+    # unchunked, reaches 7.3 MB
+    G = psl2_natural(29)
+    G.base_index
+    tracemalloc.start()
+    try:
+        metacyclic_odd_orbit_search(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 10**6
+
+
+@pytest.mark.parametrize("name", ["S6", "A6", "A7", "PSL2(7)", "PSL2(11)"])
+def test_centralizer_filters_match_plain_loop(name):
+    # x moving no point, 2 or 3 points (where the filters read every moved
+    # point), and more than 3 (where the full comparison decides), in G or not
+    G = ENUMERATION_GROUPS[name]()
+    n = G.degree
+    elements = G.elements
+    rng = random.Random(name)
+    outside = [
+        cyc("(1,2)", n),
+        cyc("(1,2,3)", n),
+        cyc("(1,2)(3,4)", n),
+        cyc("(1,2)(3,4)(5,6)", n),
+        tuple(rng.sample(range(n), n)),
+    ]
+    moved = {}
+    for g in elements:
+        moved.setdefault(n - fixed_points(g), []).append(g)
+    xs = [identity_perm(n)] + outside + [g for k in sorted(moved) for g in moved[k][:3]]
+    assert (cyc("(1,2)", n) in G) == name.startswith("S")
+    for x in xs:
+        assert centralizer_scan(G, x) == _plain_centralizer(G, x), x
 
 
 def _kernel_results(G):
