@@ -358,7 +358,7 @@ def cmd_jacobian(args) -> int:
 def cmd_profile(args) -> int:
     with open(args.extension, encoding="utf-8") as fh:
         poly, declared = parse_extension_file(fh.read())
-    primes = [parse_prime(0, p) for p in args.primes.split(",") if p] if args.primes else []
+    primes = sorted({parse_prime(0, p) for p in args.primes.split(",") if p})
     try:
         prof, cert, skipped = _extension_profile(poly, declared, primes)
     except ExtensionError as exc:

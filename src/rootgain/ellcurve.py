@@ -32,7 +32,6 @@ SPLIT_MULT = "split_mult"
 NONSPLIT_MULT = "nonsplit_mult"
 ADDITIVE = "additive"
 DECLARED = "declared"
-ARCHIMEDEAN = "archimedean"
 UNKNOWN_23 = "unknown_23"  # p in {2,3} dividing disc, nothing declared
 FINITE_TYPES = (GOOD, SPLIT_MULT, NONSPLIT_MULT, ADDITIVE, DECLARED, UNKNOWN_23)
 
@@ -110,25 +109,18 @@ class EllipticCurveData:
 
 @dataclass(frozen=True)
 class LocalReductionData:
-    """Reduction data at one place; prime None means the archimedean place."""
+    """Reduction data at one finite prime. The archimedean sign is read where
+    it is used: (-1)^(r1+r2) over a field F, and -1 over Q."""
 
-    prime: int | None
+    prime: int
     type: str
     declared_root_number: int | None = None
 
     def __post_init__(self):
-        if self.prime is None:
-            if self.type != ARCHIMEDEAN:
-                raise CurveError("the archimedean place carries type 'archimedean'")
-            return
         if self.type not in FINITE_TYPES:
             raise CurveError(f"unknown reduction type {self.type!r}")
         if self.type == DECLARED and self.declared_root_number not in (1, -1):
             raise CurveError("declared reduction requires a declared root number +-1")
-
-    @classmethod
-    def archimedean(cls) -> LocalReductionData:
-        return cls(prime=None, type=ARCHIMEDEAN)
 
     @property
     def is_multiplicative(self) -> bool:
@@ -181,10 +173,8 @@ def classify_reduction(E: EllipticCurveData, p: int) -> LocalReductionData:
 
 
 def local_root_number(L: LocalReductionData) -> int:
-    """-1 at archimedean places and split multiplicative primes, +1 at good and
-    non-split multiplicative primes, the declared value where declared."""
-    if L.prime is None:
-        return -1
+    """-1 at split multiplicative primes, +1 at good and non-split
+    multiplicative primes, the declared value where declared."""
     if L.type == GOOD:
         return 1
     if L.type == SPLIT_MULT:
@@ -209,8 +199,6 @@ def global_root_semistable(
     s = 0
     product = -1  # the single archimedean place of Q
     for L in bad_prime_data:
-        if L.prime is None:
-            raise CurveError("bad_prime_data must list finite primes only")
         product *= local_root_number(L)
         if L.type == SPLIT_MULT:
             s += 1
@@ -239,8 +227,6 @@ class CurveLocalData:
     ) -> CurveLocalData:
         by_prime: dict[int, LocalReductionData] = {}
         for L in declared or []:
-            if L.prime is None:
-                raise CurveError("declare finite primes only; infinity is automatic")
             if L.prime in by_prime:
                 raise CurveError(f"duplicate declaration at p={L.prime}")
             by_prime[L.prime] = L

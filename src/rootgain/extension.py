@@ -14,6 +14,7 @@ one-node case of the Jacobian engine `jacobian.root_number_after_extension`.
 A profile at p is a list of (e, f) pairs, one per prime of F above p. Ramified
 primes are never factored p-adically here; their profiles are declared inputs,
 checked against Sum e*f = n and the tame different bound v_p(disc) >= Sum f(e-1).
+A declaration at a good prime must be the profile computed there.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .algebra import (
     valuation,
 )
 from .ellcurve import (
-    GOOD,
     SPLIT_MULT,
     UNKNOWN_23,
     CurveLocalData,
+    LocalReductionData,
     local_root_number,
 )
 from .jacobian import StableModelData, root_number_after_extension
@@ -185,7 +186,9 @@ def profile_at_unramified(h: PolyQ | PolyFacts, p: int) -> list[tuple[int, int]]
 def check_declared_profile(
     h: PolyQ | PolyFacts, p: int, declared: list[tuple[int, int]]
 ) -> tuple[bool, str]:
-    """Accept iff Sum e*f = deg h and v_p(disc h) >= Sum f*(e-1) (tame bound)."""
+    """Accept iff Sum e*f = deg h, v_p(disc h) >= Sum f*(e-1) (tame bound) and,
+    at a good prime p, the declaration is the computed profile [(1, f) per
+    factor degree f of h mod p]."""
     facts = PolyFacts.of(h)
     n = facts.poly.degree
     total = sum(e * f for e, f in declared)
@@ -197,6 +200,11 @@ def check_declared_profile(
     vd = valuation(facts.disc, p)
     if not (vd is TOP_VALUE or vd >= bound):
         return False, f"v_{p}(disc) = {vd} is below the tame bound {bound}"
+    if facts.is_good(p):
+        computed = [(1, f) for f in facts.patterns([p])[0]]
+        if sorted(declared) != computed:
+            text = ",".join(f"{e}:{f}" for e, f in computed)
+            return False, f"p={p} is good and its computed profile is [{text}]"
     return True, "accepted"
 
 
@@ -280,18 +288,17 @@ def profile_from_decomposition(pair: DecompositionPair) -> list[tuple[int, int]]
 # ---------------------------------------------------------------- root numbers over F
 
 
-def _contribution_at(bundle: CurveLocalData, p: int, F: ExtensionProfile) -> int:
-    L = bundle.reduction_at(p)
-    if L is None or L.type == GOOD:
-        return 1
+def _contribution_at(L: LocalReductionData, F: ExtensionProfile) -> int:
+    """The sign over F from L's prime, a bad one: bundles drop good primes."""
+    p = L.prime
     pairs = F.profile_at(p)
     if L.is_multiplicative:
         if pairs is None:
             raise Incomputable(p, "multiplicative prime with no profile for F")
-        # the nodal cubic: one absolutely irreducible component and one
-        # rational node, whose branches are rational iff the reduction is split
+        # the nodal cubic: one rational node, whose branches are rational iff
+        # the reduction is split
         tau = 1 if L.type == SPLIT_MULT else -1
-        node = StableModelData(p, 1, True, ((1, tau),))
+        node = StableModelData(p, ((1, tau),))
         return root_number_after_extension(node, [f for _, f in pairs])
     # remaining cases need p split completely and a known local root number
     if pairs is None:
@@ -318,7 +325,7 @@ def root_number_over_extension(bundle: CurveLocalData, F: ExtensionProfile) -> i
     """
     w = -1 if archimedean_place_count(F) % 2 else 1
     for L in bundle.local:
-        w *= _contribution_at(bundle, L.prime, F)
+        w *= _contribution_at(L, F)
     return w
 
 
@@ -348,9 +355,7 @@ def root_number_ratio(
             raise PreconditionViolated(
                 f"profiles differ at non-designated bad prime {other.prime}"
             )
-    c1 = _contribution_at(bundle, designated, F1)
-    c2 = _contribution_at(bundle, designated, F2)
-    return c1 * c2
+    return _contribution_at(L, F1) * _contribution_at(L, F2)
 
 
 # ---------------------------------------------------------------- quadratic fields

@@ -193,7 +193,6 @@ def _parse_branch(lineno: int, value: str) -> BranchPoint:
         return BranchPoint(
             location=location,
             ramification_index=parse_value(lineno, int, attrs["e"]),
-            inertia_class=attrs.get("class"),
             pair=pair,
         )
     except MestreError as exc:

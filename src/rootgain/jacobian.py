@@ -1,15 +1,18 @@
 """Semistable hyperelliptic Jacobians: node primes of Y^2 = f(X), branch signs,
-the component/orbit local root number, and the residue-extension engine with
-its independent orbit-simulation oracle.
+the orbit local root number, and the residue-extension engine with its
+independent orbit-simulation oracle.
 
-The local root number of a stable reduction is
+The local root number of a stable reduction (Brumer-Kramer-Sabitova) is
     W_p = (-1)^(n + s + 1) * prod tau([z]) = (-1)^(s+1) * prod (-tau([z])),
 n the number of Frobenius orbits of nodes, s the component count, tau = +1
 iff Frobenius (to the power of the orbit degree) fixes the two branches.
+Every model built here has one absolutely irreducible component, s = 1, which
+residue extension keeps: the nodal cubic, and Y^2 = f with one node orbit. So
+W_p = prod (-tau([z])), and the engine carries no component count.
 
 `root_number_after_extension` is the one engine for these signs: `extension`
 reads an elliptic curve's sign at a multiplicative prime off its genus-1 case,
-the nodal cubic (one component, one node of degree 1, tau = +1 iff split).
+the nodal cubic (one node of degree 1, tau = +1 iff split).
 """
 
 from __future__ import annotations
@@ -28,24 +31,17 @@ class JacobianError(ValueError):
 
 @dataclass(frozen=True)
 class StableModelData:
-    """Combinatorics of a stable reduction at p: component count, and one
-    (degree, branch sign) record per Frobenius orbit of nodes."""
+    """Combinatorics of a stable reduction at p with one absolutely
+    irreducible component: one (degree, branch sign) record per Frobenius
+    orbit of nodes."""
 
     prime: int
-    components: int
-    all_components_absolutely_irreducible: bool
     orbit_list: tuple[tuple[int, int], ...]  # (degree d(z), tau in {+1,-1})
 
     def __post_init__(self):
-        if self.components < 1:
-            raise JacobianError("component count must be >= 1")
         for d, tau in self.orbit_list:
             if d < 1 or tau not in (1, -1):
                 raise JacobianError("orbit records are (degree >= 1, sign +-1)")
-
-    @property
-    def orbit_count(self) -> int:
-        return len(self.orbit_list)
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,10 @@ def tau_sign(rec: NodePrimeRecord) -> int:
 
 
 def local_root_number_bks(M: StableModelData) -> int:
-    """(-1)^(orbits + components + 1) times the product of branch signs."""
-    w = -1 if (M.orbit_count + M.components + 1) % 2 else 1
+    """The product of -tau over the node orbits (s = 1)."""
+    w = 1
     for _, tau in M.orbit_list:
-        w *= tau
+        w *= -tau
     return w
 
 
@@ -132,27 +128,20 @@ def root_number_after_extension(M: StableModelData, residue_degrees) -> int:
     with the given residue degrees.
 
     Each base orbit of degree d(z) splits into gcd(d, d(z)) orbits with a
-    common branch sign; components are stable under residue extension when all
-    are absolutely irreducible (enforced), so s is unchanged.
+    common branch sign; the one absolutely irreducible component stays one,
+    so each prime above p contributes prod (-tau) over its orbit pieces.
     """
     degrees = list(residue_degrees)
     if not degrees:
         raise JacobianError("at least one residue degree is required")
     if any(d < 1 for d in degrees):
         raise JacobianError("residue degrees are >= 1")
-    if not M.all_components_absolutely_irreducible:
-        raise JacobianError(
-            "component count is only residue-stable when all components are "
-            "absolutely irreducible"
-        )
     total = 1
     for d in degrees:
-        w = -1 if (M.components + 1) % 2 else 1
         for dz, tau in M.orbit_list:
             pieces = gcd(d, dz)
             tq = _tau_after_extension(tau, dz, d)
-            w *= (-tq) ** pieces
-        total *= w
+            total *= (-tq) ** pieces
     return total
 
 
@@ -199,12 +188,7 @@ def hyperelliptic_rank_gain_report(f: PolyQ, n: int, bound: int) -> RankGainRepo
     rows = []
     for rec in find_node_primes(f, bound):
         tau = tau_sign(rec)
-        M = StableModelData(
-            prime=rec.prime,
-            components=1,
-            all_components_absolutely_irreducible=True,
-            orbit_list=((1, tau),),
-        )
+        M = StableModelData(prime=rec.prime, orbit_list=((1, tau),))
         wa = root_number_after_extension(M, prof_a)
         wb = root_number_after_extension(M, prof_b)
         verdict = "flip" if wa != wb else "no-flip"
@@ -229,7 +213,7 @@ def orbit_simulation_root_number(M: StableModelData, residue_degrees) -> int:
     """Independent oracle: simulate Frobenius on the branch points (orbit of
     size d(z); the branch involution applied on wrap-around when tau = -1),
     take its d-th power, count node orbits and read off the branch signs, then
-    apply the component/orbit sign formula over the extension."""
+    apply the orbit sign formula (s = 1) over the extension."""
     degrees = list(residue_degrees)
     if not degrees:
         raise JacobianError("at least one residue degree is required")
@@ -270,6 +254,6 @@ def orbit_simulation_root_number(M: StableModelData, residue_degrees) -> int:
             if (end[0], end[1]) != nd:
                 raise JacobianError("orbit simulation lost track of a node")
             sign_product *= 1 if end[2] == 0 else -1
-        w = -1 if (n_orbits + M.components + 1) % 2 else 1
+        w = -1 if n_orbits % 2 else 1
         total *= w * sign_product
     return total

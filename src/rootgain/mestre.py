@@ -56,17 +56,17 @@ class SpecializationError(MestreError):
 @dataclass(frozen=True)
 class BranchPoint:
     """Declared branch-point record: location ('inf' or a rational), ramification
-    index, optional inertia class label and decomposition data."""
+    index and optional decomposition data; when the pair lists inertia
+    generators, one of them must have order e."""
 
     location: object  # Fraction or the string "inf"
     ramification_index: int
-    inertia_class: str | None = None
     pair: DecompositionPair | None = None
 
     def __post_init__(self):
         if self.ramification_index < 2:
             raise MestreError("branch points have ramification index >= 2")
-        if self.pair is not None and self.inertia_class is not None:
+        if self.pair is not None:
             orders = {perm_order(g) for g in self.pair.inertia_gens}
             if orders and self.ramification_index not in orders:
                 raise MestreError(
@@ -147,10 +147,10 @@ def psl2_11_degree12_pencil() -> Pencil:
     x = perm_from_cycles("(1,8)(2,10)(3,5)(4,12)(6,9)(7,11)", 12)
     pair = DecompositionPair(12, (c, x), (c,))
     bps = (
-        BranchPoint("inf", 2, inertia_class="2A", pair=pair),
+        BranchPoint("inf", 2, pair=pair),
         # the two index-11 branch points are conjugate irrational points of
         # 11 t^2 + 1 = 0; recorded with location markers only
-        BranchPoint("poles-of-s", 11, inertia_class="11A"),
+        BranchPoint("poles-of-s", 11),
     )
     return Pencil(tuple(coeffs), bps, name="psl2-11-degree12")
 

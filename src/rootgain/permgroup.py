@@ -250,9 +250,6 @@ class PermGroup:
     def base_index(self) -> _BaseIndex:
         return _BaseIndex(self.element_array())
 
-    def is_transitive(self) -> bool:
-        return orbit_count(self.generators, self.degree) == 1
-
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
         if self._array is not None:
@@ -532,10 +529,6 @@ class MetacyclicCandidate:
     orbits_inertia: int
     orbits_full: int
     inertia_in_alternating: bool
-
-    @property
-    def parity_odd(self) -> bool:
-        return (self.degree - self.orbits_full) % 2 == 1
 
 
 _CONJUGATE_CHUNK = 1 << 10  # rows g x g^-1 the metacyclic search finds at once

@@ -134,14 +134,14 @@ def test_criterion_6_engine_vs_oracle():
     for tau in (1, -1):
         for dz in range(1, 13):
             for d in range(1, 13):
-                M = StableModelData(5, 1, True, ((dz, tau),))
+                M = StableModelData(5, ((dz, tau),))
                 assert root_number_after_extension(M, [d]) == orbit_simulation_root_number(
                     M, [d]
                 )
     # literal case-a biconditional: ground sign -tau = -1 (tau = +1)
     for dz in range(1, 13):
         for d in range(1, 13):
-            M = StableModelData(5, 1, True, ((dz, 1),))
+            M = StableModelData(5, ((dz, 1),))
             omega_q = orbit_simulation_root_number(M, [d])
             assert (omega_q == 1) == (d % 2 == 0 and dz % 2 == 0)
 

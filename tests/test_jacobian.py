@@ -22,13 +22,8 @@ from rootgain.jacobian import (
 )
 
 
-def model(orbits, s=1):
-    return StableModelData(
-        prime=5,
-        components=s,
-        all_components_absolutely_irreducible=True,
-        orbit_list=tuple(orbits),
-    )
+def model(orbits):
+    return StableModelData(prime=5, orbit_list=tuple(orbits))
 
 
 # ---------------------------------------------------------------- node primes
@@ -273,15 +268,15 @@ def test_multiplicativity_over_degree_lists():
         ) * root_number_after_extension(M, d2)
 
 
-def test_engine_requires_absolutely_irreducible_components():
-    M = StableModelData(5, 1, False, ((1, 1),))
-    with pytest.raises(JacobianError):
-        root_number_after_extension(M, [2])
-
-
 def test_empty_degree_list_rejected():
     with pytest.raises(JacobianError):
         root_number_after_extension(model([(1, 1)]), [])
+
+
+@pytest.mark.parametrize("degrees", [[0], [2, 0], [-1]])
+def test_residue_degree_below_one_rejected(degrees):
+    with pytest.raises(JacobianError):
+        root_number_after_extension(model([(1, 1)]), degrees)
 
 
 # ---------------------------------------------------------------- reports

@@ -217,7 +217,7 @@ def test_branch_point_order_consistency():
     c = perm_from_cycles("(1,2)(3,4)", 5)
     pair = DecompositionPair(5, (c,), (c,))
     with pytest.raises(MestreError):
-        BranchPoint(F(0), 3, inertia_class="2A", pair=pair)
+        BranchPoint(F(0), 3, pair=pair)
 
 
 # ---------------------------------------------------------------- certificates
