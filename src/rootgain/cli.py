@@ -297,7 +297,8 @@ def cmd_specialize(args) -> int:
         flag = rec.rank_gain_flag or "reference"
         fp = rec.fingerprint or "-"
         lines.append(
-            f"{rec.role}\t{rec.t0}\t{_descending(rec.poly)}\t{profs}\t{ratio}\t{flag}\t{fp}\t{parity}"
+            f"{rec.role}\t{rec.t0}\t{_descending(rec.profile.poly)}\t{profs}\t{ratio}\t{flag}"
+            f"\t{fp}\t{parity}"
         )
         if rec.role == "candidate":
             nonempty = True
@@ -323,12 +324,11 @@ def cmd_jacobian(args) -> int:
             raise ParseError(0, f"--p {args.p} lies above --bound {args.bound}")
     # a curve or target degree the report cannot take is an option error
     try:
-        report = hyperelliptic_rank_gain_report(f, args.n, args.bound)
+        rows = hyperelliptic_rank_gain_report(f, args.n, args.bound)
     except JacobianError as exc:
         raise ParseError(0, str(exc)) from None
-    rows = report.rows
     if args.p is not None:
-        rows = tuple(r for r in rows if r.prime == args.p)
+        rows = [r for r in rows if r.prime == args.p]
         if not rows:
             _emit(
                 [

@@ -188,9 +188,7 @@ def local_root_number(L: LocalReductionData) -> int:
     )
 
 
-def global_root_semistable(
-    E: EllipticCurveData, bad_prime_data: list[LocalReductionData]
-) -> int:
+def global_root_semistable(bad_prime_data: list[LocalReductionData]) -> int:
     """W(E/Q) = (-1)^(1+s) over Q (one archimedean place), s counting split
     multiplicative primes; declared primes contribute their declared values.
 
@@ -212,13 +210,12 @@ def global_root_semistable(
 
 @dataclass(frozen=True)
 class CurveLocalData:
-    """A curve bundled with per-prime reduction data: declarations as given,
+    """Reduction data at the bad primes of a curve: declarations as given,
     every other bad prime >= 5 of the model classified automatically, and
     undeclared bad 2/3 kept as explicit unknowns (they fail loudly if used).
-    curve is None for local data given without a model: the rank-gain search
-    without a curve reads only an assumed multiplicative type at q."""
+    The rank-gain search without a curve holds an assumed multiplicative type
+    at q alone."""
 
-    curve: EllipticCurveData | None
     local: tuple[LocalReductionData, ...]
 
     @classmethod
@@ -239,7 +236,7 @@ class CurveLocalData:
             else:
                 out[p] = LocalReductionData(p, UNKNOWN_23)
         data = tuple(L for _, L in sorted(out.items()) if L.type != GOOD)
-        return cls(curve, data)
+        return cls(data)
 
     def reduction_at(self, p: int) -> LocalReductionData | None:
         for L in self.local:

@@ -201,7 +201,7 @@ def check_declared_profile(
     if not (vd is TOP_VALUE or vd >= bound):
         return False, f"v_{p}(disc) = {vd} is below the tame bound {bound}"
     if facts.is_good(p):
-        computed = [(1, f) for f in facts.patterns([p])[0]]
+        computed = profile_at_unramified(facts, p)
         if sorted(declared) != computed:
             text = ",".join(f"{e}:{f}" for e, f in computed)
             return False, f"p={p} is good and its computed profile is [{text}]"
@@ -298,7 +298,7 @@ def _contribution_at(L: LocalReductionData, F: ExtensionProfile) -> int:
         # the nodal cubic: one rational node, whose branches are rational iff
         # the reduction is split
         tau = 1 if L.type == SPLIT_MULT else -1
-        node = StableModelData(p, ((1, tau),))
+        node = StableModelData(((1, tau),))
         return root_number_after_extension(node, [f for _, f in pairs])
     # remaining cases need p split completely and a known local root number
     if pairs is None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import PolyQ, poly_from_descending_string, unproven_prime_reason
-from .ellcurve import CurveError, CurveLocalData, EllipticCurveData, LocalReductionData
+from .ellcurve import ADDITIVE, DECLARED, CurveError, CurveLocalData, EllipticCurveData
+from .ellcurve import LocalReductionData, classify_reduction
 from .extension import DecompositionPair
 from .mestre import BranchPoint, MestreError, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
 from .permgroup import CapExceeded, GroupError, perm_from_cycles
@@ -68,9 +69,28 @@ def parse_prime(lineno: int, text) -> int:
     return p
 
 
+def _check_declaration(curve: EllipticCurveData, L: LocalReductionData, lineno: int) -> None:
+    """A declaration at p >= 5 must be the computed reduction type; only an
+    additive prime, whose root number is not computed, takes type=declared or
+    w=."""
+    try:
+        computed = classify_reduction(curve, L.prime).type
+    except CurveError as exc:
+        raise ParseError(lineno, str(exc)) from None
+    if computed == ADDITIVE and L.type in (ADDITIVE, DECLARED):
+        return
+    where = f"at p={L.prime}, whose computed reduction is {computed}"
+    if L.type != computed:
+        raise ParseError(lineno, f"type={L.type} {where}")
+    if L.declared_root_number is not None:
+        raise ParseError(lineno, f"w= {where}, not additive")
+
+
 def parse_curve_file(text: str) -> CurveLocalData:
+    """The local data of a curve file; a `local:` declaration at p >= 5 is
+    checked against the computed reduction at its line."""
     coeffs = {}
-    declared: dict[int, LocalReductionData] = {}
+    declared: dict[int, tuple[int, LocalReductionData]] = {}
     for lineno, key, value in read_records(text):
         if key in ("a1", "a2", "a3", "a4", "a6"):
             if key in coeffs:
@@ -86,7 +106,7 @@ def parse_curve_file(text: str) -> CurveLocalData:
             w = attrs.get("w")
             w = parse_value(lineno, int, w) if w is not None else None
             try:
-                declared[prime] = LocalReductionData(prime, attrs["type"], w)
+                declared[prime] = lineno, LocalReductionData(prime, attrs["type"], w)
             except CurveError as exc:
                 raise ParseError(lineno, str(exc)) from None
         else:
@@ -99,7 +119,10 @@ def parse_curve_file(text: str) -> CurveLocalData:
         curve = EllipticCurveData.from_coeffs(
             coeffs["a1"], coeffs["a2"], coeffs["a3"], coeffs["a4"], coeffs["a6"]
         )
-        return CurveLocalData.build(curve, list(declared.values()))
+        for lineno, L in declared.values():
+            if L.prime >= 5:
+                _check_declaration(curve, L, lineno)
+        return CurveLocalData.build(curve, [L for _, L in declared.values()])
     except CurveError as exc:
         raise ParseError(0, str(exc)) from None
 

@@ -35,7 +35,6 @@ class StableModelData:
     irreducible component: one (degree, branch sign) record per Frobenius
     orbit of nodes."""
 
-    prime: int
     orbit_list: tuple[tuple[int, int], ...]  # (degree d(z), tau in {+1,-1})
 
     def __post_init__(self):
@@ -159,14 +158,6 @@ class RankGainRow:
     verdict: str
 
 
-@dataclass(frozen=True)
-class RankGainReport:
-    poly: PolyQ
-    target_degree: int
-    rows: tuple[RankGainRow, ...]
-    disclaimer: str = CONDITIONAL_TOKEN
-
-
 def alternating_profiles(n: int) -> tuple[list[int], list[int]]:
     """Residue degrees over the node prime for the two alternating-group sides:
     profile A folds the moved four points into one (e=2, f=2) prime plus n-4
@@ -176,7 +167,7 @@ def alternating_profiles(n: int) -> tuple[list[int], list[int]]:
     return [2] + [1] * (n - 4), [1] * n
 
 
-def hyperelliptic_rank_gain_report(f: PolyQ, n: int, bound: int) -> RankGainReport:
+def hyperelliptic_rank_gain_report(f: PolyQ, n: int, bound: int) -> list[RankGainRow]:
     """For every node prime of Y^2 = f(X) up to the bound: the base local root
     number and its values over the two degree-n profiles, with the flip verdict.
 
@@ -188,7 +179,7 @@ def hyperelliptic_rank_gain_report(f: PolyQ, n: int, bound: int) -> RankGainRepo
     rows = []
     for rec in find_node_primes(f, bound):
         tau = tau_sign(rec)
-        M = StableModelData(prime=rec.prime, orbit_list=((1, tau),))
+        M = StableModelData(orbit_list=((1, tau),))
         wa = root_number_after_extension(M, prof_a)
         wb = root_number_after_extension(M, prof_b)
         verdict = "flip" if wa != wb else "no-flip"
@@ -203,7 +194,7 @@ def hyperelliptic_rank_gain_report(f: PolyQ, n: int, bound: int) -> RankGainRepo
                 verdict=verdict,
             )
         )
-    return RankGainReport(poly=f, target_degree=n, rows=tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------- oracle

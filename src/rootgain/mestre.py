@@ -453,7 +453,6 @@ def enumerate_t0(constraints: SearchConstraints, branch_locations=frozenset()):
 @dataclass(frozen=True)
 class SpecializationRecord:
     t0: Rational
-    poly: PolyQ
     profile: ExtensionProfile
     role: str  # "reference" | "candidate"
     ratio: int | None = None
@@ -519,7 +518,7 @@ def find_reference_specialization(
     for t0, h in _fibers(P, base):
         prof = _certified_fiber(h, declared, conditions, primes=[q])
         if prof is not None:
-            return SpecializationRecord(t0, prof.poly, prof, "reference")
+            return SpecializationRecord(t0, prof, "reference")
     raise SpecializationError(
         f"no reference specialization unramified at {q} below height {base.height_bound}"
     )
@@ -540,7 +539,7 @@ def _evaluate_candidate(
     if prof is None or prof.signature != reference.profile.signature:
         return None
     ratio = root_number_ratio(local, prof, reference.profile, q)
-    fp = distinctness_fingerprint(prof.facts, reference.profile.facts or reference.poly)
+    fp = distinctness_fingerprint(prof.facts, reference.profile.facts)
     flag = (
         f"opposite-root-numbers {CONDITIONAL_TOKEN}"
         if ratio == -1
@@ -548,7 +547,6 @@ def _evaluate_candidate(
     )
     return SpecializationRecord(
         t0,
-        prof.poly,
         prof,
         "candidate",
         ratio=ratio,
@@ -589,7 +587,7 @@ def search_rank_gain(
         types = {"split": SPLIT_MULT, "nonsplit": NONSPLIT_MULT}
         if assumed_reduction not in types:
             raise MestreError("assumed reduction must be 'split' or 'nonsplit'")
-        curve = CurveLocalData(None, (LocalReductionData(q, types[assumed_reduction]),))
+        curve = CurveLocalData((LocalReductionData(q, types[assumed_reduction]),))
     L = curve.reduction_at(q)
     if L is None or not L.is_multiplicative:
         raise MestreError(f"designated prime {q} is not multiplicative for the curve")
@@ -602,7 +600,7 @@ def search_rank_gain(
     out = [reference]
     # the record of a fiber depends on its polynomial alone, so a repeat (the
     # fiber at -t0 of a pencil in t^2) is skipped without a second evaluation
-    seen = {reference.poly}
+    seen = {reference.profile.poly}
     for t0, h in _fibers(P, constraints):
         if h in seen:
             continue

@@ -522,7 +522,6 @@ class MetacyclicCandidate:
     """A pair (I = <c>, H = <c, x>) with x normalizing <c>: the shape of a tame
     decomposition group, recorded with its orbit parities."""
 
-    degree: int
     c: Perm
     x: Perm
     inertia_order: int
@@ -602,7 +601,7 @@ def metacyclic_odd_orbit_search(
                     solved[s] = (orb_i, c_even, list(zip(map(tuple, moved_odd), orbs_odd)))
         orb_i, c_even, odd = solved.pop(k)
         c = tuple(arr[c_row].tolist())
-        out += [MetacyclicCandidate(n, c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
+        out += [MetacyclicCandidate(c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
     return out
 
 

@@ -134,14 +134,14 @@ def test_criterion_6_engine_vs_oracle():
     for tau in (1, -1):
         for dz in range(1, 13):
             for d in range(1, 13):
-                M = StableModelData(5, ((dz, tau),))
+                M = StableModelData(((dz, tau),))
                 assert root_number_after_extension(M, [d]) == orbit_simulation_root_number(
                     M, [d]
                 )
     # literal case-a biconditional: ground sign -tau = -1 (tau = +1)
     for dz in range(1, 13):
         for d in range(1, 13):
-            M = StableModelData(5, ((dz, 1),))
+            M = StableModelData(((dz, 1),))
             omega_q = orbit_simulation_root_number(M, [d])
             assert (omega_q == 1) == (d % 2 == 0 and dz % 2 == 0)
 
@@ -161,9 +161,9 @@ def test_criterion_7_random_flips():
         if not find_node_primes(f, 100):
             continue
         found += 1
-        rep = hyperelliptic_rank_gain_report(f, rng.choice([4, 5, 6, 7]), 100)
-        assert rep.rows
-        for row in rep.rows:
+        rows = hyperelliptic_rank_gain_report(f, rng.choice([4, 5, 6, 7]), 100)
+        assert rows
+        for row in rows:
             assert row.profile_a_w == -row.profile_b_w
             assert row.verdict == "flip"
 

@@ -3,17 +3,22 @@
 
 A function or method that only its own definition mentions is dead code
 unless it is kept on purpose; each kept public one names why, and no private
-one is kept. Methods are keyed `Class.name`, and a method counts as called
-when its name is referenced anywhere in `src/` outside its own definition
-(the scan reads names, not types). Package exports (`from .x import name` in
-`__init__.py`) are not callers.
+one is kept. Names are resolved through imports: a top-level function counts
+as called only where its name is read in its own module, or in a module that
+imports it with `from .module import name`, so a local variable or parameter
+of the same name elsewhere is not a caller. Methods are keyed `Class.name`,
+and a method counts as called only where its name is read as an attribute
+(the scan reads names, not types). Reads inside a definition's own body do
+not count.
 
 The record of a polynomial's facts, `algebra.PolyFacts`, is read from other
 modules only through its public members: no other module names one of its
 `_`-prefixed members (matched by attribute name).
 
-Every name a module imports is read in that module, except in `__init__.py`,
-whose imports are the package exports.
+Every name a module imports is read in that module, `__init__.py` included,
+so the package re-exports nothing, and each module imports on its own in a
+fresh interpreter: nothing imports the modules in a fixed order first, which
+could hide an import cycle.
 
 All arithmetic is exact and every run is the same: no module has a float
 literal, names `float`, imports `random`, or uses a `math` function other
@@ -21,7 +26,13 @@ than gcd, isqrt and lcm.
 """
 
 import ast
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rootgain"
 
@@ -37,41 +48,90 @@ KEEP = {
     "all_subgroups": "a library entry point: acceptance tests and the benchmark's lattices call it",
     "resultant": "its values are hashed by the pinned corpus digest of tests/test_algebra.py",
     "EllipticCurveData.rescale": "the change of model that the reduction-type tests hold invariant",
+    "sign": "the tests' oracle for I_in_An",
+    "PermGroup.elements": "how the benchmark and the acceptance tests read G as tuples",
 }
 
 
-def _references():
+def _references(sources=None):
     """(top-level functions by name and methods of top-level classes by
-    `Class.name`, names referenced in src/ outside each one's own
-    definition)."""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    `Class.name`, each mapped to its module and definition; the keys with a
+    caller) over `sources`, module name -> source text (default: src/).
+
+    A function is called where its name is read as a bare name in its own
+    module, or in a module that binds it with `from .module import name`; a
+    method is called where its name is read as an attribute. Reads inside the
+    function's or method's own definition do not count."""
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    trees = {module: ast.parse(text) for module, text in sources.items()}
     defined = {}
-    for tree in trees:
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defined[node.name] = node
+                defined[node.name] = module, node
             elif isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef):
-                        defined[f"{node.name}.{sub.name}"] = sub
+                        defined[f"{node.name}.{sub.name}"] = module, sub
 
-    def names(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
+    def reads(node, kind):
+        """How often each name is read under node, as a bare name (kind
+        ast.Name) or as an attribute (kind ast.Attribute)."""
+        return Counter(
+            sub.id if kind is ast.Name else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, kind) and isinstance(sub.ctx, ast.Load)
+        )
 
-    counts = {}
-    for tree in trees:
-        for name in names(tree):
-            counts[name] = counts.get(name, 0) + 1
+    names = {module: reads(tree, ast.Name) for module, tree in trees.items()}
+    attributes = sum((reads(tree, ast.Attribute) for tree in trees.values()), Counter())
+    bound = {}  # (defining module, name) -> [(importing module, name bound there)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound.setdefault((node.module, alias.name), []).append(
+                        (module, alias.asname or alias.name)
+                    )
     referenced = set()
-    for key, node in defined.items():
-        own = sum(1 for n in names(node) if n == node.name)
-        if counts.get(node.name, 0) - own > 0:
+    for key, (module, node) in defined.items():
+        if "." in key:
+            count = attributes[node.name] - reads(node, ast.Attribute)[node.name]
+        else:
+            count = names[module][node.name] - reads(node, ast.Name)[node.name]
+            count += sum(names[m][name] for m, name in bound.get((module, node.name), []))
+        if count > 0:
             referenced.add(key)
     return defined, referenced
+
+
+def test_the_caller_scan_resolves_names_through_imports():
+    sources = {
+        "a": """
+def sign(x):
+    return x
+
+def order(g):
+    return order(g.gens)
+
+class G:
+    def elements(self):
+        return self.elements()
+
+    def degree(self):
+        return 1
+""",
+        "b": """
+from .a import order as size
+
+def f(g, elements):
+    sign = size(g) + g.degree()
+    return sign, elements
+""",
+    }
+    defined, referenced = _references(sources)
+    assert sorted(set(defined) - referenced) == ["G.elements", "f", "sign"]
 
 
 def _private(key):
@@ -144,7 +204,6 @@ def test_every_imported_name_is_read():
     found = sorted(
         f"{path.name}:{line} {name}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
         for line, name in _unused_imports(ast.parse(path.read_text()))
     )
     assert found == [], f"imported names never read in src/: {found}"
@@ -163,6 +222,20 @@ def f(x: PolyQ):
 """
     found = sorted(name for _, name in _unused_imports(ast.parse(source)))
     assert found == ["json", "lcm", "os", "valuation"]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_each_module_imports_on_its_own(module):
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run(
+        [sys.executable, "-c", f"import rootgain.{module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 EXACT_MATH = {"gcd", "isqrt", "lcm"}

@@ -34,6 +34,10 @@ local: p=2 type=declared w=+1
 """
 
 
+# 11a3, y^2 + y = x^3 - x^2
+CURVE_11A3 = "a1: 0\na2: -1\na3: 1\na4: 0\na6: 0\n"
+
+
 def k1_extension_text():
     f = PolyQ([0, 2304, 0, -164, 0, 1])
     g = PolyQ([F(2975047936, 16670889), 0, F(-559076, 12249), 0, 1])
@@ -343,6 +347,59 @@ def test_malformed_numbers_exit_4_with_line(
             "form: general\nf: 1,0,-3\ng: 1\ndegree: 1\ncoeff: k=0 num=1,0\ncoeff: k=1 num=1\n",
             "line 2: key 'f' is not read by a general pencil",
         ),
+        # a malformed record and an unknown key are errors at their line, in a
+        # curve file and in a pencil file; a pencil file without a family or
+        # form is a model error
+        (
+            "a1: 0\na2: 0\na3: 0\na4: 0\na6: 1\nlocal: p=2 declared\n",
+            None,
+            "line 6: expected attr=value, got 'declared'",
+        ),
+        (
+            "a1: 0\na2: 0\na3: 0\na4: 0\na6: 1\nlocal: p=2\n",
+            None,
+            "line 6: local record needs p= and type=",
+        ),
+        ("a1: 0\na2: 0\na3: 0\na4: 0\na5: 1\na6: 1\n", None, "line 5: unknown curve key 'a5'"),
+        # 11a3 is split multiplicative at 11: a declaration at p >= 5 is the
+        # computed type, and only an additive prime takes type=declared or w=
+        (
+            CURVE_11A3 + "local: p=11 type=good\n",
+            None,
+            "line 6: type=good at p=11, whose computed reduction is split_mult",
+        ),
+        (
+            CURVE_11A3 + "local: p=11 type=declared w=-1\n",
+            None,
+            "line 6: type=declared at p=11, whose computed reduction is split_mult",
+        ),
+        (
+            CURVE_11A3 + "local: p=11 type=split_mult w=-1\n",
+            None,
+            "line 6: w= at p=11, whose computed reduction is split_mult, not additive",
+        ),
+        (
+            None,
+            "form: mestre\nf: 1,0,-3\ng: 1\nbranch: location=inf e=2 degree=3 D=(1,4)\n",
+            "line 4: bad permutation '(1,4)': bad cycle '1,4' for degree 3",
+        ),
+        (
+            None,
+            "form: mestre\nf: 1,0,-3\ng: 1\nbranch: e=2\n",
+            "line 4: branch record needs location= and e=",
+        ),
+        (
+            None,
+            "form: mestre\nf: 1,0,-3\ng: 1\nbranch: location=inf e=2 D=(1,2)\n",
+            "line 4: branch with D=/I= needs degree=",
+        ),
+        (
+            None,
+            "form: general\ndegree: 1\ncoeff: num=1\n",
+            "line 3: coeff record needs k= and num=",
+        ),
+        (None, "form: mestre\nbogus: 1\n", "line 2: unknown pencil key 'bogus'"),
+        (None, "f: 1,0,-3\ng: 1\n", "pencil file needs family: or form: mestre|general"),
     ],
 )
 def test_bad_curve_and_pencil_models_exit_4(
@@ -406,6 +463,44 @@ def test_root_number_undeclared_additive_prime_is_incomputable(capsys, tmp_path)
     )
 
 
+@pytest.mark.parametrize(
+    "curve_text, code, out, err",
+    [
+        # the additive prime 5 of y^2 + xy = x^3 + x^2 + 5 takes a declared
+        # root number; v_5(disc) = 2 and v_5(j) >= 0, so w_5 = (-1/5) = +1
+        # (Rohrlich, e = 6)
+        (
+            "a1: 1\na2: 1\na3: 0\na4: 0\na6: 5\nlocal: p=5 type=declared w=+1\n",
+            0,
+            "W(E/F) = -1\n",
+            "",
+        ),
+        # disc = -432 a6^2, a6 = 1000003 * 1000033: a composite cofactor past
+        # trial division
+        (
+            "a1: 0\na2: 0\na3: 0\na4: 0\na6: 1000036000099\n",
+            3,
+            "",
+            "Incomputable: trial division below 1000000 leaves a cofactor not proven prime:"
+            f" {1000036000099**2} is not prime\n",
+        ),
+    ],
+    ids=["additive-declared", "cofactor-unproven"],
+)
+def test_root_number_at_a_declared_additive_or_unfactored_prime(
+    capsys, tmp_path, curve_text, code, out, err
+):
+    curve = tmp_path / "curve.txt"
+    curve.write_text(curve_text)
+    ext = tmp_path / "ext.txt"
+    ext.write_text("poly: 1,-1\n")
+    assert main(["root-number", "--curve", str(curve), "--extension", str(ext)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out)
+    assert bool(captured.out) == bool(out)
+    assert captured.err == err
+
+
 def test_specialize_without_reference_fiber_exits_3(capsys, tmp_path):
     # every fiber is x^2 + 13, ramified at 13
     pencil = tmp_path / "ramified.pencil"
@@ -437,6 +532,9 @@ def _both_commands(curve_file, extension_file):
         ("poly: 1,0,-2\nprofile: p=2 pairs=1:5\n", 2, "sum of e*f is 5, expected the degree 2"),
         ("profile: p=2 pairs=1:1\npoly: 1,0,-2\n", 1, "sum of e*f is 1, expected the degree 2"),
         ("poly: 1,0,-2\nprofile: p=2 pairs=0:1,1:2\n", 2, "profile pair '0:1' needs e, f >= 1"),
+        ("poly: 1,0,-2\nprofile: p=2\n", 2, "profile record needs p= and pairs="),
+        ("poly: 1,0,-2\ndegree: 2\n", 2, "unknown extension key 'degree'"),
+        ("# no poly\nprofile: p=2 pairs=1:2\n", 0, "extension file missing poly:"),
     ],
 )
 def test_bad_extension_files_exit_4_in_both_commands(
@@ -564,6 +662,13 @@ def test_profile_primes_are_read_once_each(capsys, tmp_path):
             ["jacobian", "--f", "1,0,0,0,1,1", "--n", "5", "--bound", "0", "--p", "3"],
             "--bound must be >= 3, got 0",
         ),
+        (["orbit-search", "foo", "5"], "unknown group spec 'foo'"),
+        (["orbit-search", "gens"], "gens needs --generators and --degree"),
+        (
+            ["orbit-search", "gens", "--degree", "4", "--generators", "(1,5)"],
+            "bad generator literal: bad cycle '1,5' for degree 4",
+        ),
+        (["orbit-search", "sn", "0"], "group spec 'sn' needs a positive degree or prime"),
     ],
 )
 def test_invalid_option_values_exit_4(
@@ -606,6 +711,8 @@ def test_malformed_number_options_exit_4(capsys, pencil_file, extension_file, ar
         ["orbit-search", "psl2", "eleven"],
         ["specialize", "--q", "19"],
         [],
+        # an input file that does not exist
+        ["root-number", "--curve", "no-such-curve.txt", "--extension", "no-such-ext.txt"],
     ],
 )
 def test_usage_errors_exit_4(capsys, argv):

@@ -136,34 +136,31 @@ def test_local_root_number_additive_undeclared():
 
 
 def test_global_root_no_split_primes():
-    assert global_root_semistable(paper_curve(), []) == -1
+    assert global_root_semistable([]) == -1
 
 
 def test_global_root_paper_curve():
     E = paper_curve()
     data = [LocalReductionData(2, DECLARED, 1), classify_reduction(E, 5)]
     # product (+1)(-1)(-1) = +1: the rank-0 curve
-    assert global_root_semistable(E, data) == 1
+    assert global_root_semistable(data) == 1
 
 
 def test_global_root_one_split_one_nonsplit():
-    E = paper_curve()
     data = [LocalReductionData(7, SPLIT_MULT), LocalReductionData(11, NONSPLIT_MULT)]
-    assert global_root_semistable(E, data) == 1
+    assert global_root_semistable(data) == 1
 
 
 def test_global_root_declared_minus_one_counts_as_split():
     # a declared -1 at a semistable prime is split multiplicative: s = 1
-    E = paper_curve()
-    assert global_root_semistable(E, [LocalReductionData(2, DECLARED, -1)]) == 1
+    assert global_root_semistable([LocalReductionData(2, DECLARED, -1)]) == 1
     data = [LocalReductionData(2, DECLARED, -1), LocalReductionData(7, SPLIT_MULT)]
-    assert global_root_semistable(E, data) == -1
+    assert global_root_semistable(data) == -1
 
 
 def test_global_root_missing_data():
-    E = paper_curve()
     with pytest.raises(MissingLocalData):
-        global_root_semistable(E, [LocalReductionData(5, ADDITIVE)])
+        global_root_semistable([LocalReductionData(5, ADDITIVE)])
 
 
 # ---------------------------------------------------------------- curve bundles

@@ -141,7 +141,7 @@ def _multiplicative_sign(pairs, split):
     """W(E/F) times the archimedean sign, for E with bad reduction at q = 7
     only (split or not) and F with the (e, f) profile `pairs` at 7."""
     q, n = 7, sum(e * f for e, f in pairs)
-    bundle = CurveLocalData(None, (LocalReductionData(q, SPLIT_MULT if split else NONSPLIT_MULT),))
+    bundle = CurveLocalData((LocalReductionData(q, SPLIT_MULT if split else NONSPLIT_MULT),))
     # only the profile at q and the place count r1 + r2 = n are read
     F = ExtensionProfile(PolyQ([0] * n + [1]), (n, 0), {q: tuple(pairs)})
     return root_number_over_extension(bundle, F) * (-1) ** n
@@ -702,5 +702,5 @@ def test_trivial_extension_matches_semistable_global_root():
         declared = {L.prime: [(1, 1)] for L in bundle.local}
         triv = build_profile(PolyQ([-1, 1]), declared=declared)
         assert root_number_over_extension(bundle, triv) == global_root_semistable(
-            E, list(bundle.local)
+            list(bundle.local)
         )

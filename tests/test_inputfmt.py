@@ -28,7 +28,7 @@ def test_parse_curve_roundtrip():
     bundle = parse_curve_file(
         "a1: 0\na2: -6\na3: 0\na4: 5\na6: 0\nlocal: p=2 type=declared w=+1\n"
     )
-    assert bundle.curve.disc == 6400
+    assert bundle.bad_primes() == [2, 5]
     assert bundle.reduction_at(2).declared_root_number == 1
     assert bundle.reduction_at(5).type == "split_mult"
 

@@ -23,7 +23,7 @@ from rootgain.jacobian import (
 
 
 def model(orbits):
-    return StableModelData(prime=5, orbit_list=tuple(orbits))
+    return StableModelData(orbit_list=tuple(orbits))
 
 
 # ---------------------------------------------------------------- node primes
@@ -289,20 +289,19 @@ def test_profiles_shape():
 
 def test_report_flips_always():
     f = PolyQ([1, 1, 0, 0, 0, 1])
-    rep = hyperelliptic_rank_gain_report(f, 5, 200)
-    assert rep.rows
-    for row in rep.rows:
+    rows = hyperelliptic_rank_gain_report(f, 5, 200)
+    assert rows
+    for row in rows:
         assert row.verdict == "flip"
         assert row.profile_a_w == -row.profile_b_w
-    assert rep.disclaimer == "conditional-on-parity-conjecture"
 
 
 def test_report_verdict_independent_of_degree():
     f = PolyQ([1, 1, 0, 0, 0, 1])
     r4 = hyperelliptic_rank_gain_report(f, 4, 200)
     r6 = hyperelliptic_rank_gain_report(f, 6, 200)
-    assert [(row.prime, row.verdict) for row in r4.rows] == [
-        (row.prime, row.verdict) for row in r6.rows
+    assert [(row.prime, row.verdict) for row in r4] == [
+        (row.prime, row.verdict) for row in r6
     ]
 
 
@@ -317,10 +316,10 @@ def test_random_quintics_sextics_flip():
         f = PolyQ(coeffs)
         if not f.is_separable():
             continue
-        rep = hyperelliptic_rank_gain_report(f, 5, 100)
-        if not rep.rows:
+        rows = hyperelliptic_rank_gain_report(f, 5, 100)
+        if not rows:
             continue
         found += 1
-        for row in rep.rows:
+        for row in rows:
             assert row.profile_a_w == -row.profile_b_w
     assert found == 20

@@ -472,7 +472,7 @@ def test_search_psl2_smoke_small():
     cand = candidates[0]
     assert valuation(cand.t0, 19) == -1
     assert cand.ratio == -1
-    assert valuation(discriminant(cand.poly), 19) >= 6  # three (e=2, f=2) primes
+    assert valuation(discriminant(cand.profile.poly), 19) >= 6  # three (e=2, f=2) primes
     assert cand.fingerprint == "distinct"
 
 
@@ -486,7 +486,9 @@ def test_search_reproducible():
     target = pencil.branch_points[0].pair
     a = search_rank_gain(pencil, None, cons, target, 19, limit=1)
     b = search_rank_gain(pencil, None, cons, target, 19, limit=1)
-    assert [(r.t0, r.poly, r.ratio) for r in a] == [(r.t0, r.poly, r.ratio) for r in b]
+    assert [(r.t0, r.profile.poly, r.ratio) for r in a] == [
+        (r.t0, r.profile.poly, r.ratio) for r in b
+    ]
 
 
 def test_search_enforces_unramified_conditions():
@@ -502,7 +504,7 @@ def test_search_enforces_unramified_conditions():
     assert [r.role for r in records] == ["reference", "candidate"]
     # the first t0 of the enumeration, -18/19, has v_23(disc) = 6
     assert records[1].t0 == F(-17, 19)
-    assert all(valuation(discriminant(r.poly), 23) == 0 for r in records)
+    assert all(valuation(discriminant(r.profile.poly), 23) == 0 for r in records)
     # t0 = 2, the first reference t0 congruent to 2 mod 13, has v_23(disc) = 2
     cons = SearchConstraints(
         (
@@ -515,7 +517,7 @@ def test_search_enforces_unramified_conditions():
     )
     reference = find_reference_specialization(pencil, 19, cons)
     assert valuation(reference.t0 - 2, 13) >= 1
-    assert valuation(discriminant(reference.poly), 23) == 0
+    assert valuation(discriminant(reference.profile.poly), 23) == 0
 
 
 def fraction_horner_specialize(P, t0):

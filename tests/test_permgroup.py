@@ -337,7 +337,7 @@ def test_metacyclic_search_a5_contains_klein_candidate():
     assert len(hits) == 1
     m = hits[0]
     assert m.orbits_inertia == 3 and m.orbits_full == 2
-    assert m.inertia_in_alternating and (m.degree - m.orbits_full) % 2 == 1
+    assert m.inertia_in_alternating and (G.degree - m.orbits_full) % 2 == 1
 
 
 def test_metacyclic_search_psl2_11_natural_nonempty():
@@ -878,7 +878,7 @@ def _subgroupwise_search(G, require_inertia_even=False):
                 solved[s] = (orb_i, c_even, moved_odd)
         orb_i, c_even, odd = solved.pop(k)
         c = tuple(arr[c_row].tolist())
-        out += [MetacyclicCandidate(n, c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
+        out += [MetacyclicCandidate(c, x, len(powers), orb_i, orb_h, c_even) for x, orb_h in odd]
     return out
 
 
