@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import PolyQ, poly_from_descending_string, unproven_prime_reason
-from .ellcurve import ADDITIVE, DECLARED, CurveError, CurveLocalData, EllipticCurveData
+from .ellcurve import ADDITIVE, DECLARED, GOOD, CurveError, CurveLocalData, EllipticCurveData
 from .ellcurve import LocalReductionData, classify_reduction
 from .extension import DecompositionPair
 from .mestre import BranchPoint, MestreError, Pencil, mestre_form_pencil, psl2_11_degree12_pencil
@@ -72,7 +72,20 @@ def parse_prime(lineno: int, text) -> int:
 def _check_declaration(curve: EllipticCurveData, L: LocalReductionData, lineno: int) -> None:
     """A declaration at p >= 5 must be the computed reduction type; only an
     additive prime, whose root number is not computed, takes type=declared or
-    w=."""
+    w=. At p = 2 or 3 the type is not computed, but a p-integral model whose
+    discriminant p does not divide has good reduction, with w_p = +1: there
+    only type=good (without w=) or type=declared w=+1 is taken."""
+    p = L.prime
+    if p < 5:
+        good = all(a.denominator % p for a in curve.coefficients()) and curve.disc.numerator % p
+        if good and (L.type, L.declared_root_number) not in ((GOOD, None), (DECLARED, 1)):
+            w = "" if L.declared_root_number is None else f" w={L.declared_root_number:+d}"
+            raise ParseError(
+                lineno,
+                f"type={L.type}{w} at p={p}, where the model is {p}-integral and {p} does not"
+                " divide its discriminant: the reduction is good, with w=+1",
+            )
+        return
     try:
         computed = classify_reduction(curve, L.prime).type
     except CurveError as exc:
@@ -87,8 +100,8 @@ def _check_declaration(curve: EllipticCurveData, L: LocalReductionData, lineno: 
 
 
 def parse_curve_file(text: str) -> CurveLocalData:
-    """The local data of a curve file; a `local:` declaration at p >= 5 is
-    checked against the computed reduction at its line."""
+    """The local data of a curve file; each `local:` declaration is checked at
+    its line against what is computed there (`_check_declaration`)."""
     coeffs = {}
     declared: dict[int, tuple[int, LocalReductionData]] = {}
     for lineno, key, value in read_records(text):
@@ -120,8 +133,7 @@ def parse_curve_file(text: str) -> CurveLocalData:
             coeffs["a1"], coeffs["a2"], coeffs["a3"], coeffs["a4"], coeffs["a6"]
         )
         for lineno, L in declared.values():
-            if L.prime >= 5:
-                _check_declaration(curve, L, lineno)
+            _check_declaration(curve, L, lineno)
         return CurveLocalData.build(curve, [L for _, L in declared.values()])
     except CurveError as exc:
         raise ParseError(0, str(exc)) from None

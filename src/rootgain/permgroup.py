@@ -12,10 +12,12 @@ check compares row bytes instead). Callers get tuples, built from the rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from bisect import insort
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
@@ -640,19 +642,28 @@ def _right_cosets(bit_rows: list[list[int]]) -> list[int]:
 
 
 def _double_coset_reps(
-    s: int, cols: list[list[int]], cosets: list[int], whole: int
-) -> Iterator[int]:
-    """The least element g of each double coset s g s other than s, ascending,
-    where `cols` holds, for each member b of s, its right-multiplication map
-    col[g] = g b. s g s is the union of the right cosets s (g b) over b in s; a
-    walk over g in ascending order meets each double coset first at its least
-    element."""
-    uncovered = whole & ~s
+    s: int, cols: list[list[int]], cosets: list[int], elements: int
+) -> Generator[int | None, int | None, None]:
+    """The least element g of each double coset s g s inside the bitmask
+    `elements` other than s, ascending, where `elements` is a union of double
+    cosets of s and `cols` holds, for each member b of s, its right-multiplication
+    map col[g] = g b. s g s is the union of the right cosets s (g b) over b in s;
+    a walk over g in ascending order meets each double coset first at its least
+    element.
+
+    A caller that learns, at g, a subgroup t containing s whose elements need no
+    visit may send t: the walk drops t (a union of double cosets, s t s = t) and
+    answers the send with None, so a `for` loop over it still sees each other g
+    once."""
+    uncovered = elements & ~s
     while uncovered:
         g = _least(uncovered)
-        yield g
+        settled = yield g
         for col in cols:
             uncovered &= ~cosets[col[g]]
+        if settled is not None:
+            uncovered &= ~settled
+            yield None
 
 
 def _join(s: int, order: int, maps: list[list[int]], cosets: list[int], limit: int) -> int | None:
@@ -685,72 +696,120 @@ def all_subgroups(elements) -> list[tuple[frozenset[int], list[int]]]:
 
     Cyclic subgroups first, then single-element extensions to a fixpoint; this
     reaches every subgroup since any chain <g1> <= <g1,g2> <= ... realizes it.
-    Subgroups are Python-int bitmasks over the element indices until the end.
-    The product table is read off the products a(b(i)) that the closure check
-    forms anyway, by one base-index `find` over their base images. For each
-    queued subgroup s, the masks of its right cosets s x are summed
-    from the product table's rows of one-element masks (`_right_cosets`); one
-    g per double coset s g s is tried (`_double_coset_reps`), and <s, g> is
-    joined a whole right coset at a time (`_join`, the kernel that
-    `transitive_typesets` shares). A join that passes half the order is the
-    whole group.
+    Subgroups are Python-int bitmasks over the element indices until the end,
+    and each one's member list is read once: off the powers of its least
+    generator, or when a join first finds it. The product table is read off the
+    products a(b(i)) that the closure check forms anyway, by one base-index
+    `find` over their base images. For each queued subgroup s, the masks of its
+    right cosets s x are summed from the product table's rows of one-element
+    masks (`_right_cosets`); one g per double coset s g s is tried
+    (`_double_coset_reps`), and <s, g> is joined a whole right coset at a time
+    (`_join`, the kernel that `transitive_typesets` shares). A join that passes
+    half the order is the whole group.
 
-    Three exact prunings skip only joins whose result is already found, so
-    every subgroup keeps the generator list of its first producer:
+    Exact rules skip joins whose result is already found, or read a join's
+    result without walking it, so every subgroup keeps the generator list of
+    its first producer, and `found` and the queue evolve as if every join were
+    walked:
     - s = <e> is not extended: each <e, g> = <g> came from the cyclic pass.
     - s is not extended when no divisor d of |G| with |s| < d <= |G|/2 is a
       multiple of |s| (when |G|/|s| is 1 or prime): by Lagrange a proper
       overgroup of s would need such an order, so every join is the whole
       group, which is recorded from the least g outside s if it is new.
     - g is skipped when <g> was already joined to s: <s, g> = <s, <g>>.
+    - For a cyclic s = <a>, g is skipped when <g> was extended before s:
+      <s, g> = <<g>, a>, and every join of <g> is found once <g> is extended.
+    - Prime index: if [t : s] is prime, then <s, h> = t for every h in t
+      outside s, since no subgroup lies strictly between s and t. So the walk
+      skips the found subgroups of prime index over s, and the rest of
+      t = <s, g> once [t : s] is prime.
+    - Half order: X = s | <g> | <a g>, for the first generator a of s, lies in
+      <s, g>. If the least t known to contain s (a found subgroup or G) that
+      contains X has |t| < 2|X|, then <s, g> = t without a walk: it lies in t,
+      and by Lagrange a subgroup of t with more than |t|/2 elements is t.
     Raises GroupError when the elements are not closed under composition.
     """
-    perms = [tuple(e) for e in elements]
-    arr = np.array(perms, dtype=np.min_scalar_type(-len(perms[0])))
+    n = len(elements[0])
+    arr = np.fromiter(chain.from_iterable(elements), np.min_scalar_type(-n)).reshape(-1, n)
     index = _BaseIndex(arr)
     # the row of a*b (a after b), found from a(b(base)); base images identify a
     # product only if it is a member, so compare whole products, [a, b, i] = a(b(i))
     products = arr[:, arr]
     table = index.find(products[:, :, index.base])
-    if not np.array_equal(products, arr[table]):
+    if not np.array_equal(products, arr.take(table, axis=0)):
         raise GroupError("all_subgroups: the elements are not closed under composition")
     cols = table.T.tolist()  # cols[a][r] = r a
     one = [1 << x for x in range(len(arr))]
-    bit_rows = [list(map(one.__getitem__, row)) for row in table.tolist()]
+    bit_rows = np.array(one, dtype=object)[table].tolist()  # one[a b]
     whole = (1 << len(arr)) - 1
     limit = len(arr) // 2
-    cyclic = []  # the mask of <g>, from the powers g, g^2, ..., g^m = e
+    primes = set(_prime_divisors(len(arr)))  # every prime index [t : s]
+    # the mask of <g>, from the powers g, g^2, ..., g^m = e of its least
+    # generator g; it is also the mask of each g^k with k prime to m
+    cyclic = [0] * len(arr)
     found: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}  # each found subgroup's indices, ascending
+    generators: dict[int, int] = {}  # the mask of the generators of each <g>
     for g, col in enumerate(cols):
-        mask, x = 0, g
+        if cyclic[g]:
+            continue
+        mask, x, powers = 0, g, []
         while not mask >> x & 1:
             mask |= one[x]
+            powers.append(x)
             x = col[x]
-        cyclic.append(mask)
-        found.setdefault(mask, [g])
-    queue = sorted(found, key=_bits)
+        generated = 0
+        for k, x in enumerate(powers, 1):
+            if gcd(k, len(powers)) == 1:
+                cyclic[x] = mask
+                generated |= one[x]
+        found[mask], members[mask], generators[mask] = [g], sorted(powers), generated
+    queue = sorted(found, key=members.__getitem__)
+    extended = 0  # the generators of the cyclic subgroups taken from the queue
     for s in queue:
-        members, gens = _bits(s), found[s]
-        m = len(members)
+        gens, m = found[s], len(members[s])
+        own = generators.get(s, 0)
+        extended |= own
         if m == 1:
             continue
         if not any(len(arr) % d == 0 for d in range(2 * m, limit + 1, m)):
             if whole not in found:
-                found[whole] = gens + [_least(whole & ~s)]
+                found[whole], members[whole] = gens + [_least(whole & ~s)], list(range(len(arr)))
                 queue.append(whole)
             continue
-        cosets = _right_cosets([bit_rows[a] for a in members])
+        # the subgroups known to contain s (s too), ascending by order, and the
+        # elements whose joins with s are found
+        overgroups = sorted((t for t in found if t & s == s), key=int.bit_count)
+        settled = extended if own else 0
+        for t in overgroups:
+            if t.bit_count() // m in primes:
+                settled |= t
+        if not whole & ~settled & ~s:
+            continue
+        if whole not in overgroups:
+            overgroups.append(whole)
+        cosets = _right_cosets([bit_rows[a] for a in members[s]])
         maps = [cols[a] for a in gens]
+        a = gens[0]
         joined = set()
-        for g in _double_coset_reps(s, [cols[b] for b in members], cosets, whole):
+        walk = _double_coset_reps(s, [cols[b] for b in members[s]], cosets, whole & ~settled)
+        for g in walk:
             if cyclic[g] in joined:
                 continue
             joined.add(cyclic[g])
-            t = _join(s, m, maps + [cols[g]], cosets, limit) or whole
+            X = s | cyclic[g] | cyclic[cols[g][a]]
+            for t in overgroups:
+                if not X & ~t:
+                    break
+            if t.bit_count() >= 2 * X.bit_count():
+                t = _join(s, m, maps + [cols[g]], cosets, limit) or whole
             if t not in found:
-                found[t] = gens + [g]
+                found[t], members[t] = gens + [g], _bits(t)
                 queue.append(t)
-    subgroups = sorted((t.bit_count(), _bits(t), gens) for t, gens in found.items())
+                insort(overgroups, t, key=int.bit_count)
+            if t.bit_count() // m in primes:
+                walk.send(t)
+    subgroups = sorted((len(members[t]), members[t], gens) for t, gens in found.items())
     return [(frozenset(bits), gens) for _, bits, gens in subgroups]
 
 

@@ -400,6 +400,27 @@ def test_malformed_numbers_exit_4_with_line(
         ),
         (None, "form: mestre\nbogus: 1\n", "line 2: unknown pencil key 'bogus'"),
         (None, "f: 1,0,-3\ng: 1\n", "pencil file needs family: or form: mestre|general"),
+        # 11a3 has discriminant -11: at 2 and 3 its model is integral with a unit
+        # discriminant, so the reduction is good, and a record must say so
+        *(
+            (
+                CURVE_11A3 + f"local: p={p} {record}\n",
+                None,
+                f"line 6: {record} at p={p}, where the model is {p}-integral and {p} does not"
+                " divide its discriminant: the reduction is good, with w=+1",
+            )
+            for p in (2, 3)
+            for record in (
+                "type=declared w=-1",
+                "type=good w=+1",
+                "type=good w=-1",
+                "type=split_mult",
+                "type=nonsplit_mult",
+                "type=additive",
+                "type=additive w=-1",
+                "type=unknown_23",
+            )
+        ),
     ],
 )
 def test_bad_curve_and_pencil_models_exit_4(
@@ -419,6 +440,26 @@ def test_bad_curve_and_pencil_models_exit_4(
     where = "" if message.startswith("line ") else "line 0: "
     assert captured.err == f"parse error: {where}{message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "record, code, out",
+    [
+        # once taken, and printed W(E/F) = -1 with exit 0
+        ("local: p=2 type=declared w=-1\n", 4, None),
+        ("", 0, "W(E/F) = +1\n"),
+        ("local: p=2 type=good\n", 0, "W(E/F) = +1\n"),
+        ("local: p=3 type=declared w=+1\n", 0, "W(E/F) = +1\n"),
+    ],
+)
+def test_11a3_over_q_reads_good_reduction_at_2_and_3(capsys, tmp_path, record, code, out):
+    curve = tmp_path / "curve.txt"
+    curve.write_text(CURVE_11A3 + record)
+    ext = tmp_path / "ext.txt"
+    ext.write_text("poly: 1,-1\n")
+    assert main(["root-number", "--curve", str(curve), "--extension", str(ext)]) == code
+    printed = capsys.readouterr().out
+    assert printed.endswith(out) if code == 0 else printed == ""
 
 
 def test_specialize_branch_degree_other_than_pencil_degree_exits_4(capsys, tmp_path):

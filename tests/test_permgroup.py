@@ -1178,6 +1178,41 @@ def test_all_subgroups_match_right_coset_traversal_with_identity_not_first(name)
         assert all_subgroups(order) == _right_coset_subgroups(order)
 
 
+# lattices that are not dihedral. Over these shuffles the half-order,
+# prime-index and extended-cyclic rules of `all_subgroups` all fire in A4,
+# C5:C4, S4 and PSL2(7), and Q12 walks no join at all; in C3 x C3 every proper
+# subgroup but <e> has prime index, so nothing is joined. An example shuffles
+# all the elements, the identity too
+SHUFFLED_GROUPS = {
+    "C3xC3": (lambda: PermGroup(6, [cyc("(1,2,3)", 6), cyc("(4,5,6)", 6)]), 30),
+    "A4": (lambda: alternating_group(4), 30),
+    # C3 : C4 with one involution, (4,6)(5,7)
+    "Q12": (lambda: PermGroup(7, [cyc("(1,2,3)", 7), cyc("(2,3)(4,5,6,7)", 7)]), 30),
+    # x -> x + 1 and x -> 2x on Z/5
+    "C5:C4": (lambda: PermGroup(5, [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)]), 30),
+    "S4": (lambda: symmetric_group(4), 30),
+    # each oracle lattice takes about 0.4 s
+    "PSL2(7)": (lambda: psl2_natural(7), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHUFFLED_GROUPS))
+def test_all_subgroups_match_right_coset_traversal_on_shuffles(name):
+    build, examples = SHUFFLED_GROUPS[name]
+    G = build()
+    if name == "Q12":
+        assert G.order() == 12 and sum(perm_order(e) == 2 for e in G.elements) == 1
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def check(rng):
+        elements = list(G.elements)
+        rng.shuffle(elements)
+        assert all_subgroups(elements) == _right_coset_subgroups(elements)
+
+    check()
+
+
 LATTICE_DIGESTS = {
     19: "8e18a14db58b1d38ff75648e30191259a3ec5bfad1b3be3ceb6ac8ec18033e5d",
     43: "4c1a5c8b5c266615b80cce7e2f5f336026bb9f5480f39c9dc94ca2ac6db3aa9f",
@@ -1199,18 +1234,48 @@ def test_benchmark_scale_lattices_are_pinned(p, count):
     assert hashlib.sha256(repr(lattices).encode()).hexdigest() == LATTICE_DIGESTS[p]
 
 
-def test_lagrange_skip_saves_joins_on_a_psl2_43_centralizer(monkeypatch):
-    # C(x) is dihedral of order 44: its 11 Klein four-groups have the prime
-    # index 11, so they are not extended, where a rule that extends s while
-    # 2|s| <= |G|/2 made 239 joins in all
-    (C,) = _involution_centralizers(43, 1)
+def _lattice_and_joins(monkeypatch, elements):
+    """all_subgroups of the elements, and the number of joins it walks."""
     calls = []
     join = permgroup_module._join
     monkeypatch.setattr(permgroup_module, "_join", lambda *args: calls.append(args) or join(*args))
-    subs = all_subgroups(C)
+    return all_subgroups(elements), len(calls)
+
+
+def test_lagrange_skip_saves_joins_on_a_psl2_43_centralizer(monkeypatch):
+    # C(x) is dihedral of order 44: its 11 Klein four-groups have the prime
+    # index 11, so they are not extended, where a rule that extends s while
+    # 2|s| <= |G|/2 made 239 joins in all. Walking every other join took 190;
+    # the rules that settle joins without a walk leave 13 of them
+    subs, joins = _lattice_and_joins(monkeypatch, _involution_centralizers(43, 1)[0])
     tau, sigma = _divisor_count_and_sum(22)
     assert len(subs) == tau + sigma
-    assert len(calls) == 190
+    assert joins == 13
+
+
+def test_lagrange_rules_save_joins_on_a_psl2_19_centralizer(monkeypatch):
+    # C(x) is dihedral of order 20; walking every join left by the Lagrange
+    # skip took 60
+    subs, joins = _lattice_and_joins(monkeypatch, _involution_centralizers(19, 1)[0])
+    tau, sigma = _divisor_count_and_sum(10)
+    assert len(subs) == tau + sigma
+    assert joins == 7
+
+
+def test_half_order_rule_saves_joins_on_lattices_that_are_not_dihedral(monkeypatch):
+    # in G's order; X = s | <g> | <a g> without <g> walks 1, 4, 36 and 10 joins
+    # here, the other rules without the half-order one 1, 4, 42 and 27, and a
+    # walk of every join the Lagrange skip leaves 6, 22, 90 and 46
+    joins = {
+        name: _lattice_and_joins(monkeypatch, build().elements)[1]
+        for name, build in (
+            ("Q12", SHUFFLED_GROUPS["Q12"][0]),
+            ("C5:C4", SHUFFLED_GROUPS["C5:C4"][0]),
+            ("S4", ORACLE_GROUPS["S4"]),
+            ("D8", ORACLE_GROUPS["D8"]),
+        )
+    }
+    assert joins == {"Q12": 0, "C5:C4": 3, "S4": 35, "D8": 6}
 
 
 def _mask(indices):
